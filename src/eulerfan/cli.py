@@ -8,7 +8,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import oracles
 from .certificate import Certificate
@@ -24,7 +24,6 @@ from .riemann import (
     CaseId,
     RiemannProblem,
     StandardSolution,
-    Wave,
     classify,
     near_boundaries,
     rotate_180,
@@ -33,7 +32,6 @@ from .riemann import (
 )
 from .subsolution import (
     FanSubsolution,
-    ReducedSubsolution,
     check_reduced,
     extract_deltas,
     lift_to_full,
@@ -79,38 +77,19 @@ def _f(x):
     return x
 
 
-def law_dict(law: GasLaw) -> dict:
-    return {"K": law.K, "gamma": law.gamma}
-
-
 def state_dict(s: State) -> dict:
     return {"rho": _f(s.rho), "v1": _f(s.v1), "v2": _f(s.v2)}
 
 
 def problem_dict(p: RiemannProblem) -> dict:
-    return {"law": law_dict(p.law), "left": state_dict(p.left), "right": state_dict(p.right)}
-
-
-def wave_dict(w: Wave) -> dict:
-    return {"family": w.family, "kind": w.kind, "speeds": list(w.speeds)}
+    return {"law": asdict(p.law), "left": state_dict(p.left), "right": state_dict(p.right)}
 
 
 def solution_dict(s: StandardSolution) -> dict:
     return {
         "case": s.case.value,
         "middle": state_dict(s.middle) if s.middle is not None else None,
-        "waves": [wave_dict(w) for w in s.waves],
-    }
-
-
-def reduced_dict(r: ReducedSubsolution) -> dict:
-    return {
-        "rho1": r.rho1,
-        "v12": r.v12,
-        "mu0": r.mu0,
-        "mu1": r.mu1,
-        "delta1": r.delta1,
-        "delta2": r.delta2,
+        "waves": [asdict(w) for w in s.waves],
     }
 
 
@@ -325,7 +304,7 @@ def _run_subsolution(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
                     "found": True,
                     "rho1": rho1,
                     "delta2": delta2,
-                    "reduced": reduced_dict(reduced),
+                    "reduced": asdict(reduced),
                     "full": subsolution_dict(full),
                 }
             ),

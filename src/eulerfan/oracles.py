@@ -26,11 +26,8 @@ class LemmaReport:
     passed: bool
 
 
-def lemma1_gap(law: GasLaw, rho_a: float, rho_b: float) -> float:
-    """p(a) + p(b) - 2ab (eps(b) - eps(a))/(b - a); positive for a != b."""
-    if rho_a == rho_b:
-        raise DomainError("needs two distinct densities")
-    return admissibility_bracket(law, rho_a, rho_b)
+# Lemma 1's gap is the admissibility bracket itself, positive for a != b.
+lemma1_gap = admissibility_bracket
 
 
 def lemma2_gap(law: GasLaw, rho_minus: float, rho_plus: float) -> float:

@@ -10,7 +10,7 @@ from enum import Enum
 
 from . import certificate as cert
 from .certificate import Certificate
-from .eos import internal_energy, pressure
+from .eos import GasLaw, internal_energy, pressure
 from .errors import BracketError, DomainError, InvariantError
 from .wavecurves import (
     State,
@@ -20,7 +20,6 @@ from .wavecurves import (
     rarefaction_integral,
     shock_bracket,
 )
-from .eos import GasLaw
 
 # Half-width, relative to scale, of the band around each case-separating
 # equality inside which data is treated as sitting exactly on the boundary.
@@ -159,20 +158,23 @@ def classify(p: RiemannProblem) -> CaseId:
     return CaseId.R1R3
 
 
+def _near_thresholds(p: RiemannProblem) -> list[tuple[str, float]]:
+    """(name, threshold) of every case-separating equality whose band holds dv."""
+    dv = p.dv
+    out = []
+    for name, threshold in (
+        ("single-shock", _shock_threshold(p)),
+        ("single-rarefaction", _rarefaction_threshold(p)),
+        ("vacuum", _vacuum_threshold(p)),
+    ):
+        if threshold is not None and abs(dv - threshold) <= _band(dv, threshold):
+            out.append((name, threshold))
+    return out
+
+
 def near_boundaries(p: RiemannProblem) -> tuple[str, ...]:
     """Names of case-separating equalities that dv sits within the band of."""
-    out = []
-    dv = p.dv
-    t_s = _shock_threshold(p)
-    if abs(dv - t_s) <= _band(dv, t_s):
-        out.append("single-shock")
-    t_r = _rarefaction_threshold(p)
-    if abs(dv - t_r) <= _band(dv, t_r):
-        out.append("single-rarefaction")
-    t_v = _vacuum_threshold(p)
-    if t_v is not None and abs(dv - t_v) <= _band(dv, t_v):
-        out.append("vacuum")
-    return tuple(out)
+    return tuple(name for name, _ in _near_thresholds(p))
 
 
 def rotate_180(p: RiemannProblem) -> RiemannProblem:
@@ -383,14 +385,8 @@ def verify_standard(
     """
     law = p.law
     entries = []
-    for name in near_boundaries(p):
-        dv = p.dv
-        if name == "single-shock":
-            t = _shock_threshold(p)
-        elif name == "single-rarefaction":
-            t = _rarefaction_threshold(p)
-        else:
-            t = _vacuum_threshold(p)
+    dv = p.dv
+    for name, t in _near_thresholds(p):
         entries.append(
             cert.nonstrict(f"near-boundary({name})", abs(dv - t), tol_strict, dv, t)
         )

@@ -12,11 +12,8 @@ from . import certificate as cert
 from .certificate import Certificate
 from .eos import GasLaw, internal_energy, pressure
 from .errors import CriterionError, DomainError, InvariantError
-from .riemann import CaseId, RiemannProblem, classify, solve_standard
+from .riemann import EQUATION_TOL, STRICT_TOL, CaseId, RiemannProblem, classify, solve_standard
 from .wavecurves import shock_bracket
-
-EQUATION_TOL = 1e-9
-STRICT_TOL = 1e-12
 
 # delta2 is scanned over at most this magnitude; the admissibility conditions
 # are affine in delta2, so a one-dimensional bracket below the cap is exact.
@@ -60,6 +57,13 @@ class FanSubsolution:
     mu1: float
 
 
+def _disc_terms(p: RiemannProblem) -> tuple[float, float]:
+    """The two terms whose difference is the discriminant."""
+    rl, rr = p.left.rho, p.right.rho
+    dp = pressure(p.law, rl) - pressure(p.law, rr)
+    return (rl - rr) * dp, rr * rl * (p.left.v2 - p.right.v2) ** 2
+
+
 def discriminant(p: RiemannProblem) -> float:
     """(rho- - rho+)(p(rho-) - p(rho+)) - rho+ rho- (v-2 - v+2)^2.
 
@@ -67,9 +71,8 @@ def discriminant(p: RiemannProblem) -> float:
     than the shock bracket of its densities; the square roots of the interface
     speed formulas need it nonnegative.
     """
-    rl, rr = p.left.rho, p.right.rho
-    dp = pressure(p.law, rl) - pressure(p.law, rr)
-    return (rl - rr) * dp - rr * rl * (p.left.v2 - p.right.v2) ** 2
+    t1, t2 = _disc_terms(p)
+    return t1 - t2
 
 
 def _disc_clamped(p: RiemannProblem) -> float:
@@ -79,10 +82,7 @@ def _disc_clamped(p: RiemannProblem) -> float:
     auxiliary-state constructions evaluate arbitrarily close to it, so small
     negative roundoff must not kill the square roots.
     """
-    rl, rr = p.left.rho, p.right.rho
-    dp = pressure(p.law, rl) - pressure(p.law, rr)
-    t1 = (rl - rr) * dp
-    t2 = rr * rl * (p.left.v2 - p.right.v2) ** 2
+    t1, t2 = _disc_terms(p)
     d = t1 - t2
     if d < -STRICT_TOL * cert.scale_of(t1, t2):
         raise CriterionError(
@@ -235,6 +235,12 @@ class _ReducedEvaluator:
         self.slope_r = coupling_r
 
     def rows(self, delta2: float):
+        """(label, margin, scale) for every reduced condition at (rho1, delta2).
+
+        The window and positivity margins come first; the star-function
+        margins are only defined (and only appended) when rho1 lies inside
+        the open density window.
+        """
         rows = [
             ("rho1-above-left", self.m_above, self.s_above),
             ("rho1-below-right", self.m_below, self.s_below),
@@ -247,11 +253,6 @@ class _ReducedEvaluator:
             rhs_r = self.rhs_r0 + delta2 * self.slope_r
             rows.append(("entropy-right", rhs_r - self.lhs_r, cert.scale_of(self.lhs_r, rhs_r)))
         return rows
-
-    def strictly_feasible(self, delta2: float, tol: float) -> bool:
-        if not self.window_ok:
-            return False
-        return all(margin > tol * scale for _, margin, scale in self.rows(delta2))
 
     def robustly_feasible(self, delta2: float, tol: float) -> bool:
         # identical arithmetic to rows(), inlined: this is the search's inner
@@ -277,16 +278,6 @@ class _ReducedEvaluator:
         return rhs_r - self.lhs_r > tol * scale_r
 
 
-def _margin_rows(p, rho1, delta2):
-    """(label, margin, scale) for every reduced condition at (rho1, delta2).
-
-    The window and positivity margins come first; the star-function margins
-    are only defined (and only appended) when rho1 lies inside the open
-    density window.
-    """
-    return _ReducedEvaluator(p, rho1).rows(delta2)
-
-
 def check_reduced(
     p: RiemannProblem,
     rho1: float,
@@ -304,7 +295,7 @@ def check_reduced(
     if not p.left.rho < p.right.rho:
         raise DomainError("the reduced conditions need rho- < rho+")
     entries = []
-    for label, margin, scale in _margin_rows(p, rho1, delta2):
+    for label, margin, scale in _ReducedEvaluator(p, rho1).rows(delta2):
         kind = cert.NONSTRICT if label.startswith("entropy") else cert.STRICT
         entries.append(cert.make_entry(label, kind, margin, tol_strict * scale))
     return Certificate(tuple(entries))

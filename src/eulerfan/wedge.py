@@ -12,8 +12,10 @@ from .certificate import Certificate
 from .eos import pressure
 from .errors import ConstructionError, DomainError
 from .riemann import (
+    EQUATION_TOL,
     RAREFACTION,
     SHOCK,
+    STRICT_TOL,
     CaseId,
     RiemannProblem,
     StandardSolution,
@@ -22,21 +24,13 @@ from .riemann import (
     verify_standard,
 )
 from .subsolution import (
-    EQUATION_TOL,
-    STRICT_TOL,
     FanSubsolution,
     lift_to_full,
     reduced_from,
     search_feasible,
     verify_full,
 )
-from .wavecurves import (
-    State,
-    lambda3,
-    pure_shock_speed,
-    rarefaction_integral,
-    shock_bracket,
-)
+from .wavecurves import State, rarefaction_integral, shock_bracket
 
 # Relative tolerance for the wave-curve membership of the auxiliary state.
 CURVE_TOL = 1e-11
@@ -63,8 +57,15 @@ class WedgeConstruction:
     perturbation: float
 
 
-def _attempt_subsolution(tilde, rho_ref, search_opts):
-    """Subsolution for a perturbed problem, or a failure reason string."""
+def _attempt(p, u2, s, rho_ref, right_case, search_opts):
+    """The construction with auxiliary state u2, or a failure reason string.
+
+    The left piece (left data to u2) needs a fan subsolution with rho1 below
+    ``rho_ref``; the right piece (u2 to right data) must be the single
+    classical 3-wave of ``right_case``, whose left edge mu2 lies beyond mu1.
+    """
+    law = p.law
+    tilde = RiemannProblem(law, p.left, u2)
     if classify(tilde) is not CaseId.S1R3:
         return "perturbed-problem-not-shock-rarefaction"
     found = search_feasible(tilde, **search_opts)
@@ -76,20 +77,40 @@ def _attempt_subsolution(tilde, rho_ref, search_opts):
     sub = lift_to_full(tilde, reduced_from(tilde, rho1, delta2))
     if not verify_full(tilde, sub).overall:
         return "full-verification-failed"
-    return sub
+    wedge_problem = RiemannProblem(law, u2, p.right)
+    if classify(wedge_problem) is not right_case:
+        return "right-problem-misclassified"
+    right_wave = solve_standard(wedge_problem)
+    waves = right_wave.waves
+    kind = RAREFACTION if right_case is CaseId.SINGLE_R else SHOCK
+    if len(waves) != 1 or waves[0].family != 3 or waves[0].kind != kind:
+        return "right-problem-not-a-single-3-wave"
+    if not verify_standard(wedge_problem, right_wave).overall:
+        return "right-wave-verification-failed"
+    mu2 = waves[0].leftmost
+    glue = mu2 - sub.mu1
+    if not glue > 0.0:
+        return "nonpositive-glue-margin"
+    return WedgeConstruction(u2, tilde, wedge_problem, sub, right_wave, mu2, glue, s)
 
 
-def _classical_right(problem, want_case, want_kind):
-    """Single classical 3-wave for the right piece, or a failure reason."""
-    if classify(problem) is not want_case:
-        return None, "right-problem-misclassified"
-    wave_solution = solve_standard(problem)
-    waves = wave_solution.waves
-    if len(waves) != 1 or waves[0].family != 3 or waves[0].kind != want_kind:
-        return None, "right-problem-not-a-single-3-wave"
-    if not verify_standard(problem, wave_solution).overall:
-        return None, "right-wave-verification-failed"
-    return wave_solution, None
+def _construct(p, rho_ref, place, right_case, initial_fraction, max_halvings, search_opts):
+    """The perturbation schedule shared by both constructions.
+
+    ``place(s)`` gives (rho2, u2) for the fraction s, or (rho2, reason) when
+    u2 cannot sit there; s halves after every failed attempt, and the
+    attempt log becomes the ConstructionError once the schedule is spent.
+    """
+    attempts = []
+    s = initial_fraction
+    for _ in range(max_halvings + 1):
+        rho2, u2 = place(s)
+        outcome = u2 if isinstance(u2, str) else _attempt(p, u2, s, rho_ref, right_case, search_opts)
+        if isinstance(outcome, WedgeConstruction):
+            return outcome
+        attempts.append({"s": s, "rho2": rho2, "failure": outcome})
+        s *= 0.5
+    raise ConstructionError(attempts)
 
 
 def build_sr(
@@ -118,45 +139,14 @@ def build_sr(
             "rotate 1-rarefaction/3-shock data first"
         )
     law = p.law
-    middle = solve_standard(p).middle
-    rho_m = middle.rho
+    rho_m = solve_standard(p).middle.rho
     rr, vr2 = p.right.rho, p.right.v2
-    attempts = []
-    s = initial_fraction
-    for _ in range(max_halvings + 1):
+
+    def place(s):
         rho2 = rho_m + s * (rr - rho_m)
-        v22 = vr2 - rarefaction_integral(law, rho2, rr)
-        u2 = State(rho2, p.left.v1, v22)
-        tilde = RiemannProblem(law, p.left, u2)
-        outcome = _attempt_subsolution(tilde, rho_m, search_opts)
-        if isinstance(outcome, str):
-            attempts.append({"s": s, "rho2": rho2, "failure": outcome})
-            s *= 0.5
-            continue
-        sub = outcome
-        wedge_problem = RiemannProblem(law, u2, p.right)
-        right_wave, failure = _classical_right(wedge_problem, CaseId.SINGLE_R, RAREFACTION)
-        if failure is not None:
-            attempts.append({"s": s, "rho2": rho2, "failure": failure})
-            s *= 0.5
-            continue
-        mu2 = lambda3(law, u2)
-        glue = mu2 - sub.mu1
-        if not glue > 0.0:
-            attempts.append({"s": s, "rho2": rho2, "failure": "nonpositive-glue-margin"})
-            s *= 0.5
-            continue
-        return WedgeConstruction(
-            u2=u2,
-            problem_tilde=tilde,
-            problem_wedge=wedge_problem,
-            sub=sub,
-            right_wave=right_wave,
-            mu2=mu2,
-            glue_margin=glue,
-            perturbation=s,
-        )
-    raise ConstructionError(attempts)
+        return rho2, State(rho2, p.left.v1, vr2 - rarefaction_integral(law, rho2, rr))
+
+    return _construct(p, rho_m, place, CaseId.SINGLE_R, initial_fraction, max_halvings, search_opts)
 
 
 def build_s(
@@ -181,48 +171,17 @@ def build_s(
     if not p.left.rho < p.right.rho:
         raise DomainError("3-shock data; rotate it to a 1-shock first")
     law = p.law
-    rl, rr, vr2 = p.left.rho, p.right.rho, p.right.v2
-    cap = rarefaction_integral(law, rl, rr)
-    attempts = []
-    s = initial_fraction
-    for _ in range(max_halvings + 1):
+    rr, vr2 = p.right.rho, p.right.v2
+    cap = rarefaction_integral(law, p.left.rho, rr)
+
+    def place(s):
         rho2 = rr * (1.0 + s)
         jump = shock_bracket(law, rho2, rr)
         if not jump < cap:
-            attempts.append({"s": s, "rho2": rho2, "failure": "aux-shock-not-weaker"})
-            s *= 0.5
-            continue
-        u2 = State(rho2, p.left.v1, vr2 + jump)
-        tilde = RiemannProblem(law, p.left, u2)
-        outcome = _attempt_subsolution(tilde, rr, search_opts)
-        if isinstance(outcome, str):
-            attempts.append({"s": s, "rho2": rho2, "failure": outcome})
-            s *= 0.5
-            continue
-        sub = outcome
-        wedge_problem = RiemannProblem(law, u2, p.right)
-        right_wave, failure = _classical_right(wedge_problem, CaseId.SINGLE_S, SHOCK)
-        if failure is not None:
-            attempts.append({"s": s, "rho2": rho2, "failure": failure})
-            s *= 0.5
-            continue
-        mu2 = pure_shock_speed(u2, p.right)
-        glue = mu2 - sub.mu1
-        if not glue > 0.0:
-            attempts.append({"s": s, "rho2": rho2, "failure": "nonpositive-glue-margin"})
-            s *= 0.5
-            continue
-        return WedgeConstruction(
-            u2=u2,
-            problem_tilde=tilde,
-            problem_wedge=wedge_problem,
-            sub=sub,
-            right_wave=right_wave,
-            mu2=mu2,
-            glue_margin=glue,
-            perturbation=s,
-        )
-    raise ConstructionError(attempts)
+            return rho2, "aux-shock-not-weaker"
+        return rho2, State(rho2, p.left.v1, vr2 + jump)
+
+    return _construct(p, rr, place, CaseId.SINGLE_S, initial_fraction, max_halvings, search_opts)
 
 
 def verify_construction(
@@ -264,25 +223,11 @@ def verify_construction(
             )
         )
     else:
+        jump = shock_bracket(law, rho2, p.right.rho)
+        cap = rarefaction_integral(law, p.left.rho, p.right.rho)
         entries.append(cert.strict("aux-density-above-right", rho2 - p.right.rho, tol_strict, rho2, p.right.rho))
-        entries.append(
-            cert.equation(
-                "aux-on-shock-curve",
-                w.u2.v2 - p.right.v2,
-                shock_bracket(law, rho2, p.right.rho),
-                CURVE_TOL,
-            )
-        )
-        entries.append(
-            cert.strict(
-                "aux-shock-weaker-than-rarefaction",
-                rarefaction_integral(law, p.left.rho, p.right.rho)
-                - shock_bracket(law, rho2, p.right.rho),
-                tol_strict,
-                rarefaction_integral(law, p.left.rho, p.right.rho),
-                shock_bracket(law, rho2, p.right.rho),
-            )
-        )
+        entries.append(cert.equation("aux-on-shock-curve", w.u2.v2 - p.right.v2, jump, CURVE_TOL))
+        entries.append(cert.strict("aux-shock-weaker-than-rarefaction", cap - jump, tol_strict, cap, jump))
     # positive delta1 forces (mu1 - v22)^2 below the chord slope ratio
     bound = w.u2.v2 + math.sqrt(
         (w.sub.rho1 / rho2)

@@ -45,6 +45,11 @@ SHOCK_CASES = (CaseId.R1S3, CaseId.S1R3, CaseId.S1S3)
 SEED_SR = 601
 SEED_S = 602
 
+# Full sha256 of the criterion 6/7 batch streams at those seeds: any change
+# to a number or a byte of the serialized bundles changes these.
+PINNED_SR = "11e48864110371f015ba8b435426dd32b1cf5ddf5e7e96dca4ae23ac138fb7b0"
+PINNED_S = "93b1ca5f36372b44f7bd179cf17fe8d0c3349f9ce062e4cd51098d7c9b3a3c63"
+
 NO_SUBSOLUTION = RiemannProblem(
     GasLaw(K=1.0, gamma=1.0), State(1.0, 0.0, 0.0), State(4.0, 0.0, 1.0)
 )
@@ -277,7 +282,7 @@ def test_criterion_8_determinism():
     _report(
         8,
         "determinism of certificate artifacts",
-        first_sr == again_sr and first_s == again_s,
+        first_sr == again_sr == PINNED_SR and first_s == again_s == PINNED_S,
         f"sha256 sr={first_sr[:12]}.., s={first_s[:12]}..",
     )
 

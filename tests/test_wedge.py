@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -95,6 +96,30 @@ class TestBuildSR:
             assert w.glue_margin > 0.0
             assert w.sub.rho1 < solve_standard(p).middle.rho
             assert verify_construction(p, w).overall
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ConstructionError,
+        reason="known defect: the schedule reaches machine scale without a feasible pair",
+    )
+    @pytest.mark.parametrize(
+        "seed, draw, failures",
+        [
+            (2, 21, {"no-feasible-pair": 41}),
+            (6, 294, {"no-feasible-pair": 36, "perturbed-problem-not-shock-rarefaction": 5}),
+        ],
+        ids=["seed2-draw21", "seed6-draw294"],
+    )
+    def test_known_schedule_exhaustion(self, seed, draw, failures):
+        rng = np.random.default_rng(seed)
+        for _ in range(draw + 1):
+            p, _ = random_case5(rng)
+        try:
+            w = build_sr(p)
+        except ConstructionError as err:
+            assert Counter(a["failure"] for a in err.attempts) == failures
+            raise
+        assert verify_construction(p, w).overall
 
 
 class TestBuildS:

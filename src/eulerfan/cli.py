@@ -13,14 +13,10 @@ from dataclasses import asdict, dataclass, field
 from . import oracles
 from .certificate import Certificate
 from .eos import GasLaw
-from .errors import (
-    BracketError,
-    ConstructionError,
-    CriterionError,
-    DomainError,
-    EulerFanError,
-)
+from .errors import ConstructionError, DomainError, EulerFanError
 from .riemann import (
+    EQUATION_TOL,
+    STRICT_TOL,
     CaseId,
     RiemannProblem,
     StandardSolution,
@@ -120,7 +116,11 @@ def construction_dict(w: WedgeConstruction) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # for these acyclic documents: an inf or NaN
+        raise EulerFanError(f"non-finite number in the output: {exc}") from exc
+    return text + "\n"
 
 
 def certificate_to_json(c: Certificate) -> str:
@@ -211,8 +211,8 @@ def load_input(path: str) -> dict:
     return doc
 
 
-def _search_options(doc: dict, tol_strict: float | None) -> dict:
-    opts = {}
+def _search_options(doc: dict, tol_strict: float) -> dict:
+    opts = {"tol_strict": tol_strict}
     search_doc = doc.get("search", {})
     if not isinstance(search_doc, dict):
         raise SpecError("search", "expected an object")
@@ -220,8 +220,6 @@ def _search_options(doc: dict, tol_strict: float | None) -> dict:
         opts["scan_points"] = int(_get_number(search_doc, "scan_points", "search", minimum=1))
     if "grid" in search_doc:
         opts["grid"] = int(_get_number(search_doc, "grid", "search", minimum=2))
-    if tol_strict is not None:
-        opts["tol_strict"] = tol_strict
     return opts
 
 
@@ -241,15 +239,6 @@ def _perturbation_options(doc: dict) -> dict:
 # mode handlers
 
 
-def _tols(tol_eq, tol_strict):
-    kwargs = {}
-    if tol_eq is not None:
-        kwargs["tol_eq"] = tol_eq
-    if tol_strict is not None:
-        kwargs["tol_strict"] = tol_strict
-    return kwargs
-
-
 def _run_classify(p: RiemannProblem) -> RunResult:
     case = classify(p)
     report = {
@@ -266,7 +255,7 @@ def _run_classify(p: RiemannProblem) -> RunResult:
 
 def _run_standard(p: RiemannProblem, tol_eq, tol_strict) -> RunResult:
     solution = solve_standard(p)
-    certificate = verify_standard(p, solution, **_tols(tol_eq, tol_strict))
+    certificate = verify_standard(p, solution, tol_eq=tol_eq, tol_strict=tol_strict)
     status = STATUS_OK if certificate.overall else STATUS_NUMERIC
     return RunResult(
         status,
@@ -293,8 +282,8 @@ def _run_subsolution(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
     rho1, delta2 = found
     reduced = reduced_from(p, rho1, delta2)
     full = lift_to_full(p, reduced)
-    reduced_cert = check_reduced(p, rho1, delta2, **_tols(None, tol_strict))
-    full_cert = verify_full(p, full, **_tols(tol_eq, tol_strict))
+    reduced_cert = check_reduced(p, rho1, delta2, tol_strict=tol_strict)
+    full_cert = verify_full(p, full, tol_eq=tol_eq, tol_strict=tol_strict)
     ok = reduced_cert.overall and full_cert.overall
     return RunResult(
         STATUS_OK if ok else STATUS_NUMERIC,
@@ -338,12 +327,12 @@ def _run_wedge(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
             "<input>",
             f"wedge mode needs shock+rarefaction or single-shock data, got {case.value}",
         )
-    tols = _tols(tol_eq, tol_strict)
+    tols = {"tol_eq": tol_eq, "tol_strict": tol_strict}
     glue_cert = verify_construction(working, construction, **tols)
     full_cert = verify_full(construction.problem_tilde, construction.sub, **tols)
     d1, d2 = extract_deltas(construction.sub)
     reduced_cert = check_reduced(
-        construction.problem_tilde, construction.sub.rho1, d2, **_tols(None, tol_strict)
+        construction.problem_tilde, construction.sub.rho1, d2, tol_strict=tol_strict
     )
     right_cert = verify_standard(construction.problem_wedge, construction.right_wave, **tols)
     ok = all(c.overall for c in (glue_cert, full_cert, reduced_cert, right_cert))
@@ -404,11 +393,14 @@ def run(
     seed: int | None = None,
     samples: int | None = None,
 ) -> RunResult:
-    """Execute one CLI mode on a parsed input document."""
+    """Execute one CLI mode on a parsed input document; a tolerance left
+    as None takes the library default."""
     if mode not in MODES:
         raise SpecError("--mode", f"unknown mode {mode!r}")
     if mode == "lemmas":
         return _run_lemmas(doc, seed, samples)
+    tol_eq = EQUATION_TOL if tol_eq is None else tol_eq
+    tol_strict = STRICT_TOL if tol_strict is None else tol_strict
     p = parse_problem(doc)
     if mode == "classify":
         return _run_classify(p)
@@ -453,16 +445,16 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return STATUS_INPUT
-    except BracketError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return STATUS_NUMERIC
     except ConstructionError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         for attempt in exc.attempts:
             print(f"  attempt s={attempt['s']!r}: {attempt['failure']}", file=sys.stderr)
         return STATUS_NUMERIC
-    except (CriterionError, EulerFanError) as exc:
+    except EulerFanError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return STATUS_NUMERIC
+    except OverflowError as exc:
+        print(f"numeric failure: arithmetic overflow: {exc}", file=sys.stderr)
         return STATUS_NUMERIC
 
     if args.out:

@@ -88,6 +88,9 @@ class RiemannProblem:
     def __post_init__(self):
         if self.left.rho <= 0.0 or self.right.rho <= 0.0:
             raise DomainError("initial states need positive density")
+        for s in (self.left, self.right):
+            if not (math.isfinite(s.v1) and math.isfinite(s.v2)):
+                raise DomainError("initial states need finite velocities")
         if self.left.v1 != self.right.v1:
             raise DomainError("tangential velocities must agree on both sides")
 

@@ -194,26 +194,9 @@ class _ReducedEvaluator:
     structure of the two entropy margins, so scanning many delta2 values for
     one rho1 costs a handful of flops each."""
 
-    __slots__ = (
-        "rho1",
-        "window_ok",
-        "m_above",
-        "s_above",
-        "m_below",
-        "s_below",
-        "d1",
-        "lhs_l",
-        "rhs_l0",
-        "slope_l",
-        "lhs_r",
-        "rhs_r0",
-        "slope_r",
-    )
-
     def __init__(self, p: RiemannProblem, rho1: float):
         rl, vl2 = p.left.rho, p.left.v2
         rr, vr2 = p.right.rho, p.right.v2
-        self.rho1 = rho1
         self.m_above = rho1 - rl
         self.s_above = cert.scale_of(rl, rho1)
         self.m_below = rr - rho1
@@ -254,28 +237,44 @@ class _ReducedEvaluator:
             rows.append(("entropy-right", rhs_r - self.lhs_r, cert.scale_of(self.lhs_r, rhs_r)))
         return rows
 
-    def robustly_feasible(self, delta2: float, tol: float) -> bool:
-        # identical arithmetic to rows(), inlined: this is the search's inner
-        # loop over thousands of grid points
-        if delta2 < SEARCH_DELTA_FLOOR or not self.window_ok:
+    def feasible(self, delta2: float, tol: float) -> bool:
+        """Every reduced condition strict at tolerance ``tol``, with both
+        deltas at or above SEARCH_DELTA_FLOOR: the search's one predicate."""
+        if delta2 < SEARCH_DELTA_FLOOR or not self.window_ok or self.d1 < SEARCH_DELTA_FLOOR:
             return False
-        d1 = self.d1
-        if d1 < SEARCH_DELTA_FLOOR:
-            return False
-        if not (
-            self.m_above > tol * self.s_above
-            and self.m_below > tol * self.s_below
-            and delta2 > tol * (delta2 if delta2 > 1.0 else 1.0)
-            and d1 > tol * (d1 if d1 > 1.0 else 1.0)
+        return all(margin > tol * scale for _, margin, scale in self.rows(delta2))
+
+    def delta2_window(self, tol: float) -> tuple[float, float] | None:
+        """Open interval (lo, hi), empty when lo >= hi, of the delta2 at which
+        both entropy rows pass at tolerance ``tol`` in exact arithmetic; None
+        when no delta2 is feasible (rho1 outside the window, delta1 too small).
+
+        A row with base margin a = rhs0 - lhs and slope s passes when
+        a + s*d > tol*max(1, |lhs|, |rhs0 + s*d|), that is when a + s*d
+        exceeds tol*max(1, |lhs|) and +-tol*(rhs0 + s*d): three affine bounds
+        that each cut the d line once.  NaN bounds are dropped (max and min
+        keep their first argument), which only widens the interval.
+        """
+        if not self.window_ok or self.d1 < SEARCH_DELTA_FLOOR:
+            return None
+        lo, hi = 0.0, math.inf
+        for lhs, rhs0, s in (
+            (self.lhs_l, self.rhs_l0, self.slope_l),
+            (self.lhs_r, self.rhs_r0, self.slope_r),
         ):
-            return False
-        rhs_l = self.rhs_l0 + delta2 * self.slope_l
-        scale_l = max(1.0, abs(self.lhs_l), abs(rhs_l))
-        if not rhs_l - self.lhs_l > tol * scale_l:
-            return False
-        rhs_r = self.rhs_r0 + delta2 * self.slope_r
-        scale_r = max(1.0, abs(self.lhs_r), abs(rhs_r))
-        return rhs_r - self.lhs_r > tol * scale_r
+            a = rhs0 - lhs
+            for c, k in (
+                (a - tol * cert.scale_of(lhs), s),
+                (a - tol * rhs0, s * (1.0 - tol)),
+                (a + tol * rhs0, s * (1.0 + tol)),
+            ):
+                if k > 0.0:
+                    lo = max(lo, -c / k)
+                elif k < 0.0:
+                    hi = min(hi, -c / k)
+                elif not c > 0.0:
+                    return None
+        return lo, hi
 
 
 def check_reduced(
@@ -301,7 +300,24 @@ def check_reduced(
     return Certificate(tuple(entries))
 
 
-def _feasible_delta2(ev: _ReducedEvaluator, tol, cap, max_halvings):
+def _first_feasible(ev: _ReducedEvaluator, points, tol: float) -> float | None:
+    """First of ``points``, in their order, at which ``ev.feasible`` holds.
+
+    The predicate only runs within a factor of two of the exact delta2
+    window: rounding moves the ends of the set where it holds by far less, so
+    the answer is that of walking every point.
+    """
+    window = ev.delta2_window(tol)
+    if window is None:
+        return None
+    lo, hi = 0.5 * window[0], 2.0 * window[1]
+    for delta2 in points:
+        if lo <= delta2 <= hi and ev.feasible(delta2, tol):
+            return delta2
+    return None
+
+
+def _feasible_delta2(ev: _ReducedEvaluator, tol: float) -> float | None:
     """Largest delta2 on a halving schedule that keeps every margin strict.
 
     Both entropy margins are affine in delta2, so the feasible set in delta2
@@ -309,8 +325,6 @@ def _feasible_delta2(ev: _ReducedEvaluator, tol, cap, max_halvings):
     bound from the base values and slopes.
     """
     if not ev.window_ok:
-        return None
-    if ev.d1 < SEARCH_DELTA_FLOOR or not ev.d1 > tol * cert.scale_of(ev.d1):
         return None
     a0 = ev.rhs_l0 - ev.lhs_l
     b0 = ev.rhs_r0 - ev.lhs_r
@@ -320,14 +334,12 @@ def _feasible_delta2(ev: _ReducedEvaluator, tol, cap, max_halvings):
     ):
         return None
     denom = max(abs(ev.slope_l), abs(ev.slope_r), 1e-300)
-    delta2 = min(10.0 * (abs(a0) + abs(b0)) / denom, cap)
-    for _ in range(max_halvings):
-        if delta2 < SEARCH_DELTA_FLOOR:
-            return None
-        if ev.robustly_feasible(delta2, tol):
-            return delta2
+    delta2 = min(10.0 * (abs(a0) + abs(b0)) / denom, DELTA2_CAP)
+    schedule = []
+    while delta2 >= SEARCH_DELTA_FLOOR:
+        schedule.append(delta2)
         delta2 *= 0.5
-    return None
+    return _first_feasible(ev, schedule, tol)
 
 
 def _guided_candidates(p, scan_points):
@@ -351,8 +363,6 @@ def search_feasible(
     scan_points: int = 64,
     grid: int = 128,
     tol_strict: float = STRICT_TOL,
-    delta2_cap: float = DELTA2_CAP,
-    max_halvings: int = 200,
 ) -> tuple[float, float] | None:
     """Deterministic search for a strictly feasible pair (rho1, delta2).
 
@@ -374,26 +384,19 @@ def search_feasible(
     if not rl < rr:
         return None
     for rho1 in _guided_candidates(p, scan_points):
-        found = _feasible_delta2(
-            _ReducedEvaluator(p, rho1), tol_strict, delta2_cap, max_halvings
-        )
+        found = _feasible_delta2(_ReducedEvaluator(p, rho1), tol_strict)
         if found is not None:
             return rho1, found
     lo_exp = math.log10(SEARCH_DELTA_FLOOR)
-    hi_exp = math.log10(delta2_cap)
+    hi_exp = math.log10(DELTA2_CAP)
     delta2_grid = [
         10.0 ** (lo_exp + (hi_exp - lo_exp) * (j + 0.5) / grid) for j in range(grid)
     ]
     for i in range(grid):
         rho1 = rl * (rr / rl) ** ((i + 0.5) / grid)
-        if not (rl < rho1 < rr):
-            continue
-        ev = _ReducedEvaluator(p, rho1)
-        if not ev.window_ok or ev.d1 < SEARCH_DELTA_FLOOR:
-            continue
-        for delta2 in delta2_grid:
-            if ev.robustly_feasible(delta2, tol_strict):
-                return rho1, delta2
+        found = _first_feasible(_ReducedEvaluator(p, rho1), delta2_grid, tol_strict)
+        if found is not None:
+            return rho1, found
     return None
 
 

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from eulerfan import Certificate, GasLaw, RiemannProblem, State, verify_standard, solve_standard
+from eulerfan import (
+    Certificate,
+    GasLaw,
+    RiemannProblem,
+    State,
+    search_feasible,
+    solve_standard,
+    verify_standard,
+)
 from eulerfan.cli import (
     STATUS_INPUT,
     STATUS_NOT_FOUND,
@@ -12,6 +20,7 @@ from eulerfan.cli import (
     certificate_to_json,
     emit_geometry,
     main,
+    parse_problem,
 )
 from eulerfan.wedge import build_s
 
@@ -110,6 +119,23 @@ class TestModes:
         assert search["found"] is True
         assert json.loads((out / "full_certificate.json").read_text())["overall"]
 
+    def test_search_section_sizes_the_search(self, tmp_path):
+        doc = dict(
+            CASE6_DOC,
+            right={"rho": 4.0, "v1": 0.0, "v2": -1.0},
+            search={"scan_points": 3, "grid": 7},
+        )
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        status = main(["--mode", "subsolution", "--input", path, "--out", str(out)])
+        assert status == STATUS_OK
+        search = json.loads((out / "subsolution_search.json").read_text())
+        p = parse_problem(doc)
+        expected = search_feasible(p, scan_points=3, grid=7)
+        assert (search["rho1"], search["delta2"]) == expected
+        # the small search takes another pair than the default one
+        assert expected != search_feasible(p)
+
     def test_subsolution_mode_certified_empty(self, tmp_path):
         path = write_doc(tmp_path, NO_SUBSOLUTION_DOC)
         out = tmp_path / "out"
@@ -144,6 +170,35 @@ class TestModes:
         }
         path = write_doc(tmp_path, doc)
         assert main(["--mode", "standard", "--input", path]) == STATUS_NUMERIC
+
+    @pytest.mark.parametrize(
+        "law, rho, mode",
+        [
+            # pressure(1e200) overflows a float: OverflowError in every mode
+            ({"K": 1.0, "gamma": 3.0}, (1e200, 4e200), "classify"),
+            ({"K": 1.0, "gamma": 3.0}, (1e200, 4e200), "standard"),
+            ({"K": 1.0, "gamma": 3.0}, (1e200, 4e200), "subsolution"),
+            ({"K": 1.0, "gamma": 3.0}, (1e200, 4e200), "wedge"),
+            # the certificate of this solution holds an inf, which JSON cannot write
+            ({"K": 1.0, "gamma": 500.0}, (1.0, 4.0), "standard"),
+        ],
+        ids=["overflow-classify", "overflow-standard", "overflow-subsolution",
+             "overflow-wedge", "inf-in-certificate"],
+    )
+    def test_overflow_is_a_numeric_failure(self, tmp_path, capsys, law, rho, mode):
+        doc = {
+            "law": law,
+            "left": {"rho": rho[0], "v1": 0.0, "v2": 0.0},
+            "right": {"rho": rho[1], "v1": 0.0, "v2": -1.5},
+        }
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["--mode", mode, "--input", path, "--out", str(out)]) == STATUS_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure:")
+        assert not out.exists()
 
 
 class TestValidation:

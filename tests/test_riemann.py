@@ -88,6 +88,22 @@ class TestClassify:
         with pytest.raises(DomainError):
             RiemannProblem(LAW_SQ, State(1, 0.0, 0), State(1, 0.1, 0))
 
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ((0.0, 0.0), (0.0, math.nan)),
+            ((0.0, 0.0), (0.0, math.inf)),
+            ((0.0, -math.inf), (0.0, 0.0)),
+            ((math.inf, 0.0), (math.inf, 0.0)),
+            ((math.nan, 0.0), (math.nan, 0.0)),
+        ],
+        ids=["right-v2-nan", "right-v2-inf", "left-v2-neg-inf", "v1-inf", "v1-nan"],
+    )
+    def test_non_finite_velocity_rejected(self, left, right):
+        # a vacuum middle State may carry v2 = nan, but data may not
+        with pytest.raises(DomainError):
+            RiemannProblem(LAW_LOG, State(1.0, *left), State(4.0, *right))
+
 
 class TestRotation:
     def test_involution(self):

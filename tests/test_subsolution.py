@@ -27,7 +27,17 @@ from eulerfan import (
     v12_star,
     verify_full,
 )
-from generators import random_case5
+from eulerfan import wedge
+from eulerfan.riemann import STRICT_TOL
+from eulerfan.subsolution import (
+    DELTA2_CAP,
+    SEARCH_DELTA_FLOOR,
+    _feasible_delta2,
+    _first_feasible,
+    _guided_candidates,
+    _ReducedEvaluator,
+)
+from generators import random_case5, random_case6_one_shock
 
 LAW_LOG = GasLaw(1.0, 1.0)
 
@@ -300,3 +310,134 @@ class TestEquivalence:
             assert len(cert.entries) == 11
             assert cert.overall, cert.failed()
         assert checked > 0
+
+
+def reference_halving(ev, tol):
+    """The guided stage for one rho1: the predicate at every halving step."""
+    if not ev.window_ok:
+        return None
+    a0 = ev.rhs_l0 - ev.lhs_l
+    b0 = ev.rhs_r0 - ev.lhs_r
+    if not (
+        a0 > tol * max(1.0, abs(ev.lhs_l), abs(ev.rhs_l0))
+        and b0 > tol * max(1.0, abs(ev.lhs_r), abs(ev.rhs_r0))
+    ):
+        return None
+    denom = max(abs(ev.slope_l), abs(ev.slope_r), 1e-300)
+    delta2 = min(10.0 * (abs(a0) + abs(b0)) / denom, DELTA2_CAP)
+    while delta2 >= SEARCH_DELTA_FLOOR:
+        if ev.feasible(delta2, tol):
+            return delta2
+        delta2 *= 0.5
+    return None
+
+
+def reference_grid(ev, delta2_grid, tol):
+    """The grid stage for one rho1: the predicate at every grid point."""
+    return next((delta2 for delta2 in delta2_grid if ev.feasible(delta2, tol)), None)
+
+
+def scan_grids(p, grid):
+    """The grid stage's rho1 and delta2 points, in scan order."""
+    rl, rr = p.left.rho, p.right.rho
+    lo_exp, hi_exp = math.log10(SEARCH_DELTA_FLOOR), math.log10(DELTA2_CAP)
+    rho1_grid = [rl * (rr / rl) ** ((i + 0.5) / grid) for i in range(grid)]
+    delta2_grid = [
+        10.0 ** (lo_exp + (hi_exp - lo_exp) * (j + 0.5) / grid) for j in range(grid)
+    ]
+    return rho1_grid, delta2_grid
+
+
+def reference_search(p, *, scan_points=64, grid=128, tol_strict=STRICT_TOL):
+    """search_feasible's scan order walked point by point: the predicate runs
+    at every halving step and every grid point, with no delta2 window."""
+    if not p.left.rho < p.right.rho:
+        return None
+    for rho1 in _guided_candidates(p, scan_points):
+        found = reference_halving(_ReducedEvaluator(p, rho1), tol_strict)
+        if found is not None:
+            return rho1, found
+    rho1_grid, delta2_grid = scan_grids(p, grid)
+    for rho1 in rho1_grid:
+        found = reference_grid(_ReducedEvaluator(p, rho1), delta2_grid, tol_strict)
+        if found is not None:
+            return rho1, found
+    return None
+
+
+def perturbed_problems(build, problems, monkeypatch):
+    """The problems build hands to the search along its perturbation schedules."""
+    seen = []
+
+    def record(p, **opts):
+        seen.append(p)
+        return search_feasible(p, **opts)
+
+    monkeypatch.setattr(wedge, "search_feasible", record)
+    for p in problems:
+        build(p)
+    monkeypatch.undo()
+    return seen
+
+
+class TestSearchMatchesReference:
+    """The delta2 window only decides where the predicate runs: every search
+    must return the pair of the full walk, hits and misses alike."""
+
+    def assert_matches(self, problems, **opts):
+        outcomes = []
+        for p in problems:
+            found = search_feasible(p, **opts)
+            assert found == reference_search(p, **opts), p
+            outcomes.append(found is None)
+        return outcomes
+
+    @pytest.mark.parametrize("profile", ["wide", "tight"])
+    def test_random_data(self, profile):
+        rng = np.random.default_rng(31)
+        misses = self.assert_matches([random_case5(rng, profile=profile)[0] for _ in range(40)])
+        assert not all(misses)
+
+    def test_perturbation_schedules(self, monkeypatch):
+        rng = np.random.default_rng(601)
+        seen = perturbed_problems(
+            wedge.build_sr, [random_case5(rng)[0] for _ in range(10)], monkeypatch
+        )
+        rng = np.random.default_rng(602)
+        seen += perturbed_problems(
+            wedge.build_s, [random_case6_one_shock(rng) for _ in range(10)], monkeypatch
+        )
+        misses = self.assert_matches(seen)
+        assert any(misses) and not all(misses)
+
+    def test_every_rho1(self, monkeypatch):
+        # per rho1, not only up to the first hit: every guided candidate and
+        # every fourth grid rho1 of schedule and random problems
+        rng = np.random.default_rng(603)
+        problems = perturbed_problems(
+            wedge.build_sr, [random_case5(rng)[0] for _ in range(30)], monkeypatch
+        )
+        problems += [random_case5(rng, profile="tight")[0] for _ in range(30)]
+        hits = 0
+        for p in problems:
+            for rho1 in _guided_candidates(p, 64):
+                ev = _ReducedEvaluator(p, rho1)
+                found = _feasible_delta2(ev, STRICT_TOL)
+                assert found == reference_halving(ev, STRICT_TOL), (p, rho1)
+                hits += found is not None
+            rho1_grid, delta2_grid = scan_grids(p, 128)
+            for rho1 in rho1_grid[::4]:
+                ev = _ReducedEvaluator(p, rho1)
+                found = _first_feasible(ev, delta2_grid, STRICT_TOL)
+                assert found == reference_grid(ev, delta2_grid, STRICT_TOL), (p, rho1)
+                hits += found is not None
+        assert hits > 0
+
+    @pytest.mark.parametrize(
+        "opts",
+        [{"tol_strict": 1e-6}, {"scan_points": 3, "grid": 7}, {"scan_points": 1, "grid": 2}],
+        ids=["loose-tolerance", "small-scan", "smallest-scan"],
+    )
+    def test_search_options(self, opts):
+        rng = np.random.default_rng(32)
+        self.assert_matches([random_case5(rng)[0] for _ in range(25)], **opts)

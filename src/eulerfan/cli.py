@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 from . import oracles
 from .certificate import Certificate
 from .eos import GasLaw
-from .errors import ConstructionError, DomainError, EulerFanError
+from .errors import ConstructionError, DomainError, EulerFanError, NumericError
 from .riemann import (
     EQUATION_TOL,
     STRICT_TOL,
@@ -119,7 +119,7 @@ def dumps(obj) -> str:
     try:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # for these acyclic documents: an inf or NaN
-        raise EulerFanError(f"non-finite number in the output: {exc}") from exc
+        raise NumericError(f"non-finite number in the output: {exc}") from exc
     return text + "\n"
 
 
@@ -453,7 +453,7 @@ def main(argv=None) -> int:
     except EulerFanError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return STATUS_NUMERIC
-    except OverflowError as exc:
+    except OverflowError as exc:  # squares of velocities above ~1e154, outside eos
         print(f"numeric failure: arithmetic overflow: {exc}", file=sys.stderr)
         return STATUS_NUMERIC
 

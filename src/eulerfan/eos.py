@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 # Below this distance from 1, gamma is treated as exactly 1 so that the
 # internal energy uses the logarithmic branch instead of the catastrophically
@@ -37,9 +37,16 @@ def _check_density(rho: float) -> None:
         raise DomainError(f"density must be positive, got {rho!r}")
 
 
+def _overflow(name: str, law: GasLaw, rho: float) -> NumericError:
+    return NumericError(f"{name} overflows at rho={rho!r} for gamma={law.gamma!r}")
+
+
 def pressure(law: GasLaw, rho: float) -> float:
     _check_density(rho)
-    return law.K * rho**law.gamma
+    try:
+        return law.K * rho**law.gamma
+    except OverflowError:
+        raise _overflow("pressure", law, rho) from None
 
 
 def pressure_derivative(law: GasLaw, rho: float) -> float:
@@ -47,7 +54,10 @@ def pressure_derivative(law: GasLaw, rho: float) -> float:
     _check_density(rho)
     if law.isothermal:
         return law.K
-    return law.K * law.gamma * rho ** (law.gamma - 1.0)
+    try:
+        return law.K * law.gamma * rho ** (law.gamma - 1.0)
+    except OverflowError:
+        raise _overflow("pressure derivative", law, rho) from None
 
 
 def internal_energy(law: GasLaw, rho: float) -> float:
@@ -55,7 +65,10 @@ def internal_energy(law: GasLaw, rho: float) -> float:
     _check_density(rho)
     if law.isothermal:
         return law.K * math.log(rho)
-    return law.K * rho ** (law.gamma - 1.0) / (law.gamma - 1.0)
+    try:
+        return law.K * rho ** (law.gamma - 1.0) / (law.gamma - 1.0)
+    except OverflowError:
+        raise _overflow("internal energy", law, rho) from None
 
 
 def sound_speed(law: GasLaw, rho: float) -> float:

@@ -23,6 +23,11 @@ class CriterionError(EulerFanError):
     discriminant where a positive one is required)."""
 
 
+class NumericError(EulerFanError):
+    """Floating-point arithmetic overflowed, or produced an inf or NaN where
+    a finite value is needed to decide anything."""
+
+
 class InvariantError(EulerFanError):
     """An internally constructed object failed one of its own invariants."""
 

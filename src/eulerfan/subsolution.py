@@ -5,13 +5,17 @@ the verifier of the full condition system."""
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import GasLaw, internal_energy, pressure
-from .errors import CriterionError, DomainError, InvariantError
+from .errors import CriterionError, DomainError, InvariantError, NumericError
 from .riemann import EQUATION_TOL, STRICT_TOL, CaseId, RiemannProblem, classify, solve_standard
 from .wavecurves import shock_bracket
 
@@ -57,11 +61,36 @@ class FanSubsolution:
     mu1: float
 
 
-def _disc_terms(p: RiemannProblem) -> tuple[float, float]:
-    """The two terms whose difference is the discriminant."""
-    rl, rr = p.left.rho, p.right.rho
-    dp = pressure(p.law, rl) - pressure(p.law, rr)
-    return (rl - rr) * dp, rr * rl * (p.left.v2 - p.right.v2) ** 2
+class _ProblemTerms:
+    """The terms of the star formulas that depend only on the problem: the
+    data, p and eps at both data densities, and the discriminant, each
+    computed once so that a search pays only the rho1-dependent part per
+    candidate."""
+
+    def __init__(self, p: RiemannProblem):
+        law = p.law
+        self.law = law
+        self.rl, self.vl2 = p.left.rho, p.left.v2
+        self.rr, self.vr2 = p.right.rho, p.right.v2
+        self.pl, self.pr = pressure(law, self.rl), pressure(law, self.rr)
+        self.el, self.er = internal_energy(law, self.rl), internal_energy(law, self.rr)
+        t1 = (self.rl - self.rr) * (self.pl - self.pr)
+        t2 = self.rr * self.rl * (self.vl2 - self.vr2) ** 2
+        self.disc = t1 - t2
+        self._disc_floor = -STRICT_TOL * cert.scale_of(t1, t2)
+
+    def clamped_disc(self) -> float:
+        """Discriminant clamped to zero inside its roundoff band.
+
+        Single-shock data sits exactly on the zero of the discriminant, and
+        the auxiliary-state constructions evaluate arbitrarily close to it,
+        so small negative roundoff must not kill the square roots.
+        """
+        if self.disc < self._disc_floor:
+            raise CriterionError(
+                f"negative discriminant {self.disc!r}: no fan subsolution can exist"
+            )
+        return max(self.disc, 0.0)
 
 
 def discriminant(p: RiemannProblem) -> float:
@@ -71,31 +100,42 @@ def discriminant(p: RiemannProblem) -> float:
     than the shock bracket of its densities; the square roots of the interface
     speed formulas need it nonnegative.
     """
-    t1, t2 = _disc_terms(p)
-    return t1 - t2
+    return _ProblemTerms(p).disc
 
 
-def _disc_clamped(p: RiemannProblem) -> float:
-    """Discriminant clamped to zero inside its roundoff band.
-
-    Single-shock data sits exactly on the zero of the discriminant, and the
-    auxiliary-state constructions evaluate arbitrarily close to it, so small
-    negative roundoff must not kill the square roots.
-    """
-    t1, t2 = _disc_terms(p)
-    d = t1 - t2
-    if d < -STRICT_TOL * cert.scale_of(t1, t2):
-        raise CriterionError(
-            f"negative discriminant {d!r}: no fan subsolution can exist"
-        )
-    return max(d, 0.0)
-
-
-def _require_window(p: RiemannProblem, rho1: float) -> None:
+def _star_terms(p: RiemannProblem, rho1: float) -> tuple[_ProblemTerms, float]:
+    """The problem terms and the clamped discriminant, for rho1 strictly
+    inside the density window."""
     if not (p.left.rho < rho1 < p.right.rho):
         raise DomainError(
             f"rho1 must lie strictly between the data densities, got {rho1!r}"
         )
+    t = _ProblemTerms(p)
+    return t, t.clamped_disc()
+
+
+def _v12(t: _ProblemTerms, d: float, rho1: float) -> float:
+    rl, rr = t.rl, t.rr
+    root = math.sqrt(d * (rho1 - rl) * (rr - rho1))
+    return (-rl * t.vl2 * (rr - rho1) - rr * t.vr2 * (rho1 - rl) + root) / (rho1 * (rl - rr))
+
+
+def _delta1(t: _ProblemTerms, d: float, rho1: float, p1: float) -> float:
+    rl, rr = t.rl, t.rr
+    term = rr * (t.vl2 - t.vr2) + math.sqrt(d * (rr - rho1) / (rho1 - rl))
+    return -(p1 - t.pl) / rho1 + rl * (rho1 - rl) / (rho1**2 * (rl - rr) ** 2) * term**2
+
+
+def _bracket(rho_a: float, rho_b: float, p_a: float, p_b: float, e_a: float, e_b: float) -> float:
+    return p_a + p_b - 2.0 * rho_a * rho_b * (e_a - e_b) / (rho_a - rho_b)
+
+
+def _fan_speeds(t: _ProblemTerms, d: float, rho1: float) -> tuple[float, float]:
+    rl, rr = t.rl, t.rr
+    base = (rl * t.vl2 - rr * t.vr2) / (rl - rr)
+    mu0 = base + math.sqrt(d * (rr - rho1) / (rho1 - rl)) / (rl - rr)
+    mu1 = base - math.sqrt(d * (rho1 - rl) / (rr - rho1)) / (rl - rr)
+    return mu0, mu1
 
 
 def fan_speeds(p: RiemannProblem, rho1: float) -> tuple[float, float]:
@@ -103,47 +143,30 @@ def fan_speeds(p: RiemannProblem, rho1: float) -> tuple[float, float]:
 
     The square-root signs are the unique choice with mu0 < mu1.
     """
-    _require_window(p, rho1)
-    d = _disc_clamped(p)
-    rl, rr = p.left.rho, p.right.rho
-    base = (rl * p.left.v2 - rr * p.right.v2) / (rl - rr)
-    mu0 = base + math.sqrt(d * (rr - rho1) / (rho1 - rl)) / (rl - rr)
-    mu1 = base - math.sqrt(d * (rho1 - rl) / (rr - rho1)) / (rl - rr)
-    return mu0, mu1
+    return _fan_speeds(*_star_terms(p, rho1), rho1)
 
 
 def v12_star(p: RiemannProblem, rho1: float) -> float:
     """Wedge normal velocity forced by the mass jump at the left interface."""
-    _require_window(p, rho1)
-    d = _disc_clamped(p)
-    rl, rr = p.left.rho, p.right.rho
-    root = math.sqrt(d * (rho1 - rl) * (rr - rho1))
-    return (
-        -rl * p.left.v2 * (rr - rho1) - rr * p.right.v2 * (rho1 - rl) + root
-    ) / (rho1 * (rl - rr))
+    return _v12(*_star_terms(p, rho1), rho1)
 
 
 def delta1_star(p: RiemannProblem, rho1: float) -> float:
     """Wedge normal-stress excess forced by the momentum jump on the left."""
-    _require_window(p, rho1)
-    d = _disc_clamped(p)
-    rl, rr = p.left.rho, p.right.rho
-    term = rr * (p.left.v2 - p.right.v2) + math.sqrt(d * (rr - rho1) / (rho1 - rl))
-    return (
-        -(pressure(p.law, rho1) - pressure(p.law, rl)) / rho1
-        + rl * (rho1 - rl) / (rho1**2 * (rl - rr) ** 2) * term**2
-    )
+    t, d = _star_terms(p, rho1)
+    return _delta1(t, d, rho1, pressure(p.law, rho1))
 
 
 def reduced_from(p: RiemannProblem, rho1: float, delta2: float) -> ReducedSubsolution:
     """Assemble the reduced unknowns determined by the pair (rho1, delta2)."""
-    mu0, mu1 = fan_speeds(p, rho1)
+    t, d = _star_terms(p, rho1)
+    mu0, mu1 = _fan_speeds(t, d, rho1)
     return ReducedSubsolution(
         rho1=rho1,
-        v12=v12_star(p, rho1),
+        v12=_v12(t, d, rho1),
         mu0=mu0,
         mu1=mu1,
-        delta1=delta1_star(p, rho1),
+        delta1=_delta1(t, d, rho1, pressure(p.law, rho1)),
         delta2=delta2,
     )
 
@@ -178,44 +201,52 @@ def admissibility_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
     two distinct densities."""
     if rho_a == rho_b:
         raise DomainError("needs two distinct densities")
-    return (
-        pressure(law, rho_a)
-        + pressure(law, rho_b)
-        - 2.0
-        * rho_a
-        * rho_b
-        * (internal_energy(law, rho_a) - internal_energy(law, rho_b))
-        / (rho_a - rho_b)
+    return _bracket(
+        rho_a,
+        rho_b,
+        pressure(law, rho_a),
+        pressure(law, rho_b),
+        internal_energy(law, rho_a),
+        internal_energy(law, rho_b),
     )
 
 
 class _ReducedEvaluator:
     """Per-rho1 cache of the star functions and of the affine-in-delta2
     structure of the two entropy margins, so scanning many delta2 values for
-    one rho1 costs a handful of flops each."""
+    one rho1 costs a handful of flops each.  Only p and eps at rho1 and the
+    two square roots are evaluated here; the rest comes from ``t``.
 
-    def __init__(self, p: RiemannProblem, rho1: float):
-        rl, vl2 = p.left.rho, p.left.v2
-        rr, vr2 = p.right.rho, p.right.v2
-        self.m_above = rho1 - rl
-        self.s_above = cert.scale_of(rl, rho1)
-        self.m_below = rr - rho1
-        self.s_below = cert.scale_of(rr, rho1)
+    Raises NumericError when a coefficient overflowed to an inf or NaN: the
+    margins would then be meaningless, not negative."""
+
+    def __init__(self, t: _ProblemTerms, rho1: float):
+        rl, vl2 = t.rl, t.vl2
+        rr, vr2 = t.rr, t.vr2
+        self.rl, self.rr, self.rho1 = rl, rr, rho1
         self.window_ok = rl < rho1 < rr
         if not self.window_ok:
             return
-        law = p.law
-        v12 = v12_star(p, rho1)
-        d1 = delta1_star(p, rho1)
+        d = t.clamped_disc()
+        p1, e1 = pressure(t.law, rho1), internal_energy(t.law, rho1)
+        v12 = _v12(t, d, rho1)
+        d1 = _delta1(t, d, rho1, p1)
         self.d1 = d1
         coupling_l = rl * rho1 * (v12 - vl2) / (rl - rho1)
         coupling_r = rho1 * rr * (vr2 - v12) / (rho1 - rr)
-        self.lhs_l = (v12 - vl2) * admissibility_bracket(law, rl, rho1)
+        self.lhs_l = (v12 - vl2) * _bracket(rl, rho1, t.pl, p1, t.el, e1)
         self.rhs_l0 = d1 * rho1 * (v12 + vl2) - d1 * coupling_l
         self.slope_l = -coupling_l
-        self.lhs_r = (vr2 - v12) * admissibility_bracket(law, rho1, rr)
+        self.lhs_r = (vr2 - v12) * _bracket(rho1, rr, p1, t.pr, e1, t.er)
         self.rhs_r0 = -d1 * rho1 * (vr2 + v12) + d1 * coupling_r
         self.slope_r = coupling_r
+        # 0 * x is 0 for finite x and NaN for inf or NaN, so one isfinite
+        # covers every coefficient (and d1, which feeds both rhs0)
+        if not math.isfinite(
+            0.0 * self.lhs_l + 0.0 * self.rhs_l0 + 0.0 * self.slope_l
+            + 0.0 * self.lhs_r + 0.0 * self.rhs_r0 + 0.0 * self.slope_r
+        ):
+            raise NumericError(f"the reduced conditions overflow at rho1={rho1!r}")
 
     def rows(self, delta2: float):
         """(label, margin, scale) for every reduced condition at (rho1, delta2).
@@ -224,9 +255,10 @@ class _ReducedEvaluator:
         margins are only defined (and only appended) when rho1 lies inside
         the open density window.
         """
+        rl, rr, rho1 = self.rl, self.rr, self.rho1
         rows = [
-            ("rho1-above-left", self.m_above, self.s_above),
-            ("rho1-below-right", self.m_below, self.s_below),
+            ("rho1-above-left", rho1 - rl, cert.scale_of(rl, rho1)),
+            ("rho1-below-right", rr - rho1, cert.scale_of(rr, rho1)),
             ("delta2-positive", delta2, cert.scale_of(delta2)),
         ]
         if self.window_ok:
@@ -294,7 +326,7 @@ def check_reduced(
     if not p.left.rho < p.right.rho:
         raise DomainError("the reduced conditions need rho- < rho+")
     entries = []
-    for label, margin, scale in _ReducedEvaluator(p, rho1).rows(delta2):
+    for label, margin, scale in _ReducedEvaluator(_ProblemTerms(p), rho1).rows(delta2):
         kind = cert.NONSTRICT if label.startswith("entropy") else cert.STRICT
         entries.append(cert.make_entry(label, kind, margin, tol_strict * scale))
     return Certificate(tuple(entries))
@@ -303,16 +335,24 @@ def check_reduced(
 def _first_feasible(ev: _ReducedEvaluator, points, tol: float) -> float | None:
     """First of ``points``, in their order, at which ``ev.feasible`` holds.
 
-    The predicate only runs within a factor of two of the exact delta2
-    window: rounding moves the ends of the set where it holds by far less, so
-    the answer is that of walking every point.
+    ``points`` is a sequence sorted one way or the other.  The predicate only
+    runs within a factor of two of the exact delta2 window: rounding moves
+    the ends of the set where it holds by far less, so the answer is that of
+    walking every point.  The points in that range are one run, found by
+    bisection and walked in order.
     """
     window = ev.delta2_window(tol)
-    if window is None:
+    if window is None or not points:
         return None
     lo, hi = 0.5 * window[0], 2.0 * window[1]
-    for delta2 in points:
-        if lo <= delta2 <= hi and ev.feasible(delta2, tol):
+    if points[0] > points[-1]:
+        start = bisect.bisect_left(points, -hi, key=operator.neg)
+    else:
+        start = bisect.bisect_left(points, lo)
+    for delta2 in itertools.islice(points, start, None):
+        if not lo <= delta2 <= hi:
+            return None
+        if ev.feasible(delta2, tol):
             return delta2
     return None
 
@@ -357,6 +397,17 @@ def _guided_candidates(p, scan_points):
     return [rho_m - gap * 0.5**k for k in range(1, scan_points + 1)]
 
 
+@functools.lru_cache(maxsize=4)
+def _delta2_grid(grid: int) -> tuple[float, ...]:
+    """The grid stage's ascending delta2 points, log-spaced between
+    SEARCH_DELTA_FLOOR and DELTA2_CAP."""
+    lo_exp = math.log10(SEARCH_DELTA_FLOOR)
+    hi_exp = math.log10(DELTA2_CAP)
+    return tuple(
+        10.0 ** (lo_exp + (hi_exp - lo_exp) * (j + 0.5) / grid) for j in range(grid)
+    )
+
+
 def search_feasible(
     p: RiemannProblem,
     *,
@@ -378,23 +429,20 @@ def search_feasible(
     Returns None when nothing feasible is found; an empty result is a
     certified outcome of this search, not an error.
     """
-    if discriminant(p) <= 0.0:
+    t = _ProblemTerms(p)
+    if t.disc <= 0.0:
         raise CriterionError("the search requires a positive discriminant")
-    rl, rr = p.left.rho, p.right.rho
+    rl, rr = t.rl, t.rr
     if not rl < rr:
         return None
     for rho1 in _guided_candidates(p, scan_points):
-        found = _feasible_delta2(_ReducedEvaluator(p, rho1), tol_strict)
+        found = _feasible_delta2(_ReducedEvaluator(t, rho1), tol_strict)
         if found is not None:
             return rho1, found
-    lo_exp = math.log10(SEARCH_DELTA_FLOOR)
-    hi_exp = math.log10(DELTA2_CAP)
-    delta2_grid = [
-        10.0 ** (lo_exp + (hi_exp - lo_exp) * (j + 0.5) / grid) for j in range(grid)
-    ]
+    delta2_grid = _delta2_grid(grid)
     for i in range(grid):
         rho1 = rl * (rr / rl) ** ((i + 0.5) / grid)
-        found = _first_feasible(_ReducedEvaluator(p, rho1), delta2_grid, tol_strict)
+        found = _first_feasible(_ReducedEvaluator(t, rho1), delta2_grid, tol_strict)
         if found is not None:
             return rho1, found
     return None

@@ -181,9 +181,14 @@ class TestModes:
             ({"K": 1.0, "gamma": 3.0}, (1e200, 4e200), "wedge"),
             # the certificate of this solution holds an inf, which JSON cannot write
             ({"K": 1.0, "gamma": 500.0}, (1.0, 4.0), "standard"),
+            # p(4) is about 1e301, so the search's entropy margins overflow:
+            # a numeric failure, not a certified empty search or a spent schedule
+            ({"K": 1.0, "gamma": 500.0}, (1.0, 4.0), "subsolution"),
+            ({"K": 1.0, "gamma": 500.0}, (1.0, 4.0), "wedge"),
         ],
         ids=["overflow-classify", "overflow-standard", "overflow-subsolution",
-             "overflow-wedge", "inf-in-certificate"],
+             "overflow-wedge", "inf-in-certificate", "inf-margins-subsolution",
+             "inf-margins-wedge"],
     )
     def test_overflow_is_a_numeric_failure(self, tmp_path, capsys, law, rho, mode):
         doc = {
@@ -199,6 +204,19 @@ class TestModes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric failure:")
         assert not out.exists()
+
+
+    def test_velocity_overflow_is_a_numeric_failure(self, tmp_path, capsys):
+        # the discriminant squares the velocity jump: 1e160**2 overflows
+        doc = {
+            "law": {"K": 1.0, "gamma": 1.4},
+            "left": {"rho": 1.0, "v1": 0.0, "v2": 0.0},
+            "right": {"rho": 4.0, "v1": 0.0, "v2": 1e160},
+        }
+        path = write_doc(tmp_path, doc)
+        assert main(["--mode", "subsolution", "--input", path]) == STATUS_NUMERIC
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure: arithmetic overflow")
 
 
 class TestValidation:

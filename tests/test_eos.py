@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerfan import DomainError, GasLaw, internal_energy, pressure, pressure_derivative
+from eulerfan import (
+    DomainError,
+    GasLaw,
+    NumericError,
+    internal_energy,
+    pressure,
+    pressure_derivative,
+)
 
 # gamma stays either exactly 1 or clear of it: for 0 < gamma - 1 << 1 the
 # huge additive constant K/(gamma-1) in the energy defeats the
@@ -46,6 +53,13 @@ def test_gamma_one_band_selects_log_branch():
 def test_nonpositive_density_rejected(op, rho):
     with pytest.raises(DomainError):
         op(GasLaw(1.0, 1.4), rho)
+
+
+@pytest.mark.parametrize("op", [pressure, pressure_derivative, internal_energy])
+def test_overflow_is_a_numeric_error(op):
+    # 1e200**2 and 1e200**3 exceed the largest float
+    with pytest.raises(NumericError, match="overflows at rho=1e\\+200"):
+        op(GasLaw(1.0, 3.0), 1e200)
 
 
 @pytest.mark.parametrize("kwargs", [{"K": 0.0, "gamma": 1.4}, {"K": -1.0, "gamma": 1.4},

@@ -9,6 +9,7 @@ from eulerfan import (
     CaseId,
     DomainError,
     GasLaw,
+    NumericError,
     RiemannProblem,
     State,
     classify,
@@ -103,6 +104,13 @@ class TestClassify:
         # a vacuum middle State may carry v2 = nan, but data may not
         with pytest.raises(DomainError):
             RiemannProblem(LAW_LOG, State(1.0, *left), State(4.0, *right))
+
+
+@pytest.mark.parametrize("op", [classify, solve_standard])
+def test_pressure_overflow_is_a_numeric_error(op):
+    # pressure(1e200) = 1e600 for gamma = 3: no float holds it
+    with pytest.raises(NumericError):
+        op(make(GasLaw(1.0, 3.0), 1e200, 0.0, 4e200, -1.5))
 
 
 class TestRotation:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from eulerfan import (
     FanSubsolution,
     GasLaw,
     InvariantError,
+    NumericError,
     RiemannProblem,
     State,
     check_reduced,
@@ -27,7 +29,7 @@ from eulerfan import (
     v12_star,
     verify_full,
 )
-from eulerfan import wedge
+from eulerfan import subsolution, wedge
 from eulerfan.riemann import STRICT_TOL
 from eulerfan.subsolution import (
     DELTA2_CAP,
@@ -35,6 +37,7 @@ from eulerfan.subsolution import (
     _feasible_delta2,
     _first_feasible,
     _guided_candidates,
+    _ProblemTerms,
     _ReducedEvaluator,
 )
 from generators import random_case5, random_case6_one_shock
@@ -183,6 +186,22 @@ class TestSearch:
     def test_negative_discriminant_rejected(self):
         p = RiemannProblem(LAW_LOG, State(1, 0, 0), State(4, 0, -3.0))
         with pytest.raises(CriterionError):
+            search_feasible(p)
+
+
+class TestNumericFailure:
+    def test_pressure_overflow(self):
+        p = RiemannProblem(GasLaw(1.0, 3.0), State(1e200, 0, 0), State(4e200, 0, -1.5))
+        with pytest.raises(NumericError):
+            search_feasible(p)
+
+    def test_overflowing_margins_are_not_a_certified_miss(self):
+        # p(4) = 4**500 is about 1e301: the data are finite, the entropy
+        # margins are not, so the search must not report "nothing found"
+        p = RiemannProblem(GasLaw(1.0, 500.0), State(1, 0, 0), State(4, 0, -1.5))
+        with pytest.raises(NumericError, match="overflow at rho1="):
+            _ReducedEvaluator(_ProblemTerms(p), 1.5)
+        with pytest.raises(NumericError):
             search_feasible(p)
 
 
@@ -353,13 +372,14 @@ def reference_search(p, *, scan_points=64, grid=128, tol_strict=STRICT_TOL):
     at every halving step and every grid point, with no delta2 window."""
     if not p.left.rho < p.right.rho:
         return None
+    t = _ProblemTerms(p)
     for rho1 in _guided_candidates(p, scan_points):
-        found = reference_halving(_ReducedEvaluator(p, rho1), tol_strict)
+        found = reference_halving(_ReducedEvaluator(t, rho1), tol_strict)
         if found is not None:
             return rho1, found
     rho1_grid, delta2_grid = scan_grids(p, grid)
     for rho1 in rho1_grid:
-        found = reference_grid(_ReducedEvaluator(p, rho1), delta2_grid, tol_strict)
+        found = reference_grid(_ReducedEvaluator(t, rho1), delta2_grid, tol_strict)
         if found is not None:
             return rho1, found
     return None
@@ -420,14 +440,15 @@ class TestSearchMatchesReference:
         problems += [random_case5(rng, profile="tight")[0] for _ in range(30)]
         hits = 0
         for p in problems:
+            t = _ProblemTerms(p)
             for rho1 in _guided_candidates(p, 64):
-                ev = _ReducedEvaluator(p, rho1)
+                ev = _ReducedEvaluator(t, rho1)
                 found = _feasible_delta2(ev, STRICT_TOL)
                 assert found == reference_halving(ev, STRICT_TOL), (p, rho1)
                 hits += found is not None
             rho1_grid, delta2_grid = scan_grids(p, 128)
             for rho1 in rho1_grid[::4]:
-                ev = _ReducedEvaluator(p, rho1)
+                ev = _ReducedEvaluator(t, rho1)
                 found = _first_feasible(ev, delta2_grid, STRICT_TOL)
                 assert found == reference_grid(ev, delta2_grid, STRICT_TOL), (p, rho1)
                 hits += found is not None
@@ -441,3 +462,94 @@ class TestSearchMatchesReference:
     def test_search_options(self, opts):
         rng = np.random.default_rng(32)
         self.assert_matches([random_case5(rng)[0] for _ in range(25)], **opts)
+
+
+class StubEvaluator:
+    """A fixed delta2 window and feasible set, recording where the
+    predicate runs."""
+
+    def __init__(self, window, feasible_at):
+        self.window = window
+        self.feasible_at = feasible_at
+        self.calls = []
+
+    def delta2_window(self, tol):
+        return self.window
+
+    def feasible(self, delta2, tol):
+        self.calls.append(delta2)
+        return delta2 in self.feasible_at
+
+
+def filtered_walk(ev, points, tol):
+    """Every point in order, the predicate only inside [lo/2, 2*hi]."""
+    window = ev.delta2_window(tol)
+    if window is None:
+        return None
+    lo, hi = 0.5 * window[0], 2.0 * window[1]
+    return next((d for d in points if lo <= d <= hi and ev.feasible(d, tol)), None)
+
+
+ASCENDING = tuple(float(k) for k in range(1, 11))
+
+
+class TestFirstFeasibleWalk:
+    """The bisected walk runs the predicate at the points of the full
+    filtered walk, in the same order, and returns the same point."""
+
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    @pytest.mark.parametrize(
+        "window",
+        [
+            (4.0, 4.0),  # [2, 8]: both ends on a point
+            (3.0, 2.5),  # [1.5, 5]: upper end on a point
+            (1.0, 100.0),  # every point inside
+            (0.01, 0.1),  # [0.005, 0.2]: below every point
+            (50.0, 100.0),  # [25, 200]: above every point
+            (10.0, 1.0),  # lo > hi: empty
+            (0.0, math.inf),  # unbounded above
+            None,
+        ],
+    )
+    @pytest.mark.parametrize(
+        "feasible_at", [set(), {6.0}, {2.0, 8.0}, set(ASCENDING)], ids=["none", "one", "ends", "all"]
+    )
+    def test_matches_filtered_walk(self, order, window, feasible_at):
+        points = ASCENDING if order == "ascending" else ASCENDING[::-1]
+        ev, ref = StubEvaluator(window, feasible_at), StubEvaluator(window, feasible_at)
+        assert _first_feasible(ev, points, STRICT_TOL) == filtered_walk(ref, points, STRICT_TOL)
+        assert ev.calls == ref.calls
+
+    @pytest.mark.parametrize("window", [(2.0, 1.5), (8.0, 10.0), (0.5, 0.5), (1.0, 3.0)])
+    @pytest.mark.parametrize("feasible_at", [set(), {3.0}], ids=["none", "one"])
+    def test_one_point(self, window, feasible_at):
+        ev, ref = StubEvaluator(window, feasible_at), StubEvaluator(window, feasible_at)
+        assert _first_feasible(ev, (3.0,), STRICT_TOL) == filtered_walk(ref, (3.0,), STRICT_TOL)
+        assert ev.calls == ref.calls
+
+    def test_no_points(self):
+        assert _first_feasible(StubEvaluator((1.0, 2.0), {1.0}), (), STRICT_TOL) is None
+
+
+def test_search_work_per_rho1(monkeypatch):
+    """A miss pays p and eps once per rho1 it evaluates; the problem terms
+    (data densities, discriminant) are computed once per search."""
+    rng = np.random.default_rng(601)
+    seen = perturbed_problems(wedge.build_sr, [random_case5(rng)[0] for _ in range(3)], monkeypatch)
+    miss = next(p for p in seen if search_feasible(p) is None)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("pressure", "internal_energy", "_ReducedEvaluator"):
+        monkeypatch.setattr(subsolution, name, counted(name, getattr(subsolution, name)))
+    assert subsolution.search_feasible(miss) is None
+    rho1_evaluated = calls["_ReducedEvaluator"]
+    assert rho1_evaluated > 128
+    assert calls["pressure"] <= rho1_evaluated + 2
+    assert calls["internal_energy"] <= rho1_evaluated + 2

@@ -16,6 +16,7 @@ from .eos import GasLaw
 from .errors import ConstructionError, DomainError, EulerFanError, NumericError
 from .riemann import (
     EQUATION_TOL,
+    RAREFACTION,
     STRICT_TOL,
     CaseId,
     RiemannProblem,
@@ -168,6 +169,17 @@ def _get_number(doc: dict, name: str, path: str, *, positive=False, minimum=None
     return value
 
 
+def _get_int(fieldname: str, value, minimum: int) -> int:
+    """An integral number (7 or 7.0) of at least ``minimum``, as an int."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise SpecError(fieldname, f"expected an integer, got {value!r}")
+    if value < minimum:
+        raise SpecError(fieldname, f"must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _get_section(doc: dict, name: str) -> dict:
     if name not in doc:
         raise SpecError(name, "missing required section")
@@ -216,10 +228,9 @@ def _search_options(doc: dict, tol_strict: float) -> dict:
     search_doc = doc.get("search", {})
     if not isinstance(search_doc, dict):
         raise SpecError("search", "expected an object")
-    if "scan_points" in search_doc:
-        opts["scan_points"] = int(_get_number(search_doc, "scan_points", "search", minimum=1))
-    if "grid" in search_doc:
-        opts["grid"] = int(_get_number(search_doc, "grid", "search", minimum=2))
+    for name, minimum in (("scan_points", 1), ("grid", 2)):
+        if name in search_doc:
+            opts[name] = _get_int(f"search.{name}", search_doc[name], minimum)
     return opts
 
 
@@ -231,7 +242,7 @@ def _perturbation_options(doc: dict) -> dict:
     if "initial" in pert_doc:
         opts["initial_fraction"] = _get_number(pert_doc, "initial", "perturbation", positive=True)
     if "max_halvings" in pert_doc:
-        opts["max_halvings"] = int(_get_number(pert_doc, "max_halvings", "perturbation", minimum=0))
+        opts["max_halvings"] = _get_int("perturbation.max_halvings", pert_doc["max_halvings"], 0)
     return opts
 
 
@@ -360,7 +371,7 @@ def _run_wedge(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
         artifacts,
         [
             f"construction: {'rotated ' if rotated else ''}"
-            f"{'shock+rarefaction' if construction.right_wave.waves[0].kind == 'rarefaction' else 'single-shock'} branch",
+            f"{'shock+rarefaction' if construction.right_wave.waves[0].kind == RAREFACTION else 'single-shock'} branch",
             f"glue margin: {construction.glue_margin!r}",
             f"certificates: {'PASS' if ok else 'FAIL'}",
         ],
@@ -368,10 +379,9 @@ def _run_wedge(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
 
 
 def _run_lemmas(doc, seed, samples) -> RunResult:
-    if seed is None:
-        seed = int(doc.get("seed", oracles.DEFAULT_SEED))
-    if samples is None:
-        samples = int(doc.get("samples", 10000))
+    # a command-line value takes precedence over the document's field
+    seed = _get_int("seed", doc.get("seed", oracles.DEFAULT_SEED) if seed is None else seed, 0)
+    samples = _get_int("samples", doc.get("samples", 10000) if samples is None else samples, 1)
     summary = oracles.run_suite(n_samples=samples, seed=seed)
     status = STATUS_OK if summary["overall"] else STATUS_NUMERIC
     return RunResult(

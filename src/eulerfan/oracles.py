@@ -82,7 +82,10 @@ def run_suite(n_samples: int = 10000, seed: int = DEFAULT_SEED) -> dict:
 
     Returns a summary dict with the seed (so results are reproducible), the
     per-lemma minimum gap and its witness inputs, and overall pass flags.
+    Raises DomainError for fewer than one sample.
     """
+    if n_samples < 1:
+        raise DomainError(f"needs at least one sample, got {n_samples!r}")
     rng = np.random.default_rng(seed)
     worst: dict[str, LemmaReport | None] = {"lemma1": None, "lemma2": None, "lemma3": None}
     counts = {"lemma1": 0, "lemma2": 0, "lemma3": 0}

@@ -58,6 +58,16 @@ class CaseId(str, Enum):
     S1S3 = "S1S3"
 
 
+# Two-wave patterns: (1-wave kind, 3-wave kind).  The middle-state equation,
+# the middle velocity and the wave assembly all read this one table.
+WAVE_KINDS = {
+    CaseId.R1R3: (RAREFACTION, RAREFACTION),
+    CaseId.R1S3: (RAREFACTION, SHOCK),
+    CaseId.S1R3: (SHOCK, RAREFACTION),
+    CaseId.S1S3: (SHOCK, SHOCK),
+}
+
+
 @dataclass(frozen=True)
 class Wave:
     """One wave of the solution fan.
@@ -191,7 +201,7 @@ def rotate_180(p: RiemannProblem) -> RiemannProblem:
     return RiemannProblem(p.law, new_left, new_right)
 
 
-def _bisect(f, lo: float, hi: float, *, max_iter: int = 200) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     """Bisection on a bracketing interval, to width 1e-13 * (initial width).
 
     The middle-state equations are strictly monotone, so bisection is
@@ -206,7 +216,7 @@ def _bisect(f, lo: float, hi: float, *, max_iter: int = 200) -> float:
     if (flo > 0.0) == (fhi > 0.0):
         raise BracketError(lo, hi)
     target = 1e-13 * (hi - lo)
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -222,27 +232,23 @@ def _bisect(f, lo: float, hi: float, *, max_iter: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
+def _velocity_change(kind: str):
+    """(sign, kernel): sign * kernel(law, m, rho) is the normal-velocity
+    change from density rho to m along a wave of ``kind``, the rarefaction
+    integral or the negated shock bracket (a factor of +-1.0 rounds nothing)."""
+    if kind == RAREFACTION:
+        return 1.0, rarefaction_integral
+    return -1.0, shock_bracket
+
+
 def middle_equation(p: RiemannProblem, case: CaseId):
     """The case's scalar equation in rho_m, as residual(rho_m) with root at
     the intermediate density; strictly decreasing in rho_m."""
+    if case not in WAVE_KINDS:
+        raise InvariantError(f"case {case.value} has no middle-state equation")
     law, rl, rr, dv = p.law, p.left.rho, p.right.rho, p.dv
-    if case == CaseId.R1R3:
-        return lambda m: (
-            rarefaction_integral(law, m, rl) + rarefaction_integral(law, m, rr)
-        ) - dv
-    if case == CaseId.R1S3:
-        return lambda m: (
-            rarefaction_integral(law, m, rl) - shock_bracket(law, m, rr)
-        ) - dv
-    if case == CaseId.S1R3:
-        return lambda m: (
-            rarefaction_integral(law, m, rr) - shock_bracket(law, m, rl)
-        ) - dv
-    if case == CaseId.S1S3:
-        return lambda m: (
-            -shock_bracket(law, m, rr) - shock_bracket(law, m, rl)
-        ) - dv
-    raise InvariantError(f"case {case.value} has no middle-state equation")
+    (s1, f1), (s3, f3) = map(_velocity_change, WAVE_KINDS[case])
+    return lambda m: (s1 * f1(law, m, rl) + s3 * f3(law, m, rr)) - dv
 
 
 def _solve_middle_density(p: RiemannProblem, case: CaseId) -> float:
@@ -263,6 +269,14 @@ def _solve_middle_density(p: RiemannProblem, case: CaseId) -> float:
     raise BracketError(lo, hi)
 
 
+def _wave(law: GasLaw, family: int, kind: str, a: State, b: State) -> Wave:
+    """The wave of ``family`` and ``kind`` joining state a (left) to b."""
+    if kind == SHOCK:
+        return Wave(family, SHOCK, (pure_shock_speed(a, b),))
+    lam = lambda1 if family == 1 else lambda3
+    return Wave(family, RAREFACTION, (lam(law, a), lam(law, b)))
+
+
 def solve_standard(p: RiemannProblem) -> StandardSolution:
     """Solve for the middle state and wave speeds of the classified pattern.
 
@@ -280,14 +294,11 @@ def solve_standard(p: RiemannProblem) -> StandardSolution:
         return StandardSolution(case, None, ())
 
     if case == CaseId.SINGLE_R:
-        fam = 1 if rl > rr else 3
-        lam = lambda1 if fam == 1 else lambda3
-        wave = Wave(fam, RAREFACTION, (lam(law, ul), lam(law, ur)))
+        wave = _wave(law, 1 if rl > rr else 3, RAREFACTION, ul, ur)
         return StandardSolution(case, None, (wave,))
 
     if case == CaseId.SINGLE_S:
-        fam = 1 if rl < rr else 3
-        wave = Wave(fam, SHOCK, (pure_shock_speed(ul, ur),))
+        wave = _wave(law, 1 if rl < rr else 3, SHOCK, ul, ur)
         return StandardSolution(case, None, (wave,))
 
     if case == CaseId.R1R3_VACUUM:
@@ -298,26 +309,11 @@ def solve_standard(p: RiemannProblem) -> StandardSolution:
         w3 = Wave(3, RAREFACTION, (head3, lambda3(law, ur)))
         return StandardSolution(case, middle, (w1, w3))
 
+    k1, k3 = WAVE_KINDS[case]
     rho_m = _solve_middle_density(p, case)
-    if case in (CaseId.R1R3, CaseId.R1S3):
-        vm2 = ul.v2 + rarefaction_integral(law, rho_m, rl)
-    else:
-        vm2 = ul.v2 - shock_bracket(law, rho_m, rl)
-    um = State(rho_m, v1, vm2)
-
-    if case == CaseId.R1R3:
-        w1 = Wave(1, RAREFACTION, (lambda1(law, ul), lambda1(law, um)))
-        w3 = Wave(3, RAREFACTION, (lambda3(law, um), lambda3(law, ur)))
-    elif case == CaseId.R1S3:
-        w1 = Wave(1, RAREFACTION, (lambda1(law, ul), lambda1(law, um)))
-        w3 = Wave(3, SHOCK, (pure_shock_speed(um, ur),))
-    elif case == CaseId.S1R3:
-        w1 = Wave(1, SHOCK, (pure_shock_speed(ul, um),))
-        w3 = Wave(3, RAREFACTION, (lambda3(law, um), lambda3(law, ur)))
-    else:
-        w1 = Wave(1, SHOCK, (pure_shock_speed(ul, um),))
-        w3 = Wave(3, SHOCK, (pure_shock_speed(um, ur),))
-    return StandardSolution(case, um, (w1, w3))
+    sign, kernel = _velocity_change(k1)
+    um = State(rho_m, v1, ul.v2 + sign * kernel(law, rho_m, rl))
+    return StandardSolution(case, um, (_wave(law, 1, k1, ul, um), _wave(law, 3, k3, um, ur)))
 
 
 def _energy_density(law: GasLaw, s: State) -> float:
@@ -384,7 +380,9 @@ def verify_standard(
     (which must be nonpositive); per rarefaction, the integral relation
     between its endpoint states; plus fan ordering and, for data inside the
     classification band of a boundary, informational near-boundary notes.
-    Never raises: problems are reported in the certificate.
+    Problems are reported in the certificate, except float overflow: a
+    squared velocity above about 1e154 raises a bare OverflowError, and an
+    overflowing pressure or energy raises NumericError.
     """
     law = p.law
     entries = []
@@ -394,7 +392,7 @@ def verify_standard(
             cert.nonstrict(f"near-boundary({name})", abs(dv - t), tol_strict, dv, t)
         )
 
-    if s.case in (CaseId.R1R3, CaseId.R1S3, CaseId.S1R3, CaseId.S1S3):
+    if s.case in WAVE_KINDS:
         residual = middle_equation(p, s.case)(s.middle.rho)
         entries.append(
             cert.make_entry(

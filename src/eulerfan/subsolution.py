@@ -490,8 +490,10 @@ def verify_full(
 ) -> Certificate:
     """Certificate of the full condition system: speed ordering, the six jump
     equations of both interfaces, the two pointwise subsolution inequalities,
-    and the two interface entropy inequalities.  Never raises; every
-    violation is reported as a failing entry."""
+    and the two interface entropy inequalities.  Every violation is reported
+    as a failing entry; float overflow is not: a squared velocity above about
+    1e154 raises a bare OverflowError, and an overflowing pressure or energy
+    raises NumericError."""
     law = p.law
     rl, vl1, vl2 = p.left.rho, p.left.v1, p.left.v2
     rr, vr1, vr2 = p.right.rho, p.right.v1, p.right.v2

@@ -14,7 +14,6 @@ from .errors import ConstructionError, DomainError
 from .riemann import (
     EQUATION_TOL,
     RAREFACTION,
-    SHOCK,
     STRICT_TOL,
     CaseId,
     RiemannProblem,
@@ -80,14 +79,13 @@ def _attempt(p, u2, s, rho_ref, right_case, search_opts):
     wedge_problem = RiemannProblem(law, u2, p.right)
     if classify(wedge_problem) is not right_case:
         return "right-problem-misclassified"
+    # right_case is a single-wave case, so this is one wave of its kind
     right_wave = solve_standard(wedge_problem)
-    waves = right_wave.waves
-    kind = RAREFACTION if right_case is CaseId.SINGLE_R else SHOCK
-    if len(waves) != 1 or waves[0].family != 3 or waves[0].kind != kind:
+    if right_wave.waves[0].family != 3:
         return "right-problem-not-a-single-3-wave"
     if not verify_standard(wedge_problem, right_wave).overall:
         return "right-wave-verification-failed"
-    mu2 = waves[0].leftmost
+    mu2 = right_wave.waves[0].leftmost
     glue = mu2 - sub.mu1
     if not glue > 0.0:
         return "nonpositive-glue-margin"
@@ -253,21 +251,11 @@ def fan_geometry(w: WedgeConstruction, t: float) -> list[tuple[str, float, float
     x0 = w.sub.mu0 * t
     x1 = w.sub.mu1 * t
     wave = w.right_wave.waves[0]
-    inf = math.inf
-    if wave.kind == RAREFACTION:
-        head, tail = wave.speeds
-        return [
-            ("left", -inf, x0),
-            ("wedge", x0, x1),
-            ("aux", x1, head * t),
-            ("fan-3", head * t, tail * t),
-            ("right", tail * t, inf),
-        ]
-    x2 = wave.speeds[0] * t
+    head, tail = wave.leftmost * t, wave.rightmost * t
     return [
-        ("left", -inf, x0),
+        ("left", -math.inf, x0),
         ("wedge", x0, x1),
-        ("aux", x1, x2),
-        ("shock-3", x2, x2),
-        ("right", x2, inf),
+        ("aux", x1, head),
+        ("fan-3" if wave.kind == RAREFACTION else "shock-3", head, tail),
+        ("right", tail, math.inf),
     ]

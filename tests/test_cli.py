@@ -243,6 +243,39 @@ class TestValidation:
     def test_missing_input(self):
         assert main(["--mode", "classify"]) == STATUS_INPUT
 
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["--mode", "lemmas", "--samples", "0"], None),
+            (["--mode", "lemmas", "--samples", "-3"], None),
+            (["--mode", "lemmas", "--seed", "-1"], None),
+            (["--mode", "lemmas"], {"samples": "abc"}),
+            (["--mode", "lemmas"], {"seed": 1.5}),
+            (["--mode", "subsolution"], dict(CASE6_DOC, search={"scan_points": 2.5})),
+            (["--mode", "subsolution"], dict(CASE6_DOC, search={"grid": 7.9})),
+            (["--mode", "subsolution"], dict(CASE6_DOC, search={"grid": True})),
+            (["--mode", "wedge"], dict(CASE6_DOC, perturbation={"max_halvings": -1})),
+        ],
+        ids=["samples-0", "samples-negative", "seed-negative", "samples-string",
+             "seed-fraction", "scan-points-fraction", "grid-fraction", "grid-bool",
+             "max-halvings-negative"],
+    )
+    def test_bad_integer_field(self, tmp_path, capsys, argv, doc):
+        if doc is not None:
+            argv = argv + ["--input", write_doc(tmp_path, doc)]
+        assert main(argv) == STATUS_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error")
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        path = write_doc(tmp_path, {"samples": 300.0, "seed": 7.0})
+        out = tmp_path / "out"
+        assert main(["--mode", "lemmas", "--input", path, "--out", str(out)]) == STATUS_OK
+        report = json.loads((out / "lemma_report.json").read_text())
+        assert (report["samples"], report["seed"]) == (300, 7)
+
 
 class TestDeterminismAndRoundTrip:
     def test_artifacts_byte_identical(self, tmp_path):

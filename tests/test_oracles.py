@@ -112,6 +112,11 @@ class TestSuite:
     def test_suite_deterministic(self):
         assert run_suite(n_samples=200, seed=5) == run_suite(n_samples=200, seed=5)
 
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_needs_a_sample(self, n_samples):
+        with pytest.raises(DomainError):
+            run_suite(n_samples=n_samples)
+
     def test_isothermal_branch_checked(self):
         summary = run_suite(n_samples=100, seed=1)
         assert summary["isothermal_branch"]["all_positive"]

@@ -13,13 +13,17 @@ from eulerfan import (
     RiemannProblem,
     State,
     classify,
+    lambda1,
+    lambda3,
     near_boundaries,
+    pure_shock_speed,
     rarefaction_integral,
     rotate_180,
     shock_bracket,
     solve_standard,
     verify_standard,
 )
+from eulerfan.riemann import middle_equation
 from generators import problem_for_case
 
 LAW_LOG = GasLaw(1.0, 1.0)
@@ -244,3 +248,77 @@ class TestVerifyStandard:
         c = verify_standard(p, solve_standard(p))
         assert c.overall
         assert any(e.label.startswith("near-boundary") for e in c.entries)
+
+
+def _reference_equation(p, case):
+    """Each case's middle-state equation written out on its own."""
+    law, rl, rr, dv = p.law, p.left.rho, p.right.rho, p.dv
+    I, S = rarefaction_integral, shock_bracket
+    return {
+        CaseId.R1R3: lambda m: (I(law, m, rl) + I(law, m, rr)) - dv,
+        CaseId.R1S3: lambda m: (I(law, m, rl) - S(law, m, rr)) - dv,
+        CaseId.S1R3: lambda m: (I(law, m, rr) - S(law, m, rl)) - dv,
+        CaseId.S1S3: lambda m: (-S(law, m, rr) - S(law, m, rl)) - dv,
+    }[case]
+
+
+def _reference_waves(p, case, middle):
+    """(family, kind, speeds) of each wave, assembled case by case."""
+    law, ul, ur = p.law, p.left, p.right
+    if case is CaseId.SINGLE_R:
+        lam = lambda1 if ul.rho > ur.rho else lambda3
+        return [(1 if ul.rho > ur.rho else 3, "rarefaction", (lam(law, ul), lam(law, ur)))]
+    if case is CaseId.SINGLE_S:
+        return [(1 if ul.rho < ur.rho else 3, "shock", (pure_shock_speed(ul, ur),))]
+    r1 = (1, "rarefaction", (lambda1(law, ul), lambda1(law, middle)))
+    s1 = (1, "shock", (pure_shock_speed(ul, middle),))
+    r3 = (3, "rarefaction", (lambda3(law, middle), lambda3(law, ur)))
+    s3 = (3, "shock", (pure_shock_speed(middle, ur),))
+    return {
+        CaseId.R1R3: [r1, r3],
+        CaseId.R1S3: [r1, s3],
+        CaseId.S1R3: [s1, r3],
+        CaseId.S1S3: [s1, s3],
+    }[case]
+
+
+@pytest.mark.parametrize("law", [LAW_LOG, GasLaw(0.7, 1.4)], ids=["gamma=1", "gamma=1.4"])
+class TestWavePatternTable:
+    """The shared wave-kind table reproduces the per-case formulas bit for
+    bit (``==``, not ``approx``): the golden digests pin only some cases."""
+
+    def test_middle_equation(self, law):
+        rng = np.random.default_rng(47)
+        for case in TWO_WAVE_CASES:
+            for _ in range(10):
+                p, rho_m = problem_for_case(case, rng, law=law)
+                f, ref = middle_equation(p, case), _reference_equation(p, case)
+                rl, rr = p.left.rho, p.right.rho
+                for m in (rho_m, rl, rr, math.sqrt(rl * rr), 0.3 * min(rl, rr), 3.0 * max(rl, rr)):
+                    assert f(m) == ref(m), (case, p, m)
+
+    def test_two_wave_solution(self, law):
+        rng = np.random.default_rng(48)
+        I, S = rarefaction_integral, shock_bracket
+        for case in TWO_WAVE_CASES:
+            for _ in range(10):
+                p, _ = problem_for_case(case, rng, law=law)
+                s = solve_standard(p)
+                rho_m, ul = s.middle.rho, p.left
+                if case in (CaseId.R1R3, CaseId.R1S3):
+                    vm2 = ul.v2 + I(law, rho_m, ul.rho)
+                else:
+                    vm2 = ul.v2 - S(law, rho_m, ul.rho)
+                assert s.middle == State(rho_m, ul.v1, vm2)
+                got = [(w.family, w.kind, w.speeds) for w in s.waves]
+                assert got == _reference_waves(p, case, s.middle), (case, p)
+
+    def test_single_wave_solution(self, law):
+        rng = np.random.default_rng(49)
+        for case in (CaseId.SINGLE_R, CaseId.SINGLE_S):
+            for _ in range(10):
+                p, _ = problem_for_case(case, rng, law=law)
+                s = solve_standard(p)
+                got = [(w.family, w.kind, w.speeds) for w in s.waves]
+                assert s.middle is None
+                assert got == _reference_waves(p, case, None), (case, p)

@@ -407,6 +407,9 @@ def run(
     as None takes the library default."""
     if mode not in MODES:
         raise SpecError("--mode", f"unknown mode {mode!r}")
+    for name, tol in (("--tol-eq", tol_eq), ("--tol-strict", tol_strict)):
+        if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+            raise SpecError(name, f"must be finite and positive, got {tol!r}")
     if mode == "lemmas":
         return _run_lemmas(doc, seed, samples)
     tol_eq = EQUATION_TOL if tol_eq is None else tol_eq
@@ -421,8 +424,17 @@ def run(
     return _run_wedge(p, doc, tol_eq, tol_strict)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with usage errors on the malformed-input status: its own
+    status 2 is this tool's "search certified empty"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(STATUS_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eulerfan",
         description="Classify planar two-state flow problems, search for fan "
         "subsolutions, build auxiliary-state constructions, and emit "
@@ -462,9 +474,6 @@ def main(argv=None) -> int:
         return STATUS_NUMERIC
     except EulerFanError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return STATUS_NUMERIC
-    except OverflowError as exc:  # squares of velocities above ~1e154, outside eos
-        print(f"numeric failure: arithmetic overflow: {exc}", file=sys.stderr)
         return STATUS_NUMERIC
 
     if args.out:

@@ -11,7 +11,7 @@ from enum import Enum
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import GasLaw, internal_energy, pressure
-from .errors import BracketError, DomainError, InvariantError
+from .errors import BracketError, DomainError, InvariantError, NumericError
 from .wavecurves import (
     State,
     lambda1,
@@ -317,11 +317,19 @@ def solve_standard(p: RiemannProblem) -> StandardSolution:
 
 
 def _energy_density(law: GasLaw, s: State) -> float:
-    return s.rho * internal_energy(law, s.rho) + 0.5 * s.rho * (s.v1**2 + s.v2**2)
+    try:
+        kinetic = 0.5 * s.rho * (s.v1**2 + s.v2**2)
+    except OverflowError:
+        raise NumericError("arithmetic overflow: a squared velocity") from None
+    return s.rho * internal_energy(law, s.rho) + kinetic
 
 
 def _shock_entries(law, ul, ur, sigma, prefix, tol_eq, tol_strict):
     pl, pr = pressure(law, ul.rho), pressure(law, ur.rho)
+    try:
+        ql, qr = ul.v2**2, ur.v2**2
+    except OverflowError:
+        raise NumericError("arithmetic overflow: a squared normal velocity") from None
     entries = [
         cert.equation(
             prefix + ".mass",
@@ -338,7 +346,7 @@ def _shock_entries(law, ul, ur, sigma, prefix, tol_eq, tol_strict):
         cert.equation(
             prefix + ".momentum-normal",
             sigma * (ul.rho * ul.v2 - ur.rho * ur.v2),
-            ul.rho * ul.v2**2 + pl - ur.rho * ur.v2**2 - pr,
+            ul.rho * ql + pl - ur.rho * qr - pr,
             tol_eq,
         ),
     ]
@@ -381,8 +389,8 @@ def verify_standard(
     between its endpoint states; plus fan ordering and, for data inside the
     classification band of a boundary, informational near-boundary notes.
     Problems are reported in the certificate, except float overflow: a
-    squared velocity above about 1e154 raises a bare OverflowError, and an
-    overflowing pressure or energy raises NumericError.
+    squared velocity above about 1e154, or an overflowing pressure or energy,
+    raises NumericError.
     """
     law = p.law
     entries = []

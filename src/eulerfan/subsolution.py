@@ -75,7 +75,10 @@ class _ProblemTerms:
         self.pl, self.pr = pressure(law, self.rl), pressure(law, self.rr)
         self.el, self.er = internal_energy(law, self.rl), internal_energy(law, self.rr)
         t1 = (self.rl - self.rr) * (self.pl - self.pr)
-        t2 = self.rr * self.rl * (self.vl2 - self.vr2) ** 2
+        try:
+            t2 = self.rr * self.rl * (self.vl2 - self.vr2) ** 2
+        except OverflowError:
+            raise NumericError("arithmetic overflow: the squared velocity jump") from None
         self.disc = t1 - t2
         self._disc_floor = -STRICT_TOL * cert.scale_of(t1, t2)
 
@@ -123,7 +126,10 @@ def _v12(t: _ProblemTerms, d: float, rho1: float) -> float:
 def _delta1(t: _ProblemTerms, d: float, rho1: float, p1: float) -> float:
     rl, rr = t.rl, t.rr
     term = rr * (t.vl2 - t.vr2) + math.sqrt(d * (rr - rho1) / (rho1 - rl))
-    return -(p1 - t.pl) / rho1 + rl * (rho1 - rl) / (rho1**2 * (rl - rr) ** 2) * term**2
+    try:
+        return -(p1 - t.pl) / rho1 + rl * (rho1 - rl) / (rho1**2 * (rl - rr) ** 2) * term**2
+    except OverflowError:
+        raise NumericError(f"arithmetic overflow: delta1 at rho1={rho1!r}") from None
 
 
 def _bracket(rho_a: float, rho_b: float, p_a: float, p_b: float, e_a: float, e_b: float) -> float:
@@ -179,19 +185,23 @@ def reduced_residuals(
     rl, vl2 = p.left.rho, p.left.v2
     rr, vr2 = p.right.rho, p.right.v2
     pl, p1, pr = pressure(law, rl), pressure(law, r.rho1), pressure(law, rr)
-    flux1 = r.rho1 * (r.v12**2 + r.delta1)
+    try:
+        flux1 = r.rho1 * (r.v12**2 + r.delta1)
+        vl2_sq, vr2_sq = vl2**2, vr2**2
+    except OverflowError:
+        raise NumericError("arithmetic overflow: a squared normal velocity") from None
     return (
         ("mass-left", r.mu0 * (rl - r.rho1), rl * vl2 - r.rho1 * r.v12),
         (
             "momentum-left",
             r.mu0 * (rl * vl2 - r.rho1 * r.v12),
-            rl * vl2**2 - flux1 + pl - p1,
+            rl * vl2_sq - flux1 + pl - p1,
         ),
         ("mass-right", r.mu1 * (r.rho1 - rr), r.rho1 * r.v12 - rr * vr2),
         (
             "momentum-right",
             r.mu1 * (r.rho1 * r.v12 - rr * vr2),
-            flux1 - rr * vr2**2 + p1 - pr,
+            flux1 - rr * vr2_sq + p1 - pr,
         ),
     )
 
@@ -414,6 +424,7 @@ def search_feasible(
     scan_points: int = 64,
     grid: int = 128,
     tol_strict: float = STRICT_TOL,
+    rho1_below: float = math.inf,
 ) -> tuple[float, float] | None:
     """Deterministic search for a strictly feasible pair (rho1, delta2).
 
@@ -426,22 +437,36 @@ def search_feasible(
     keep both deltas above SEARCH_DELTA_FLOOR so that the lifted full
     solution is strict at tolerance, not just the reduced one.
 
+    Only rho1 strictly below ``rho1_below`` is tried: a guided candidate at
+    or above it is skipped, and the ascending grid stops at its first rho1
+    at or above it.  A guided candidate equal to the one before it (the
+    geometric approach stops moving at roundoff) is skipped too, since it
+    has the same answer.
+
     Returns None when nothing feasible is found; an empty result is a
     certified outcome of this search, not an error.
     """
+    if math.isnan(rho1_below):
+        raise DomainError("rho1_below must be a number, got nan")
     t = _ProblemTerms(p)
     if t.disc <= 0.0:
         raise CriterionError("the search requires a positive discriminant")
     rl, rr = t.rl, t.rr
     if not rl < rr:
         return None
+    previous = None
     for rho1 in _guided_candidates(p, scan_points):
+        if rho1 == previous or not rho1 < rho1_below:
+            continue
+        previous = rho1
         found = _feasible_delta2(_ReducedEvaluator(t, rho1), tol_strict)
         if found is not None:
             return rho1, found
     delta2_grid = _delta2_grid(grid)
     for i in range(grid):
         rho1 = rl * (rr / rl) ** ((i + 0.5) / grid)
+        if not rho1 < rho1_below:
+            return None
         found = _first_feasible(_ReducedEvaluator(t, rho1), delta2_grid, tol_strict)
         if found is not None:
             return rho1, found
@@ -459,8 +484,11 @@ def lift_to_full(p: RiemannProblem, r: ReducedSubsolution) -> FanSubsolution:
     if not (r.delta1 > 0.0 and r.delta2 > 0.0):
         raise InvariantError("the lift needs positive delta1 and delta2")
     w1 = p.left.v1
-    c1 = w1**2 + r.v12**2 + r.delta1 + r.delta2
-    u11 = 0.5 * c1 - r.v12**2 - r.delta1
+    try:
+        c1 = w1**2 + r.v12**2 + r.delta1 + r.delta2
+        u11 = 0.5 * c1 - r.v12**2 - r.delta1
+    except OverflowError:
+        raise NumericError("arithmetic overflow: a squared wedge velocity") from None
     u12 = w1 * r.v12
     return FanSubsolution(
         rho1=r.rho1,
@@ -476,8 +504,11 @@ def lift_to_full(p: RiemannProblem, r: ReducedSubsolution) -> FanSubsolution:
 
 def extract_deltas(f: FanSubsolution) -> tuple[float, float]:
     """Recover (delta1, delta2) from the full unknowns; inverse of the lift."""
-    d1 = 0.5 * f.c1 - f.v12**2 - f.u11
-    d2 = f.c1 - f.v11**2 - f.v12**2 - d1
+    try:
+        d1 = 0.5 * f.c1 - f.v12**2 - f.u11
+        d2 = f.c1 - f.v11**2 - f.v12**2 - d1
+    except OverflowError:
+        raise NumericError("arithmetic overflow: a squared wedge velocity") from None
     return d1, d2
 
 
@@ -492,8 +523,7 @@ def verify_full(
     equations of both interfaces, the two pointwise subsolution inequalities,
     and the two interface entropy inequalities.  Every violation is reported
     as a failing entry; float overflow is not: a squared velocity above about
-    1e154 raises a bare OverflowError, and an overflowing pressure or energy
-    raises NumericError."""
+    1e154, or an overflowing pressure or energy, raises NumericError."""
     law = p.law
     rl, vl1, vl2 = p.left.rho, p.left.v1, p.left.v2
     rr, vr1, vr2 = p.right.rho, p.right.v1, p.right.v2
@@ -504,6 +534,12 @@ def verify_full(
         internal_energy(law, r1),
         internal_energy(law, rr),
     )
+    try:
+        w1_sq, w2_sq = w1**2, w2**2
+        vl1_sq, vl2_sq, vr1_sq, vr2_sq = vl1**2, vl2**2, vr1**2, vr2**2
+        cross_sq = (f.u12 - w1 * w2) ** 2
+    except OverflowError:
+        raise NumericError("arithmetic overflow: a squared velocity") from None
     half_c = 0.5 * f.c1
     entries = [
         cert.strict("speed-order", f.mu1 - f.mu0, tol_strict, f.mu0, f.mu1),
@@ -517,7 +553,7 @@ def verify_full(
         cert.equation(
             "momentum-normal-left",
             f.mu0 * (rl * vl2 - r1 * w2),
-            rl * vl2**2 + r1 * f.u11 + pl - p1 - r1 * half_c,
+            rl * vl2_sq + r1 * f.u11 + pl - p1 - r1 * half_c,
             tol_eq,
         ),
         cert.equation("mass-right", f.mu1 * (r1 - rr), r1 * w2 - rr * vr2, tol_eq),
@@ -530,28 +566,27 @@ def verify_full(
         cert.equation(
             "momentum-normal-right",
             f.mu1 * (r1 * w2 - rr * vr2),
-            -r1 * f.u11 - rr * vr2**2 + p1 - pr + r1 * half_c,
+            -r1 * f.u11 - rr * vr2_sq + p1 - pr + r1 * half_c,
             tol_eq,
         ),
         cert.strict(
             "kinetic-energy-bound",
-            f.c1 - w1**2 - w2**2,
+            f.c1 - w1_sq - w2_sq,
             tol_strict,
             f.c1,
-            w1**2 + w2**2,
+            w1_sq + w2_sq,
         ),
         cert.strict(
             "subsolution-definiteness",
-            (half_c - w1**2 + f.u11) * (half_c - w2**2 - f.u11)
-            - (f.u12 - w1 * w2) ** 2,
+            (half_c - w1_sq + f.u11) * (half_c - w2_sq - f.u11) - cross_sq,
             tol_strict,
-            half_c - w1**2 + f.u11,
-            half_c - w2**2 - f.u11,
-            (f.u12 - w1 * w2) ** 2,
+            half_c - w1_sq + f.u11,
+            half_c - w2_sq - f.u11,
+            cross_sq,
         ),
     ]
-    kl = 0.5 * (vl1**2 + vl2**2)
-    kr = 0.5 * (vr1**2 + vr2**2)
+    kl = 0.5 * (vl1_sq + vl2_sq)
+    kr = 0.5 * (vr1_sq + vr2_sq)
     lhs_al = f.mu0 * (rl * el + rl * kl - r1 * e1 - r1 * half_c)
     rhs_al = (rl * el + pl) * vl2 - (r1 * e1 + p1) * w2 + rl * vl2 * kl - r1 * w2 * half_c
     entries.append(cert.nonstrict("entropy-left", rhs_al - lhs_al, tol_strict, lhs_al, rhs_al))

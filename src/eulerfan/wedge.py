@@ -60,19 +60,17 @@ def _attempt(p, u2, s, rho_ref, right_case, search_opts):
     """The construction with auxiliary state u2, or a failure reason string.
 
     The left piece (left data to u2) needs a fan subsolution with rho1 below
-    ``rho_ref``; the right piece (u2 to right data) must be the single
+    ``rho_ref``, so the search looks only there; the right piece (u2 to right data) must be the single
     classical 3-wave of ``right_case``, whose left edge mu2 lies beyond mu1.
     """
     law = p.law
     tilde = RiemannProblem(law, p.left, u2)
     if classify(tilde) is not CaseId.S1R3:
         return "perturbed-problem-not-shock-rarefaction"
-    found = search_feasible(tilde, **search_opts)
+    found = search_feasible(tilde, rho1_below=rho_ref, **search_opts)
     if found is None:
         return "no-feasible-pair"
     rho1, delta2 = found
-    if not rho1 < rho_ref:
-        return "rho1-not-below-reference"
     sub = lift_to_full(tilde, reduced_from(tilde, rho1, delta2))
     if not verify_full(tilde, sub).overall:
         return "full-verification-failed"

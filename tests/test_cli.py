@@ -174,7 +174,7 @@ class TestModes:
     @pytest.mark.parametrize(
         "law, rho, mode",
         [
-            # pressure(1e200) overflows a float: OverflowError in every mode
+            # pressure(1e200) overflows a float: NumericError in every mode
             ({"K": 1.0, "gamma": 3.0}, (1e200, 4e200), "classify"),
             ({"K": 1.0, "gamma": 3.0}, (1e200, 4e200), "standard"),
             ({"K": 1.0, "gamma": 3.0}, (1e200, 4e200), "subsolution"),
@@ -268,6 +268,34 @@ class TestValidation:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error")
+
+    @pytest.mark.parametrize("flag", ["--tol-eq", "--tol-strict"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_bad_tolerance(self, tmp_path, capsys, flag, value):
+        path = write_doc(tmp_path, CASE6_DOC)
+        assert main(["--mode", "standard", "--input", path, flag, value]) == STATUS_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"input error at {flag}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--mode", "lemmas", "--seed", "abc"], ["--mode", "bogus"], ["--input", "x.json"]],
+        ids=["seed-not-an-int", "unknown-mode", "no-mode"],
+    )
+    def test_usage_error_is_an_input_error(self, capsys, argv):
+        # argparse's own status 2 would read as "search certified empty"
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == STATUS_INPUT
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_integral_float_is_an_integer(self, tmp_path):
         path = write_doc(tmp_path, {"samples": 300.0, "seed": 7.0})

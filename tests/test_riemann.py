@@ -117,6 +117,23 @@ def test_pressure_overflow_is_a_numeric_error(op):
         op(make(GasLaw(1.0, 3.0), 1e200, 0.0, 4e200, -1.5))
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        # the energy density squares v1, which no solver step touches
+        make(GasLaw(1.0, 1.4), 1.0, 0.0, 2.0, -3.0, v1=1e160),
+        # a shock's normal momentum flux squares v2; dv is 0 at this scale
+        make(GasLaw(1.0, 1.4), 1.0, 1e160, 4.0, 1e160),
+    ],
+    ids=["tangential", "normal"],
+)
+def test_velocity_overflow_in_verify_standard(p):
+    s = solve_standard(p)
+    assert any(w.kind == "shock" for w in s.waves)
+    with pytest.raises(NumericError, match="arithmetic overflow"):
+        verify_standard(p, s)
+
+
 class TestRotation:
     def test_involution(self):
         p = make(LAW_SQ, 1.0, 0.3, 2.0, -0.7, v1=0.4)

@@ -204,6 +204,40 @@ class TestNumericFailure:
         with pytest.raises(NumericError):
             search_feasible(p)
 
+    def test_velocity_jump_overflow(self):
+        # (vl2 - vr2)**2 = 1e320 in the discriminant
+        p = RiemannProblem(GasLaw(1.0, 1.4), State(1, 0, 0), State(4, 0, 1e160))
+        with pytest.raises(NumericError, match="arithmetic overflow"):
+            discriminant(p)
+        with pytest.raises(NumericError, match="arithmetic overflow"):
+            search_feasible(p)
+
+    def test_delta1_overflow(self):
+        # for gamma = 1 the densities are fine, but delta1 squares rho1
+        p = RiemannProblem(LAW_LOG, State(1e200, 0, 0), State(4e200, 0, -1e-3))
+        with pytest.raises(NumericError, match="arithmetic overflow"):
+            search_feasible(p)
+
+    def test_tangential_velocity_overflow(self):
+        # the search never sees v1; the lift and both verifiers square it
+        p = RiemannProblem(LAW_LOG, State(1, 1e160, 0), State(4, 1e160, -1))
+        r = reduced_from(p, *search_feasible(p))
+        with pytest.raises(NumericError, match="arithmetic overflow"):
+            lift_to_full(p, r)
+        f = lift_to_full(CASE5, reduced_from(CASE5, *search_feasible(CASE5)))
+        with pytest.raises(NumericError, match="arithmetic overflow"):
+            verify_full(p, f)
+        with pytest.raises(NumericError, match="arithmetic overflow"):
+            extract_deltas(dataclasses.replace(f, v11=1e160))
+
+    def test_wedge_velocity_overflow(self):
+        r = dataclasses.replace(reduced_from(CASE5, *search_feasible(CASE5)), v12=1e160)
+        with pytest.raises(NumericError, match="arithmetic overflow"):
+            reduced_residuals(CASE5, r)
+        f = lift_to_full(CASE5, reduced_from(CASE5, *search_feasible(CASE5)))
+        with pytest.raises(NumericError, match="arithmetic overflow"):
+            verify_full(CASE5, dataclasses.replace(f, v12=1e160))
+
 
 class TestLiftAndVerify:
     def _feasible_setup(self, seed=9):
@@ -367,30 +401,36 @@ def scan_grids(p, grid):
     return rho1_grid, delta2_grid
 
 
-def reference_search(p, *, scan_points=64, grid=128, tol_strict=STRICT_TOL):
+def reference_search(p, *, scan_points=64, grid=128, tol_strict=STRICT_TOL, rho1_below=math.inf):
     """search_feasible's scan order walked point by point: the predicate runs
-    at every halving step and every grid point, with no delta2 window."""
+    at every halving step and every grid point, with no delta2 window, and
+    every rho1 at or above ``rho1_below`` is skipped."""
     if not p.left.rho < p.right.rho:
         return None
     t = _ProblemTerms(p)
     for rho1 in _guided_candidates(p, scan_points):
+        if rho1 >= rho1_below:
+            continue
         found = reference_halving(_ReducedEvaluator(t, rho1), tol_strict)
         if found is not None:
             return rho1, found
     rho1_grid, delta2_grid = scan_grids(p, grid)
     for rho1 in rho1_grid:
+        if rho1 >= rho1_below:
+            continue
         found = reference_grid(_ReducedEvaluator(t, rho1), delta2_grid, tol_strict)
         if found is not None:
             return rho1, found
     return None
 
 
-def perturbed_problems(build, problems, monkeypatch):
-    """The problems build hands to the search along its perturbation schedules."""
+def schedule_searches(build, problems, monkeypatch):
+    """(problem, options) of every search build makes along its perturbation
+    schedules."""
     seen = []
 
     def record(p, **opts):
-        seen.append(p)
+        seen.append((p, opts))
         return search_feasible(p, **opts)
 
     monkeypatch.setattr(wedge, "search_feasible", record)
@@ -398,6 +438,11 @@ def perturbed_problems(build, problems, monkeypatch):
         build(p)
     monkeypatch.undo()
     return seen
+
+
+def perturbed_problems(build, problems, monkeypatch):
+    """The problems build hands to the search along its perturbation schedules."""
+    return [p for p, _ in schedule_searches(build, problems, monkeypatch)]
 
 
 class TestSearchMatchesReference:
@@ -462,6 +507,107 @@ class TestSearchMatchesReference:
     def test_search_options(self, opts):
         rng = np.random.default_rng(32)
         self.assert_matches([random_case5(rng)[0] for _ in range(25)], **opts)
+
+
+class TestBoundedSearch:
+    """rho1_below only removes candidates: the search returns the first hit
+    of the full walk over the rho1 below the bound."""
+
+    def test_random_data(self):
+        rng = np.random.default_rng(33)
+        cut = 0
+        for _ in range(30):
+            p, rho_m = random_case5(rng)
+            unbounded = search_feasible(p)
+            bounds = [rho_m, 0.5 * (p.left.rho + rho_m)]
+            if unbounded is not None:
+                bounds.append(unbounded[0])
+            for bound in bounds:
+                found = search_feasible(p, rho1_below=bound)
+                assert found == reference_search(p, rho1_below=bound), (p, bound)
+                if unbounded is not None and unbounded[0] < bound:
+                    assert found == unbounded
+                else:
+                    cut += 1
+        assert cut > 0
+
+    def test_perturbation_schedules(self, monkeypatch):
+        rng = np.random.default_rng(601)
+        searches = schedule_searches(
+            wedge.build_sr, [random_case5(rng)[0] for _ in range(10)], monkeypatch
+        )
+        rng = np.random.default_rng(602)
+        searches += schedule_searches(
+            wedge.build_s, [random_case6_one_shock(rng) for _ in range(10)], monkeypatch
+        )
+        outcomes = Counter()
+        for p, opts in searches:
+            bound = opts["rho1_below"]
+            found = search_feasible(p, rho1_below=bound)
+            assert found == reference_search(p, rho1_below=bound), p
+            unbounded = search_feasible(p)
+            if unbounded is not None and unbounded[0] < bound:
+                assert found == unbounded, p
+            outcomes[found is None] += 1
+        assert outcomes[True] and outcomes[False]
+
+    def test_schedule_evaluates_only_below_reference(self, monkeypatch):
+        # build_sr's bound is the middle density: its perturbed problems share
+        # it, so the guided approach reaches it, and repeats it at roundoff
+        rng = np.random.default_rng(601)
+        problems = [random_case5(rng)[0] for _ in range(5)]
+        evaluated = []
+
+        def search(p, **opts):
+            evaluated.append([])
+            return search_feasible(p, **opts)
+
+        def evaluator(t, rho1):
+            evaluated[-1].append(rho1)
+            return _ReducedEvaluator(t, rho1)
+
+        monkeypatch.setattr(wedge, "search_feasible", search)
+        monkeypatch.setattr(subsolution, "_ReducedEvaluator", evaluator)
+        misses = 0
+        for p in problems:
+            start = len(evaluated)
+            w = wedge.build_sr(p)
+            rho_m = solve_standard(p).middle.rho
+            for rho1s in evaluated[start:]:
+                assert all(rho1 < rho_m for rho1 in rho1s), p
+                assert len(set(rho1s)) == len(rho1s), p
+            misses += len(evaluated) - start - 1
+            assert w.sub.rho1 < rho_m
+        monkeypatch.undo()
+        assert misses > 0
+        # without the bound the same searches would have gone to rho_m and
+        # back: the check above is not vacuous
+        guided = [_guided_candidates(p, 64) for p in perturbed_problems(
+            wedge.build_sr, problems, monkeypatch)]
+        assert any(len(set(c)) < len(c) for c in guided)
+
+    def test_nan_bound_rejected(self):
+        # every comparison with NaN is false: the search would skip every
+        # rho1 and report a certified empty result
+        with pytest.raises(DomainError):
+            search_feasible(CASE5, rho1_below=math.nan)
+
+    def test_unusable_pair_no_longer_ends_the_attempt(self, monkeypatch):
+        # random_case5 data seed 2, draw 334: at s = 1/16 the unbounded search
+        # finds a pair at rho1 >= rho_m, which used to end the attempt as
+        # rho1-not-below-reference; below rho_m there is none, so the attempt
+        # is a miss and the construction still ends at s = 1/32
+        rng = np.random.default_rng(2)
+        for _ in range(335):
+            p, _ = random_case5(rng)
+        assert wedge.build_sr(p).perturbation == 0.03125
+        searches = schedule_searches(wedge.build_sr, [p], monkeypatch)
+        assert len(searches) == 5
+        tilde, opts = searches[3]
+        assert opts["rho1_below"] == solve_standard(p).middle.rho
+        unusable = search_feasible(tilde)
+        assert unusable is not None and unusable[0] >= opts["rho1_below"]
+        assert search_feasible(tilde, **opts) is None
 
 
 class StubEvaluator:

@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one check of the
+integer sizes (sample counts, seeds, search and schedule lengths) that the
+public functions take."""
+
+import operator
 
 
 class EulerFanError(Exception):
@@ -52,3 +56,17 @@ class ConstructionError(EulerFanError):
         super().__init__(
             message or f"construction failed after {len(self.attempts)} attempts"
         )
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int, or DomainError unless it is an integer (not a
+    bool) of at least ``minimum``."""
+    if isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value!r}")
+    return count

@@ -1,21 +1,26 @@
 """Stand-alone evaluators for the three structural inequalities underpinning
-the constructions, plus seeded sampling batches for property suites."""
+the constructions, plus seeded sampling batches for property suites.
+
+numpy is imported by ``run_suite`` alone, so importing the package (and every
+CLI mode but ``lemmas``) does not pay for it."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .eos import GasLaw
-from .errors import DomainError
+from .errors import DomainError, require_count
 from .subsolution import admissibility_bracket
 from .wavecurves import rarefaction_integral, shock_bracket
 
 DEFAULT_SEED = 1729
 
 F_GAMMAS = (1.1, 1.4, 5.0 / 3.0, 2.0, 3.0)
+
+# Sample rows drawn from the generator at a time: one call per chunk instead
+# of five per sample, without holding every draw of a long suite at once.
+CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -65,15 +70,23 @@ def lemma3_gaps(law: GasLaw, rho_lo: float, rho_mid: float, rho_hi: float) -> fl
     return shock_bracket(law, rho_lo, rho_hi) - shock_bracket(law, rho_lo, rho_mid)
 
 
-def _sample_once(rng) -> tuple[GasLaw, float, float, float]:
-    gamma = rng.uniform(1.0, 3.0)
-    k = 10.0 * (1.0 - rng.random())  # (0, 10]
-    law = GasLaw(K=k, gamma=gamma)
-    lo = 10.0 ** rng.uniform(-1.5, 1.5)
-    ratio = 10.0 ** rng.uniform(1e-6, 3.0)  # density ratio up to 1e3
-    hi = lo * ratio
-    mid = lo * ratio ** rng.uniform(0.01, 0.99)
-    return law, lo, mid, hi
+def _draws(n_samples: int, seed: int):
+    """The suite's uniform doubles, five per sample, in generator order."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    for first in range(0, n_samples, CHUNK_ROWS):
+        yield from rng.random((min(CHUNK_ROWS, n_samples - first), 5)).tolist()
+
+
+def _inputs(name: str, law: GasLaw, lo: float, mid: float, hi: float) -> dict:
+    """A lemma's witness inputs for the sample (law, lo, mid, hi)."""
+    base = {"K": law.K, "gamma": law.gamma}
+    if name == "lemma1":
+        return base | {"rho_a": lo, "rho_b": hi}
+    if name == "lemma2":
+        return base | {"rho_minus": lo, "rho_plus": hi}
+    return base | {"rho_lo": lo, "rho_mid": mid, "rho_hi": hi}
 
 
 def run_suite(n_samples: int = 10000, seed: int = DEFAULT_SEED) -> dict:
@@ -82,35 +95,34 @@ def run_suite(n_samples: int = 10000, seed: int = DEFAULT_SEED) -> dict:
 
     Returns a summary dict with the seed (so results are reproducible), the
     per-lemma minimum gap and its witness inputs, and overall pass flags.
-    Raises DomainError for fewer than one sample.
+    Raises DomainError unless ``n_samples`` is an integer of at least 1 and
+    ``seed`` one of at least 0.
     """
-    if n_samples < 1:
-        raise DomainError(f"needs at least one sample, got {n_samples!r}")
-    rng = np.random.default_rng(seed)
-    worst: dict[str, LemmaReport | None] = {"lemma1": None, "lemma2": None, "lemma3": None}
-    counts = {"lemma1": 0, "lemma2": 0, "lemma3": 0}
+    n_samples = require_count("n_samples", n_samples, 1)
+    seed = require_count("seed", seed, 0)
+    names = ("lemma1", "lemma2", "lemma3")
+    worst: list[LemmaReport | None] = [None, None, None]
+    counts = [0, 0, 0]
 
-    def record(name, inputs, gap):
-        passed = gap > 0.0
-        if passed:
-            counts[name] += 1
-        current = worst[name]
-        if current is None or gap < current.gap:
-            worst[name] = LemmaReport(name, inputs, gap, passed)
-
-    for i in range(n_samples):
-        law, lo, mid, hi = _sample_once(rng)
-        # every tenth draw pins gamma to exactly 1 to exercise the log branch
-        if i % 10 == 9:
-            law = GasLaw(K=law.K, gamma=1.0)
-        base = {"K": law.K, "gamma": law.gamma}
-        record("lemma1", base | {"rho_a": lo, "rho_b": hi}, lemma1_gap(law, lo, hi))
-        record("lemma2", base | {"rho_minus": lo, "rho_plus": hi}, lemma2_gap(law, lo, hi))
-        record(
-            "lemma3",
-            base | {"rho_lo": lo, "rho_mid": mid, "rho_hi": hi},
-            lemma3_gaps(law, lo, mid, hi),
-        )
+    for i, (u_gamma, u_k, u_lo, u_ratio, u_mid) in enumerate(_draws(n_samples, seed)):
+        # Each double u maps to low + (high - low) * u, as Generator.uniform
+        # maps it; every tenth draw pins gamma to exactly 1 to exercise the
+        # log branch.
+        gamma = 1.0 if i % 10 == 9 else 1.0 + (3.0 - 1.0) * u_gamma
+        law = GasLaw(K=10.0 * (1.0 - u_k), gamma=gamma)  # K in (0, 10]
+        lo = 10.0 ** (-1.5 + (1.5 - -1.5) * u_lo)
+        ratio = 10.0 ** (1e-6 + (3.0 - 1e-6) * u_ratio)  # density ratio up to 1e3
+        hi = lo * ratio
+        mid = lo * ratio ** (0.01 + (0.99 - 0.01) * u_mid)
+        gaps = (lemma1_gap(law, lo, hi), lemma2_gap(law, lo, hi), lemma3_gaps(law, lo, mid, hi))
+        for j, gap in enumerate(gaps):
+            passed = gap > 0.0
+            if passed:
+                counts[j] += 1
+            current = worst[j]
+            if current is None or gap < current.gap:
+                # a new minimum is rare, so its inputs are built only here
+                worst[j] = LemmaReport(names[j], _inputs(names[j], law, lo, mid, hi), gap, passed)
 
     f_all_positive = True
     f_min = math.inf
@@ -137,13 +149,12 @@ def run_suite(n_samples: int = 10000, seed: int = DEFAULT_SEED) -> dict:
         "f_grid": {"all_positive": f_all_positive, "min_value": f_min},
         "isothermal_branch": {"all_positive": log_ok},
     }
-    for name in ("lemma1", "lemma2", "lemma3"):
-        w = worst[name]
+    for name, count, w in zip(names, counts, worst):
         summary["lemmas"][name] = {
-            "positive_count": counts[name],
+            "positive_count": count,
             "min_gap": w.gap,
             "min_gap_inputs": w.inputs,
-            "all_positive": counts[name] == n_samples,
+            "all_positive": count == n_samples,
         }
     summary["overall"] = (
         all(v["all_positive"] for v in summary["lemmas"].values())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import GasLaw, internal_energy, pressure
-from .errors import CriterionError, DomainError, InvariantError, NumericError
+from .errors import CriterionError, DomainError, InvariantError, NumericError, require_count
 from .riemann import EQUATION_TOL, STRICT_TOL, CaseId, RiemannProblem, classify, solve_standard
 from .wavecurves import shock_bracket
 
@@ -444,8 +444,12 @@ def search_feasible(
     has the same answer.
 
     Returns None when nothing feasible is found; an empty result is a
-    certified outcome of this search, not an error.
+    certified outcome of this search, not an error.  Raises DomainError for
+    ``scan_points`` below 1 or ``grid`` below 2, where nothing or a single
+    point would be searched.
     """
+    scan_points = require_count("scan_points", scan_points, 1)
+    grid = require_count("grid", grid, 2)
     if math.isnan(rho1_below):
         raise DomainError("rho1_below must be a number, got nan")
     t = _ProblemTerms(p)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import pressure
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, require_count
 from .riemann import (
     EQUATION_TOL,
     RAREFACTION,
@@ -96,7 +96,16 @@ def _construct(p, rho_ref, place, right_case, initial_fraction, max_halvings, se
     ``place(s)`` gives (rho2, u2) for the fraction s, or (rho2, reason) when
     u2 cannot sit there; s halves after every failed attempt, and the
     attempt log becomes the ConstructionError once the schedule is spent.
+    Raises DomainError for a negative ``max_halvings`` or an
+    ``initial_fraction`` that is not a finite positive number.
     """
+    max_halvings = require_count("max_halvings", max_halvings, 0)
+    if isinstance(initial_fraction, bool) or not (
+        isinstance(initial_fraction, (int, float))
+        and math.isfinite(initial_fraction)
+        and initial_fraction > 0.0
+    ):
+        raise DomainError(f"initial_fraction must be finite and positive, got {initial_fraction!r}")
     attempts = []
     s = initial_fraction
     for _ in range(max_halvings + 1):

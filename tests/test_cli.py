@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -335,3 +339,36 @@ class TestDeterminismAndRoundTrip:
         first = [float(r.split(",")[1]) for r in rows if r.startswith("1.0,")]
         second = [float(r.split(",")[1]) for r in rows if r.startswith("2.0,")]
         assert second == [2.0 * b for b in first]
+
+
+# Runs in a fresh interpreter, so no other test has imported numpy there.
+IMPORT_GUARD = """
+import sys
+import eulerfan, eulerfan.cli
+assert "numpy" not in sys.modules, "import eulerfan loaded numpy"
+try:
+    eulerfan.run_suite(seed=-1)
+except eulerfan.DomainError:
+    pass
+assert "numpy" not in sys.modules, "run_suite imported numpy before checking its input"
+status = eulerfan.cli.main(["--mode", "lemmas", "--samples", "300", "--seed", "7", "--out", sys.argv[1]])
+print(status, "numpy" in sys.modules)
+"""
+
+
+def test_numpy_stays_off_the_import_path(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    # the lemmas mode still runs, and only it loads numpy
+    assert done.stdout.split()[-2:] == [str(STATUS_OK), "True"]
+    report = json.loads((out / "lemma_report.json").read_text())
+    assert report["seed"] == 7 and report["samples"] == 300 and report["overall"]

@@ -1,5 +1,7 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from eulerfan import (
@@ -11,6 +13,7 @@ from eulerfan import (
     lemma3_gaps,
     run_suite,
 )
+from eulerfan.cli import dumps
 
 LAW_LOG = GasLaw(1.0, 1.0)
 
@@ -116,6 +119,50 @@ class TestSuite:
     def test_needs_a_sample(self, n_samples):
         with pytest.raises(DomainError):
             run_suite(n_samples=n_samples)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": 7.0},
+            {"seed": True},
+            {"seed": "7"},
+            {"n_samples": 2.5},
+            {"n_samples": True},
+            {"n_samples": None},
+        ],
+    )
+    def test_bad_seed_or_count_rejected(self, args):
+        with pytest.raises(DomainError):
+            run_suite(**args)
+
+    # sha256 of the lemma_report.json bytes, pinned from the scalar-draw
+    # suite that made five generator calls per sample: the chunked draws must
+    # reproduce every float.  With 256-row chunks the sizes cover less than one
+    # chunk, whole chunks and a partial last chunk; the default run is also
+    # pinned by the benchmark's golden file.
+    @pytest.mark.parametrize(
+        "seed, n_samples, digest",
+        [
+            (1729, 10000, "f68a36ec9cb4e61a63e83c40aebb9436f44906e623166d952d72d65912885b01"),
+            (1729, 1, "3f895c8b16f0580e8c3d64c26d70428f537442defbb8278decb812d222241148"),
+            (7, 100, "1f4b9f4da56b7b4ee7f87f67ead2825bd2f725fc4772f0a1af09ff74f8ec1a47"),
+            (3, 512, "dea181516437ad62049c41ece9a93e4df90782d6726a526c98aff71ab3962f3c"),
+            (11, 1000, "ca6615a7186dc423c349ea2f621f76dabe2c5e99b825cac4f534efec50f637c0"),
+        ],
+    )
+    def test_report_bytes_pinned(self, seed, n_samples, digest):
+        text = dumps(run_suite(n_samples=n_samples, seed=seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_uniform_mapping_matches_the_generator(self):
+        # run_suite maps each drawn double u to low + (high - low) * u, which
+        # must be the double Generator.uniform(low, high) returns for it
+        scalar, batched = np.random.default_rng(3), np.random.default_rng(3)
+        for low, high in ((1.0, 3.0), (-1.5, 1.5), (1e-6, 3.0), (0.01, 0.99)):
+            for u in batched.random(2000).tolist():
+                assert scalar.uniform(low, high) == low + (high - low) * u
 
     def test_isothermal_branch_checked(self):
         summary = run_suite(n_samples=100, seed=1)

@@ -188,6 +188,30 @@ class TestSearch:
         with pytest.raises(CriterionError):
             search_feasible(p)
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"scan_points": 0, "grid": 0},
+            {"scan_points": 0},
+            {"scan_points": -1},
+            {"grid": 1},
+            {"grid": -5},
+            {"scan_points": True},
+            {"grid": 64.0},
+            {"scan_points": "8"},
+        ],
+    )
+    def test_bad_sizes_rejected(self, sizes):
+        # a search over nothing would return None, the certified-empty result
+        with pytest.raises(DomainError):
+            search_feasible(CASE5, **sizes)
+
+    def test_smallest_sizes_accepted(self):
+        # the CLI's limits: one guided candidate and a two-point grid
+        assert search_feasible(CASE5, scan_points=1, grid=2) == reference_search(
+            CASE5, scan_points=1, grid=2
+        )
+
 
 class TestNumericFailure:
     def test_pressure_overflow(self):

@@ -122,6 +122,31 @@ class TestBuildSR:
         assert verify_construction(p, w).overall
 
 
+@pytest.mark.parametrize("build, p", [(build_sr, CASE5), (build_s, CASE6)])
+class TestScheduleSizes:
+    @pytest.mark.parametrize("max_halvings", [-1, -40, True, 2.0, "3"])
+    def test_bad_max_halvings_rejected(self, build, p, max_halvings):
+        with pytest.raises(DomainError):
+            build(p, max_halvings=max_halvings)
+
+    @pytest.mark.parametrize(
+        "initial_fraction", [0.0, -0.5, math.inf, math.nan, True, "0.5", None]
+    )
+    def test_bad_initial_fraction_rejected(self, build, p, initial_fraction):
+        with pytest.raises(DomainError):
+            build(p, initial_fraction=initial_fraction)
+
+    def test_bad_search_sizes_rejected(self, build, p):
+        with pytest.raises(DomainError):
+            build(p, scan_points=0, grid=0)
+
+    def test_zero_halvings_is_one_attempt(self, build, p, monkeypatch):
+        monkeypatch.setattr(eulerfan.wedge, "search_feasible", lambda p, **kw: None)
+        with pytest.raises(ConstructionError) as err:
+            build(p, max_halvings=0, initial_fraction=1)
+        assert [a["s"] for a in err.value.attempts] == [1]
+
+
 class TestBuildS:
     def test_hand_example_regression(self):
         w = build_s(CASE6)

@@ -159,7 +159,11 @@ def _get_number(doc: dict, name: str, path: str, *, positive=False, minimum=None
     value = doc[name]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{path}.{name}", f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        # a JSON integer beyond the largest float
+        raise SpecError(f"{path}.{name}", "must be finite") from None
     if not math.isfinite(value):
         raise SpecError(f"{path}.{name}", "must be finite")
     if positive and not value > 0.0:
@@ -218,6 +222,9 @@ def load_input(path: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError("<input>", f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        # an integer literal longer than the interpreter's int digit limit
+        raise SpecError("<input>", str(exc)) from exc
     if not isinstance(doc, dict):
         raise SpecError("<input>", "top-level document must be a JSON object")
     return doc

@@ -26,10 +26,11 @@ class GasLaw:
             raise DomainError(f"pressure constant K must be positive, got {self.K!r}")
         if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
             raise DomainError(f"adiabatic exponent must be >= 1, got {self.gamma!r}")
-
-    @property
-    def isothermal(self) -> bool:
-        return abs(self.gamma - 1.0) < GAMMA_ONE_BAND
+        # ``isothermal``: computed once per law and read by every kernel call.
+        # A plain attribute, not a field, so asdict, == and hash ignore it;
+        # not a cached_property, whose write to __dict__ would slow every
+        # attribute read on the law in CPython 3.11.
+        object.__setattr__(self, "isothermal", abs(self.gamma - 1.0) < GAMMA_ONE_BAND)
 
 
 def _check_density(rho: float) -> None:

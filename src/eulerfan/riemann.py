@@ -18,7 +18,9 @@ from .wavecurves import (
     lambda3,
     pure_shock_speed,
     rarefaction_integral,
+    rarefaction_integral_to,
     shock_bracket,
+    shock_bracket_to,
 )
 
 # Half-width, relative to scale, of the band around each case-separating
@@ -232,13 +234,14 @@ def _bisect(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _velocity_change(kind: str):
-    """(sign, kernel): sign * kernel(law, m, rho) is the normal-velocity
-    change from density rho to m along a wave of ``kind``, the rarefaction
-    integral or the negated shock bracket (a factor of +-1.0 rounds nothing)."""
+def _velocity_change(kind: str, law: GasLaw, rho: float):
+    """(sign, g): sign * g(m) is the normal-velocity change from density rho
+    to m along a wave of ``kind``, the rarefaction integral or the negated
+    shock bracket (a factor of +-1.0 rounds nothing).  The terms at rho are
+    computed once, so each evaluation pays only for m."""
     if kind == RAREFACTION:
-        return 1.0, rarefaction_integral
-    return -1.0, shock_bracket
+        return 1.0, rarefaction_integral_to(law, rho)
+    return -1.0, shock_bracket_to(law, rho)
 
 
 def middle_equation(p: RiemannProblem, case: CaseId):
@@ -246,9 +249,11 @@ def middle_equation(p: RiemannProblem, case: CaseId):
     the intermediate density; strictly decreasing in rho_m."""
     if case not in WAVE_KINDS:
         raise InvariantError(f"case {case.value} has no middle-state equation")
-    law, rl, rr, dv = p.law, p.left.rho, p.right.rho, p.dv
-    (s1, f1), (s3, f3) = map(_velocity_change, WAVE_KINDS[case])
-    return lambda m: (s1 * f1(law, m, rl) + s3 * f3(law, m, rr)) - dv
+    law, dv = p.law, p.dv
+    k1, k3 = WAVE_KINDS[case]
+    s1, g1 = _velocity_change(k1, law, p.left.rho)
+    s3, g3 = _velocity_change(k3, law, p.right.rho)
+    return lambda m: (s1 * g1(m) + s3 * g3(m)) - dv
 
 
 def _solve_middle_density(p: RiemannProblem, case: CaseId) -> float:
@@ -311,8 +316,8 @@ def solve_standard(p: RiemannProblem) -> StandardSolution:
 
     k1, k3 = WAVE_KINDS[case]
     rho_m = _solve_middle_density(p, case)
-    sign, kernel = _velocity_change(k1)
-    um = State(rho_m, v1, ul.v2 + sign * kernel(law, rho_m, rl))
+    sign, change = _velocity_change(k1, law, rl)
+    um = State(rho_m, v1, ul.v2 + sign * change(rho_m))
     return StandardSolution(case, um, (_wave(law, 1, k1, ul, um), _wave(law, 3, k3, um, ur)))
 
 

@@ -63,9 +63,9 @@ class FanSubsolution:
 
 class _ProblemTerms:
     """The terms of the star formulas that depend only on the problem: the
-    data, p and eps at both data densities, and the discriminant, each
-    computed once so that a search pays only the rho1-dependent part per
-    candidate."""
+    data, p and eps at both data densities, and the discriminant with its
+    clamped value, each computed once so that a search pays only the
+    rho1-dependent part per candidate."""
 
     def __init__(self, p: RiemannProblem):
         law = p.law
@@ -80,20 +80,26 @@ class _ProblemTerms:
         except OverflowError:
             raise NumericError("arithmetic overflow: the squared velocity jump") from None
         self.disc = t1 - t2
-        self._disc_floor = -STRICT_TOL * cert.scale_of(t1, t2)
+        # At or below disc_noise the sign of t1 - t2 is rounding error: on
+        # single-shock data t1 and t2 agree to a few ulps.  The clamp's band
+        # is wider: its scale never drops below 1.
+        self.disc_noise = STRICT_TOL * max(abs(t1), abs(t2))
+        floor = -STRICT_TOL * cert.scale_of(t1, t2)
+        self._clamped = None if self.disc < floor else max(self.disc, 0.0)
 
     def clamped_disc(self) -> float:
-        """Discriminant clamped to zero inside its roundoff band.
+        """Discriminant clamped to zero inside its roundoff band, computed
+        once with the other terms.
 
         Single-shock data sits exactly on the zero of the discriminant, and
         the auxiliary-state constructions evaluate arbitrarily close to it,
         so small negative roundoff must not kill the square roots.
         """
-        if self.disc < self._disc_floor:
+        if self._clamped is None:
             raise CriterionError(
                 f"negative discriminant {self.disc!r}: no fan subsolution can exist"
             )
-        return max(self.disc, 0.0)
+        return self._clamped
 
 
 def discriminant(p: RiemannProblem) -> float:
@@ -294,28 +300,54 @@ class _ReducedEvaluator:
         A row with base margin a = rhs0 - lhs and slope s passes when
         a + s*d > tol*max(1, |lhs|, |rhs0 + s*d|), that is when a + s*d
         exceeds tol*max(1, |lhs|) and +-tol*(rhs0 + s*d): three affine bounds
-        that each cut the d line once.  NaN bounds are dropped (max and min
-        keep their first argument), which only widens the interval.
+        c + k*d > 0 that each cut the d line once.  A bound with k > 0 raises
+        lo to -c/k, one with k < 0 lowers hi to it, and one with k = 0 passes
+        every d or none.  A NaN bound moves neither end (its comparison is
+        false), which only widens the interval.
         """
         if not self.window_ok or self.d1 < SEARCH_DELTA_FLOOR:
             return None
+        down, up = 1.0 - tol, 1.0 + tol
         lo, hi = 0.0, math.inf
         for lhs, rhs0, s in (
             (self.lhs_l, self.rhs_l0, self.slope_l),
             (self.lhs_r, self.rhs_r0, self.slope_r),
         ):
             a = rhs0 - lhs
-            for c, k in (
-                (a - tol * cert.scale_of(lhs), s),
-                (a - tol * rhs0, s * (1.0 - tol)),
-                (a + tol * rhs0, s * (1.0 + tol)),
-            ):
-                if k > 0.0:
-                    lo = max(lo, -c / k)
-                elif k < 0.0:
-                    hi = min(hi, -c / k)
-                elif not c > 0.0:
-                    return None
+            m = abs(lhs)
+            c, k = a - tol * (m if m > 1.0 else 1.0), s
+            if k > 0.0:
+                x = -c / k
+                if x > lo:
+                    lo = x
+            elif k < 0.0:
+                x = -c / k
+                if x < hi:
+                    hi = x
+            elif not c > 0.0:
+                return None
+            c, k = a - tol * rhs0, s * down
+            if k > 0.0:
+                x = -c / k
+                if x > lo:
+                    lo = x
+            elif k < 0.0:
+                x = -c / k
+                if x < hi:
+                    hi = x
+            elif not c > 0.0:
+                return None
+            c, k = a + tol * rhs0, s * up
+            if k > 0.0:
+                x = -c / k
+                if x > lo:
+                    lo = x
+            elif k < 0.0:
+                x = -c / k
+                if x < hi:
+                    hi = x
+            elif not c > 0.0:
+                return None
         return lo, hi
 
 
@@ -444,17 +476,22 @@ def search_feasible(
     has the same answer.
 
     Returns None when nothing feasible is found; an empty result is a
-    certified outcome of this search, not an error.  Raises DomainError for
-    ``scan_points`` below 1 or ``grid`` below 2, where nothing or a single
-    point would be searched.
+    certified outcome of this search, not an error.  Raises CriterionError
+    when the discriminant is negative or zero up to rounding (within
+    STRICT_TOL of its larger term), as on single-shock data, where both fan
+    speeds coincide.  Raises DomainError for ``scan_points`` below 1 or
+    ``grid`` below 2, where nothing or a single point would be searched.
     """
     scan_points = require_count("scan_points", scan_points, 1)
     grid = require_count("grid", grid, 2)
     if math.isnan(rho1_below):
         raise DomainError("rho1_below must be a number, got nan")
     t = _ProblemTerms(p)
-    if t.disc <= 0.0:
-        raise CriterionError("the search requires a positive discriminant")
+    if t.disc <= t.disc_noise:
+        raise CriterionError(
+            f"the search requires a positive discriminant, got {t.disc!r}: "
+            "zero up to rounding, or negative"
+        )
     rl, rr = t.rl, t.rr
     if not rl < rr:
         return None
@@ -467,8 +504,9 @@ def search_feasible(
         if found is not None:
             return rho1, found
     delta2_grid = _delta2_grid(grid)
+    ratio = rr / rl
     for i in range(grid):
-        rho1 = rl * (rr / rl) ** ((i + 0.5) / grid)
+        rho1 = rl * ratio ** ((i + 0.5) / grid)
         if not rho1 < rho1_below:
             return None
         found = _first_feasible(_ReducedEvaluator(t, rho1), delta2_grid, tol_strict)

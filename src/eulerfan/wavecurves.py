@@ -43,12 +43,41 @@ def rarefaction_integral(law: GasLaw, rho_a: float, rho_b: float) -> float:
     if rho_a < 0.0 or rho_b < 0.0:
         raise DomainError("densities must be nonnegative")
     if rho_a == rho_b:
+        # before the terms at rho_b, which may overflow
         return 0.0
+    return rarefaction_integral_to(law, rho_b)(rho_a)
+
+
+def rarefaction_integral_to(law: GasLaw, rho_b: float):
+    """rho_a -> rarefaction_integral(law, rho_a, rho_b), bit for bit, with
+    the terms at the fixed upper endpoint rho_b (its sound speed and
+    2/(gamma-1)) computed once."""
+    if rho_b < 0.0:
+        raise DomainError("densities must be nonnegative")
     if law.isothermal:
-        if rho_a == 0.0 or rho_b == 0.0:
-            raise DivergenceError("integral diverges at the vacuum for gamma = 1")
-        return math.sqrt(law.K) * math.log(rho_b / rho_a)
-    return 2.0 / (law.gamma - 1.0) * (_sqrt_pd(law, rho_b) - _sqrt_pd(law, rho_a))
+        root_k = math.sqrt(law.K)
+
+        def integral(rho_a: float) -> float:
+            if rho_a < 0.0:
+                raise DomainError("densities must be nonnegative")
+            if rho_a == rho_b:
+                return 0.0
+            if rho_a == 0.0 or rho_b == 0.0:
+                raise DivergenceError("integral diverges at the vacuum for gamma = 1")
+            return root_k * math.log(rho_b / rho_a)
+
+        return integral
+    factor = 2.0 / (law.gamma - 1.0)
+    speed_b = _sqrt_pd(law, rho_b)
+
+    def integral(rho_a: float) -> float:
+        if rho_a < 0.0:
+            raise DomainError("densities must be nonnegative")
+        if rho_a == rho_b:
+            return 0.0
+        return factor * (speed_b - _sqrt_pd(law, rho_a))
+
+    return integral
 
 
 def shock_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
@@ -59,8 +88,23 @@ def shock_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
     """
     if rho_a <= 0.0 or rho_b <= 0.0:
         raise DomainError("densities must be positive")
-    num = (rho_a - rho_b) * (pressure(law, rho_a) - pressure(law, rho_b))
-    return math.sqrt(max(num, 0.0) / (rho_a * rho_b))
+    return shock_bracket_to(law, rho_b)(rho_a)
+
+
+def shock_bracket_to(law: GasLaw, rho_b: float):
+    """rho_a -> shock_bracket(law, rho_a, rho_b), bit for bit, with p(rho_b)
+    computed once."""
+    if rho_b <= 0.0:
+        raise DomainError("densities must be positive")
+    p_b = pressure(law, rho_b)
+
+    def bracket(rho_a: float) -> float:
+        if rho_a <= 0.0:
+            raise DomainError("densities must be positive")
+        num = (rho_a - rho_b) * (pressure(law, rho_a) - p_b)
+        return math.sqrt(max(num, 0.0) / (rho_a * rho_b))
+
+    return bracket
 
 
 def lambda1(law: GasLaw, s: State) -> float:

@@ -5,12 +5,13 @@ right piece classically, and certify that the two glue (mu1 < mu2)."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import pressure
-from .errors import ConstructionError, DomainError, require_count
+from .errors import ConstructionError, DomainError, NumericError, require_count
 from .riemann import (
     EQUATION_TOL,
     RAREFACTION,
@@ -251,14 +252,20 @@ def fan_geometry(w: WedgeConstruction, t: float) -> list[tuple[str, float, float
     relaxed data, the auxiliary state, the classical 3-wave (a band for a
     rarefaction, a zero-width line for a shock), and the right data state.
     Nondegenerate breakpoints are strictly increasing and scale linearly
-    with t.
+    with t.  Raises DomainError unless t is a finite positive number (a bool
+    is not one), and NumericError when a breakpoint overflows.
     """
-    if not (isinstance(t, (int, float)) and t > 0.0):
-        raise DomainError("time must be positive")
+    if isinstance(t, bool) or not (
+        isinstance(t, (int, float)) and 0.0 < t <= sys.float_info.max
+    ):
+        raise DomainError("time must be finite and positive")
     x0 = w.sub.mu0 * t
     x1 = w.sub.mu1 * t
     wave = w.right_wave.waves[0]
     head, tail = wave.leftmost * t, wave.rightmost * t
+    # 0 * x is 0 for finite x and NaN for inf or NaN
+    if not math.isfinite(0.0 * x0 + 0.0 * x1 + 0.0 * head + 0.0 * tail):
+        raise NumericError(f"the fan breakpoints overflow at t={t!r}")
     return [
         ("left", -math.inf, x0),
         ("wedge", x0, x1),

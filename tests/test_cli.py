@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eulerfan import (
@@ -11,6 +12,7 @@ from eulerfan import (
     GasLaw,
     RiemannProblem,
     State,
+    discriminant,
     search_feasible,
     solve_standard,
     verify_standard,
@@ -25,8 +27,10 @@ from eulerfan.cli import (
     emit_geometry,
     main,
     parse_problem,
+    problem_dict,
 )
 from eulerfan.wedge import build_s
+from generators import random_case6_one_shock
 
 CASE6_DOC = {
     "law": {"K": 1.0, "gamma": 1.0},
@@ -224,6 +228,24 @@ class TestModes:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "digits, field",
+        [(401, "law.K"), (5001, "<input>")],
+        ids=["beyond-float", "beyond-int-digit-limit"],
+    )
+    def test_huge_json_integer(self, tmp_path, capsys, digits, field):
+        # 1 and 400 zeros overflows float(); 5001 digits exceed the
+        # interpreter's int digit limit already in json.loads
+        path = tmp_path / "problem.json"
+        law = '"law": {"K": 1' + "0" * (digits - 1) + ', "gamma": 1.0}'
+        sides = json.dumps({k: CASE6_DOC[k] for k in ("left", "right")})[1:-1]
+        path.write_text("{" + law + ", " + sides + "}")
+        assert main(["--mode", "classify", "--input", str(path)]) == STATUS_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"input error at {field}")
+
     def test_negative_density(self, tmp_path):
         doc = dict(CASE6_DOC, left={"rho": -1.0, "v1": 0.0, "v2": 0.0})
         path = write_doc(tmp_path, doc)
@@ -307,6 +329,20 @@ class TestValidation:
         assert main(["--mode", "lemmas", "--input", path, "--out", str(out)]) == STATUS_OK
         report = json.loads((out / "lemma_report.json").read_text())
         assert (report["samples"], report["seed"]) == (300, 7)
+
+
+@pytest.mark.parametrize("positive", [True, False], ids=["rounded-up", "rounded-down"])
+def test_single_shock_subsolution_exits_3(tmp_path, capsys, positive):
+    # the discriminant of single-shock data is zero up to rounding, whatever
+    # its sign: the search is refused either way (exit 3), never run
+    rng = np.random.default_rng(0)
+    p = next(q for q in iter(lambda: random_case6_one_shock(rng), None)
+             if (discriminant(q) > 0.0) is positive)
+    path = write_doc(tmp_path, problem_dict(p))
+    assert main(["--mode", "subsolution", "--input", path]) == STATUS_NUMERIC
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("numeric failure: the search requires a positive discriminant")
 
 
 class TestDeterminismAndRoundTrip:

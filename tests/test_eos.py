@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from eulerfan import (
     pressure,
     pressure_derivative,
 )
+from eulerfan.eos import GAMMA_ONE_BAND
 
 # gamma stays either exactly 1 or clear of it: for 0 < gamma - 1 << 1 the
 # huge additive constant K/(gamma-1) in the energy defeats the
@@ -40,6 +42,25 @@ def test_internal_energy_examples():
     assert internal_energy(GasLaw(1.0, 1.0), 1.0) == 0.0
     assert internal_energy(GasLaw(0.5, 2.0), 4.0) == pytest.approx(2.0, rel=1e-15)
     assert internal_energy(GasLaw(1.0, 1.5), 9.0) == pytest.approx(6.0, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "gamma", [1.0, 1.0 + 5e-13, 1.0 + 9.9e-13, 1.0 + 1e-12, 1.0 + 2e-12, 1.4, 3.0, 7.0]
+)
+def test_isothermal_is_computed_once_and_not_a_field(gamma):
+    law = GasLaw(0.7, gamma)
+    assert law.isothermal is (abs(gamma - 1.0) < GAMMA_ONE_BAND)
+    assert [f.name for f in dataclasses.fields(law)] == ["K", "gamma"]
+    assert dataclasses.asdict(law) == {"K": 0.7, "gamma": gamma}
+    twin = GasLaw(0.7, gamma)
+    assert law == twin and hash(law) == hash(twin)
+    assert repr(law) == f"GasLaw(K=0.7, gamma={gamma!r})"
+    other = dataclasses.replace(law, gamma=1.4)
+    assert other.isothermal is False and other == GasLaw(0.7, 1.4)
+    back = dataclasses.replace(other, gamma=gamma)
+    assert back.isothermal is law.isothermal and back == law
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        law.isothermal = not law.isothermal
 
 
 def test_gamma_one_band_selects_log_branch():

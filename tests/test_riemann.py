@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from eulerfan import (
     solve_standard,
     verify_standard,
 )
+from eulerfan import riemann, wavecurves
 from eulerfan.riemann import middle_equation
 from generators import problem_for_case
 
@@ -339,3 +341,51 @@ class TestWavePatternTable:
                 got = [(w.family, w.kind, w.speeds) for w in s.waves]
                 assert s.middle is None
                 assert got == _reference_waves(p, case, None), (case, p)
+
+
+# classify's thresholds, the two fixed-density terms, the middle velocity and
+# the wave speeds: the eos calls of solve_standard outside its bisection
+SOLVE_OVERHEAD_EOS_CALLS = 16
+
+
+@pytest.mark.parametrize("case", TWO_WAVE_CASES)
+def test_bisection_work_per_step(monkeypatch, case):
+    """Each middle-equation evaluation pays one pressure or sound speed per
+    side, at the trial density; the terms at the data densities are
+    computed once per equation, not once per bisection step."""
+    eos_calls, evaluations = Counter(), Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            eos_calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module in (riemann, wavecurves):
+        for name in ("pressure", "sound_speed"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    build_equation = riemann.middle_equation
+
+    def counted_equation(p, c):
+        residual = build_equation(p, c)
+
+        def evaluate(m):
+            evaluations[c] += 1
+            return residual(m)
+
+        return evaluate
+
+    monkeypatch.setattr(riemann, "middle_equation", counted_equation)
+    rng = np.random.default_rng(51)
+    for law in (LAW_LOG, GasLaw(0.7, 1.4), GasLaw(2.0, 3.0)):
+        for _ in range(3):
+            p, _ = problem_for_case(case, rng, law=law)
+            eos_calls.clear()
+            evaluations.clear()
+            assert solve_standard(p).case is case
+            steps = evaluations[case]
+            assert steps > 30
+            total = eos_calls["pressure"] + eos_calls["sound_speed"]
+            assert total <= 2 * steps + SOLVE_OVERHEAD_EOS_CALLS, (law, dict(eos_calls), steps)

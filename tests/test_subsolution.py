@@ -30,6 +30,7 @@ from eulerfan import (
     verify_full,
 )
 from eulerfan import subsolution, wedge
+from eulerfan.certificate import scale_of
 from eulerfan.riemann import STRICT_TOL
 from eulerfan.subsolution import (
     DELTA2_CAP,
@@ -205,6 +206,27 @@ class TestSearch:
         # a search over nothing would return None, the certified-empty result
         with pytest.raises(DomainError):
             search_feasible(CASE5, **sizes)
+
+    def test_single_shock_draws_get_one_outcome(self):
+        # the discriminant of single-shock data is zero up to rounding; its
+        # sign still splits the draws, but no longer the outcome
+        rng = np.random.default_rng(0)
+        positive = 0
+        for _ in range(300):
+            p = random_case6_one_shock(rng)
+            positive += discriminant(p) > 0.0
+            with pytest.raises(CriterionError, match="positive discriminant"):
+                search_feasible(p)
+        assert 0 < positive < 300
+
+    def test_small_genuine_discriminant_is_searched(self):
+        # CASE5 shrunk: densities by 1e-3, K by 1e-8 and the velocities by
+        # 1e-4 scale the discriminant to 5e-14, below STRICT_TOL in absolute
+        # terms yet far above the rounding of its terms
+        p = RiemannProblem(GasLaw(1e-8, 1.0), State(1e-3, 0, 0), State(4e-3, 0, -1e-4))
+        assert 0.0 < discriminant(p) < STRICT_TOL
+        assert discriminant(p) == pytest.approx(5e-14, rel=1e-12)
+        assert search_feasible(p) == reference_search(p)
 
     def test_smallest_sizes_accepted(self):
         # the CLI's limits: one guided candidate and a two-point grid
@@ -699,6 +721,80 @@ class TestFirstFeasibleWalk:
 
     def test_no_points(self):
         assert _first_feasible(StubEvaluator((1.0, 2.0), {1.0}), (), STRICT_TOL) is None
+
+
+def reference_window(ev, tol):
+    """delta2_window as written before its single pass: a tuple, scale_of,
+    max or min per bound."""
+    if not ev.window_ok or ev.d1 < SEARCH_DELTA_FLOOR:
+        return None
+    lo, hi = 0.0, math.inf
+    for lhs, rhs0, s in (
+        (ev.lhs_l, ev.rhs_l0, ev.slope_l),
+        (ev.lhs_r, ev.rhs_r0, ev.slope_r),
+    ):
+        a = rhs0 - lhs
+        for c, k in (
+            (a - tol * scale_of(lhs), s),
+            (a - tol * rhs0, s * (1.0 - tol)),
+            (a + tol * rhs0, s * (1.0 + tol)),
+        ):
+            if k > 0.0:
+                lo = max(lo, -c / k)
+            elif k < 0.0:
+                hi = min(hi, -c / k)
+            elif not c > 0.0:
+                return None
+    return lo, hi
+
+
+# coefficient values for hand-made evaluators: signed zeros, subnormals,
+# huge values, infinities and NaN
+EDGE_VALUES = (0.0, -0.0, 1.0, -1.0, 3.5, -0.25, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
+               math.inf, -math.inf, math.nan)
+
+
+class TestDelta2Window:
+    """The single-pass window equals the per-bound max/min form, repr for repr."""
+
+    @pytest.mark.parametrize("tol", [STRICT_TOL, 1e-9])
+    def test_matches_reference_on_random_case5(self, tol):
+        rng = np.random.default_rng(12)
+        kinds = Counter()
+        for _ in range(30):
+            p, _ = random_case5(rng)
+            t = _ProblemTerms(p)
+            rho1_grid, _ = scan_grids(p, 64)
+            for rho1 in rho1_grid + _guided_candidates(p, 64):
+                ev = _ReducedEvaluator(t, rho1)
+                got = ev.delta2_window(tol)
+                assert repr(got) == repr(reference_window(ev, tol)), (p, rho1)
+                kinds["none" if got is None else "open" if got[0] < got[1] else "empty"] += 1
+        assert kinds["none"] and kinds["open"] and kinds["empty"]
+
+    @pytest.mark.parametrize("tol", [STRICT_TOL, 0.5, 1.0, 2.0])
+    def test_matches_reference_on_hand_made_coefficients(self, tol):
+        rng = np.random.default_rng(13)
+        values = np.array(EDGE_VALUES)
+        for _ in range(3000):
+            ev = object.__new__(_ReducedEvaluator)
+            ev.window_ok, ev.d1 = True, 1.0
+            lhs_l, rhs_l0, slope_l, lhs_r, rhs_r0, slope_r = (
+                float(v) for v in rng.choice(values, 6)
+            )
+            ev.lhs_l, ev.rhs_l0, ev.slope_l = lhs_l, rhs_l0, slope_l
+            ev.lhs_r, ev.rhs_r0, ev.slope_r = lhs_r, rhs_r0, slope_r
+            assert repr(ev.delta2_window(tol)) == repr(reference_window(ev, tol))
+
+    @pytest.mark.parametrize("slope", [0.0, -0.0, math.nan])
+    def test_zero_and_nan_slopes(self, slope):
+        ev = object.__new__(_ReducedEvaluator)
+        ev.window_ok, ev.d1 = True, 1.0
+        ev.lhs_l, ev.rhs_l0, ev.slope_l = 1.0, 2.0, slope
+        ev.lhs_r, ev.rhs_r0, ev.slope_r = 1.0, 3.0, -1.0
+        assert repr(ev.delta2_window(STRICT_TOL)) == repr(reference_window(ev, STRICT_TOL))
+        ev.rhs_l0 = 1.0  # base margin 0: a zero slope fails every delta2
+        assert repr(ev.delta2_window(STRICT_TOL)) == repr(reference_window(ev, STRICT_TOL))
 
 
 def test_search_work_per_rho1(monkeypatch):

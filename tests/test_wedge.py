@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from eulerfan import (
     ConstructionError,
     DomainError,
     GasLaw,
+    NumericError,
     RiemannProblem,
     State,
     build_s,
@@ -246,3 +248,24 @@ class TestFanGeometry:
         w = build_s(CASE6)
         with pytest.raises(DomainError):
             fan_geometry(w, 0.0)
+
+    @pytest.mark.parametrize(
+        "t", [math.inf, -math.inf, math.nan, True, False, 10**400, "1.0", None],
+        ids=["inf", "-inf", "nan", "True", "False", "huge-int", "string", "None"],
+    )
+    def test_non_finite_or_non_numeric_time_rejected(self, t):
+        # fan_geometry(w, inf) gave breakpoints -inf, -inf, inf, ...; True
+        # passed as t = 1
+        with pytest.raises(DomainError):
+            fan_geometry(build_s(CASE6), t)
+
+    def test_integer_time_accepted(self):
+        w = build_s(CASE6)
+        assert fan_geometry(w, 2) == fan_geometry(w, 2.0)
+
+    def test_overflowing_breakpoints_are_a_numeric_error(self):
+        # mu0 is about -2.1, so mu0 * t overflows for the largest float
+        w = build_s(CASE6)
+        assert abs(w.sub.mu0) > 1.0
+        with pytest.raises(NumericError):
+            fan_geometry(w, sys.float_info.max)

@@ -28,6 +28,15 @@ DELTA2_CAP = 1e8
 # tolerance, so points hugging the 1e-12 margin line are too fragile to lift.
 SEARCH_DELTA_FLOOR = 2e-6
 
+# delta2_window widens each bound by _WINDOW_ETA * (1 + tol), 32 unit
+# roundoffs of a double per unit of 1 + tol, so that rounding in the
+# predicate and in the window cannot put a passing delta2 outside it.
+_WINDOW_ETA = 2.0**-48
+
+# delta2_window leaves out a row whose coefficients, times 1 + tol, reach
+# this size: its bounds could overflow, and leaving it out only widens.
+_WINDOW_SIZE_CAP = 2.0**1000
+
 
 @dataclass(frozen=True)
 class ReducedSubsolution:
@@ -80,16 +89,15 @@ class _ProblemTerms:
         except OverflowError:
             raise NumericError("arithmetic overflow: the squared velocity jump") from None
         self.disc = t1 - t2
-        # At or below disc_noise the sign of t1 - t2 is rounding error: on
-        # single-shock data t1 and t2 agree to a few ulps.  The clamp's band
-        # is wider: its scale never drops below 1.
+        # Within disc_noise the sign of t1 - t2 is rounding error: on
+        # single-shock data t1 and t2 agree to a few ulps.  The band scales
+        # with the terms, so small-scale data keeps a genuine sign.
         self.disc_noise = STRICT_TOL * max(abs(t1), abs(t2))
-        floor = -STRICT_TOL * cert.scale_of(t1, t2)
-        self._clamped = None if self.disc < floor else max(self.disc, 0.0)
+        self._clamped = None if self.disc < -self.disc_noise else max(self.disc, 0.0)
 
     def clamped_disc(self) -> float:
         """Discriminant clamped to zero inside its roundoff band, computed
-        once with the other terms.
+        once with the other terms; CriterionError below the band.
 
         Single-shock data sits exactly on the zero of the discriminant, and
         the auxiliary-state constructions evaluate arbitrarily close to it,
@@ -293,29 +301,58 @@ class _ReducedEvaluator:
         return all(margin > tol * scale for _, margin, scale in self.rows(delta2))
 
     def delta2_window(self, tol: float) -> tuple[float, float] | None:
-        """Open interval (lo, hi), empty when lo >= hi, of the delta2 at which
-        both entropy rows pass at tolerance ``tol`` in exact arithmetic; None
-        when no delta2 is feasible (rho1 outside the window, delta1 too small).
+        """Closed interval [lo, hi], as a pair with lo <= hi, outside which
+        ``feasible`` fails at every delta2 >= 0 in float arithmetic; None
+        when it fails at every delta2 (rho1 outside the window, delta1 too
+        small, or no delta2 left by the entropy rows).
 
-        A row with base margin a = rhs0 - lhs and slope s passes when
-        a + s*d > tol*max(1, |lhs|, |rhs0 + s*d|), that is when a + s*d
-        exceeds tol*max(1, |lhs|) and +-tol*(rhs0 + s*d): three affine bounds
-        c + k*d > 0 that each cut the d line once.  A bound with k > 0 raises
-        lo to -c/k, one with k < 0 lowers hi to it, and one with k = 0 passes
-        every d or none.  A NaN bound moves neither end (its comparison is
-        false), which only widens the interval.
+        A row with base margin a = rhs0 - lhs and slope s passes, in exact
+        arithmetic, when a + s*d > tol*max(1, |lhs|, |rhs0 + s*d|), that is
+        when a + s*d exceeds tol*max(1, |lhs|) and +-tol*(rhs0 + s*d): three
+        affine bounds c + k*d > 0.
+
+        The predicate computes rhs = fl(rhs0 + fl(d*s)) and passes when
+        fl(rhs - lhs) > fl(tol*scale), scale = max(1, |lhs|, |rhs|).  Rounding
+        is monotone, so that implies rhs - lhs > tol*scale exactly; only rhs
+        carries error.  In the standard model (Higham, Accuracy and
+        Stability of Numerical Algorithms, ch. 2-3: fl(x op y) = (x op y)(1 +
+        e) + f, |e| <= u = 2**-53, |f| <= 2**-1075, f = 0 for + and -) that
+        error is at most u|rhs0| + 2u|s|d to first order in u, plus underflow,
+        and each bound feels it at most 1 + tol times.  Computing c, k and
+        -c/k below loses at most another 4u(1+tol)(|rhs0| + |lhs| + 1) in c
+        and 3u(1+tol)|s| in k, plus 8u for underflow in k (d times 2**-1075
+        is at most 4u for a float d); the 1 in the c term takes every
+        absolute term.  So eta = 32u(1+tol), more than twice the total of
+        13u(1+tol) on c and 5u(1+tol) on k, gives c' = c + eta*(|rhs0| +
+        |lhs| + 1) and k' = k + eta*|s| (both widen, as d >= 0) with every
+        passing d inside [lo, hi] as computed here.  Monotonicity holds
+        through overflow too, and an overflowing rhs makes the scale inf and
+        the row fail.
+
+        A bound with k' > 0 raises lo to -c'/k', one with k' < 0 lowers hi
+        to it, and one with k' = 0 passes every d or none.  Each bound
+        branches on its own k': tol >= 1 flips the sign of s*(1 - tol).  A
+        row whose (|rhs0| + |lhs| + |s| + 1)*(1 + tol) is not below
+        _WINDOW_SIZE_CAP could overflow inside its bounds and is left out,
+        which only widens the window.
         """
         if not self.window_ok or self.d1 < SEARCH_DELTA_FLOOR:
             return None
         down, up = 1.0 - tol, 1.0 + tol
+        eta = _WINDOW_ETA * up
         lo, hi = 0.0, math.inf
         for lhs, rhs0, s in (
             (self.lhs_l, self.rhs_l0, self.slope_l),
             (self.lhs_r, self.rhs_r0, self.slope_r),
         ):
-            a = rhs0 - lhs
             m = abs(lhs)
-            c, k = a - tol * (m if m > 1.0 else 1.0), s
+            size = abs(rhs0) + m + 1.0
+            slack = abs(s)
+            if not (size + slack) * up < _WINDOW_SIZE_CAP:
+                continue
+            slack *= eta
+            a = rhs0 - lhs + eta * size
+            c, k = a - tol * (m if m > 1.0 else 1.0), s + slack
             if k > 0.0:
                 x = -c / k
                 if x > lo:
@@ -326,7 +363,7 @@ class _ReducedEvaluator:
                     hi = x
             elif not c > 0.0:
                 return None
-            c, k = a - tol * rhs0, s * down
+            c, k = a - tol * rhs0, s * down + slack
             if k > 0.0:
                 x = -c / k
                 if x > lo:
@@ -337,7 +374,7 @@ class _ReducedEvaluator:
                     hi = x
             elif not c > 0.0:
                 return None
-            c, k = a + tol * rhs0, s * up
+            c, k = a + tol * rhs0, s * up + slack
             if k > 0.0:
                 x = -c / k
                 if x > lo:
@@ -347,6 +384,8 @@ class _ReducedEvaluator:
                 if x < hi:
                     hi = x
             elif not c > 0.0:
+                return None
+            if lo > hi:
                 return None
         return lo, hi
 
@@ -374,19 +413,23 @@ def check_reduced(
     return Certificate(tuple(entries))
 
 
-def _first_feasible(ev: _ReducedEvaluator, points, tol: float) -> float | None:
+def _first_feasible(
+    ev: _ReducedEvaluator, points, tol: float, window: tuple[float, float] | None = None
+) -> float | None:
     """First of ``points``, in their order, at which ``ev.feasible`` holds.
 
-    ``points`` is a sequence sorted one way or the other.  The predicate only
-    runs within a factor of two of the exact delta2 window: rounding moves
-    the ends of the set where it holds by far less, so the answer is that of
-    walking every point.  The points in that range are one run, found by
-    bisection and walked in order.
+    ``points`` is a sequence sorted one way or the other.  The predicate
+    runs only at the points inside ``ev.delta2_window(tol)`` (passed as
+    ``window`` by a caller that has it already, computed here otherwise):
+    it fails at every point outside, so the answer is that of walking every
+    point.  The points inside are one run, found by bisection and walked in
+    order.
     """
-    window = ev.delta2_window(tol)
+    if window is None:
+        window = ev.delta2_window(tol)
     if window is None or not points:
         return None
-    lo, hi = 0.5 * window[0], 2.0 * window[1]
+    lo, hi = window
     if points[0] > points[-1]:
         start = bisect.bisect_left(points, -hi, key=operator.neg)
     else:
@@ -404,7 +447,8 @@ def _feasible_delta2(ev: _ReducedEvaluator, tol: float) -> float | None:
 
     Both entropy margins are affine in delta2, so the feasible set in delta2
     is an interval touching 0; the upper start point is a crude positive-root
-    bound from the base values and slopes.
+    bound from the base values and slopes.  The schedule is only built when
+    the delta2 window is not empty.
     """
     if not ev.window_ok:
         return None
@@ -415,13 +459,16 @@ def _feasible_delta2(ev: _ReducedEvaluator, tol: float) -> float | None:
         and b0 > tol * cert.scale_of(ev.lhs_r, ev.rhs_r0)
     ):
         return None
+    window = ev.delta2_window(tol)
+    if window is None:
+        return None
     denom = max(abs(ev.slope_l), abs(ev.slope_r), 1e-300)
     delta2 = min(10.0 * (abs(a0) + abs(b0)) / denom, DELTA2_CAP)
     schedule = []
     while delta2 >= SEARCH_DELTA_FLOOR:
         schedule.append(delta2)
         delta2 *= 0.5
-    return _first_feasible(ev, schedule, tol)
+    return _first_feasible(ev, schedule, tol, window)
 
 
 def _guided_candidates(p, scan_points):
@@ -480,10 +527,14 @@ def search_feasible(
     when the discriminant is negative or zero up to rounding (within
     STRICT_TOL of its larger term), as on single-shock data, where both fan
     speeds coincide.  Raises DomainError for ``scan_points`` below 1 or
-    ``grid`` below 2, where nothing or a single point would be searched.
+    ``grid`` below 2, where nothing or a single point would be searched, and
+    for a ``tol_strict`` that is not finite and positive, where no point
+    could pass and the empty result would certify nothing.
     """
     scan_points = require_count("scan_points", scan_points, 1)
     grid = require_count("grid", grid, 2)
+    if not 0.0 < tol_strict < math.inf:
+        raise DomainError(f"tol_strict must be finite and positive, got {tol_strict!r}")
     if math.isnan(rho1_below):
         raise DomainError("rho1_below must be a number, got nan")
     t = _ProblemTerms(p)

@@ -26,11 +26,8 @@ class State:
             raise DomainError(f"density must be nonnegative, got {self.rho!r}")
 
 
-def _sqrt_pd(law: GasLaw, rho: float) -> float:
-    # finite vacuum limit; valid for gamma > 1 only, callers guard gamma = 1
-    if rho == 0.0:
-        return 0.0
-    return sound_speed(law, rho)
+_NONNEGATIVE = "densities must be finite and nonnegative"
+_POSITIVE = "densities must be finite and positive"
 
 
 def rarefaction_integral(law: GasLaw, rho_a: float, rho_b: float) -> float:
@@ -38,10 +35,11 @@ def rarefaction_integral(law: GasLaw, rho_a: float, rho_b: float) -> float:
 
     Antisymmetric under swapping the endpoints.  For gamma > 1 the integrand
     is integrable down to the vacuum, so zero endpoints are allowed; for
-    gamma = 1 the integral diverges there.
+    gamma = 1 the integral diverges there.  A negative, infinite or NaN
+    density raises DomainError.
     """
-    if rho_a < 0.0 or rho_b < 0.0:
-        raise DomainError("densities must be nonnegative")
+    if not (0.0 <= rho_a < math.inf and 0.0 <= rho_b < math.inf):
+        raise DomainError(_NONNEGATIVE)
     if rho_a == rho_b:
         # before the terms at rho_b, which may overflow
         return 0.0
@@ -52,14 +50,14 @@ def rarefaction_integral_to(law: GasLaw, rho_b: float):
     """rho_a -> rarefaction_integral(law, rho_a, rho_b), bit for bit, with
     the terms at the fixed upper endpoint rho_b (its sound speed and
     2/(gamma-1)) computed once."""
-    if rho_b < 0.0:
-        raise DomainError("densities must be nonnegative")
+    if not 0.0 <= rho_b < math.inf:
+        raise DomainError(_NONNEGATIVE)
     if law.isothermal:
         root_k = math.sqrt(law.K)
 
         def integral(rho_a: float) -> float:
-            if rho_a < 0.0:
-                raise DomainError("densities must be nonnegative")
+            if not 0.0 <= rho_a < math.inf:
+                raise DomainError(_NONNEGATIVE)
             if rho_a == rho_b:
                 return 0.0
             if rho_a == 0.0 or rho_b == 0.0:
@@ -67,15 +65,16 @@ def rarefaction_integral_to(law: GasLaw, rho_b: float):
             return root_k * math.log(rho_b / rho_a)
 
         return integral
+    # gamma > 1: the sound speed has the finite vacuum limit 0
     factor = 2.0 / (law.gamma - 1.0)
-    speed_b = _sqrt_pd(law, rho_b)
+    speed_b = sound_speed(law, rho_b) if rho_b > 0.0 else 0.0
 
     def integral(rho_a: float) -> float:
-        if rho_a < 0.0:
-            raise DomainError("densities must be nonnegative")
+        if not 0.0 <= rho_a < math.inf:
+            raise DomainError(_NONNEGATIVE)
         if rho_a == rho_b:
             return 0.0
-        return factor * (speed_b - _sqrt_pd(law, rho_a))
+        return factor * (speed_b - (sound_speed(law, rho_a) if rho_a > 0.0 else 0.0))
 
     return integral
 
@@ -84,25 +83,27 @@ def shock_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
     """sqrt((rho_a - rho_b)(p(rho_a) - p(rho_b)) / (rho_a * rho_b)).
 
     The magnitude of the normal-velocity jump across a shock joining the two
-    densities; symmetric in its arguments and zero iff they coincide.
+    densities; symmetric in its arguments and zero iff they coincide.  A
+    density that is not finite and positive raises DomainError.
     """
-    if rho_a <= 0.0 or rho_b <= 0.0:
-        raise DomainError("densities must be positive")
+    if not (0.0 < rho_a < math.inf and 0.0 < rho_b < math.inf):
+        raise DomainError(_POSITIVE)
     return shock_bracket_to(law, rho_b)(rho_a)
 
 
 def shock_bracket_to(law: GasLaw, rho_b: float):
     """rho_a -> shock_bracket(law, rho_a, rho_b), bit for bit, with p(rho_b)
     computed once."""
-    if rho_b <= 0.0:
-        raise DomainError("densities must be positive")
+    if not 0.0 < rho_b < math.inf:
+        raise DomainError(_POSITIVE)
     p_b = pressure(law, rho_b)
 
     def bracket(rho_a: float) -> float:
-        if rho_a <= 0.0:
-            raise DomainError("densities must be positive")
+        if not 0.0 < rho_a < math.inf:
+            raise DomainError(_POSITIVE)
         num = (rho_a - rho_b) * (pressure(law, rho_a) - p_b)
-        return math.sqrt(max(num, 0.0) / (rho_a * rho_b))
+        # max(num, 0.0) without the call: keeps -0.0 and NaN as max does
+        return math.sqrt((0.0 if 0.0 > num else num) / (rho_a * rho_b))
 
     return bracket
 

@@ -90,6 +90,18 @@ class TestClosedForms:
         with pytest.raises(CriterionError):
             fan_speeds(p, 2.0)
 
+    def test_small_scale_negative_discriminant_rejected(self):
+        # the example above shrunk (densities by 1e-3, K by 1e-8, velocities
+        # by 1e-4): the discriminant -2.7e-13 is below STRICT_TOL in absolute
+        # terms but far outside the rounding of its terms
+        p = RiemannProblem(GasLaw(1e-8, 1.0), State(1e-3, 0, 0), State(4e-3, 0, -3e-4))
+        assert discriminant(p) == pytest.approx(-2.7e-13, rel=1e-12)
+        for star in (fan_speeds, v12_star, delta1_star):
+            with pytest.raises(CriterionError):
+                star(p, 2e-3)
+        with pytest.raises(CriterionError):
+            reduced_from(p, 2e-3, 1e-3)
+
     def test_single_shock_boundary_clamps_to_shock_speed(self):
         # on the single-shock locus the discriminant is a roundoff-size
         # number and both fan speeds collapse onto the shock speed
@@ -206,6 +218,16 @@ class TestSearch:
         # a search over nothing would return None, the certified-empty result
         with pytest.raises(DomainError):
             search_feasible(CASE5, **sizes)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_bad_tolerance_rejected(self, tol):
+        # criterion 4's first feasible draw: no point passes at such a
+        # tolerance, and None would claim a certified empty search
+        rng = np.random.default_rng(104)
+        p = [random_case5(rng, profile="tight")[0] for _ in range(6)][-1]
+        assert search_feasible(p) == (2.570407877021694, 0.008982821812237777)
+        with pytest.raises(DomainError, match="tol_strict"):
+            search_feasible(p, tol_strict=tol)
 
     def test_single_shock_draws_get_one_outcome(self):
         # the discriminant of single-shock data is zero up to rounding; its
@@ -411,6 +433,19 @@ class TestEquivalence:
         assert checked > 0
 
 
+def halving_steps(ev):
+    """The guided stage's delta2 points for one rho1, in walking order."""
+    a0 = ev.rhs_l0 - ev.lhs_l
+    b0 = ev.rhs_r0 - ev.lhs_r
+    denom = max(abs(ev.slope_l), abs(ev.slope_r), 1e-300)
+    delta2 = min(10.0 * (abs(a0) + abs(b0)) / denom, DELTA2_CAP)
+    steps = []
+    while delta2 >= SEARCH_DELTA_FLOOR:
+        steps.append(delta2)
+        delta2 *= 0.5
+    return steps
+
+
 def reference_halving(ev, tol):
     """The guided stage for one rho1: the predicate at every halving step."""
     if not ev.window_ok:
@@ -422,13 +457,7 @@ def reference_halving(ev, tol):
         and b0 > tol * max(1.0, abs(ev.lhs_r), abs(ev.rhs_r0))
     ):
         return None
-    denom = max(abs(ev.slope_l), abs(ev.slope_r), 1e-300)
-    delta2 = min(10.0 * (abs(a0) + abs(b0)) / denom, DELTA2_CAP)
-    while delta2 >= SEARCH_DELTA_FLOOR:
-        if ev.feasible(delta2, tol):
-            return delta2
-        delta2 *= 0.5
-    return None
+    return next((d for d in halving_steps(ev) if ev.feasible(d, tol)), None)
 
 
 def reference_grid(ev, delta2_grid, tol):
@@ -674,11 +703,11 @@ class StubEvaluator:
 
 
 def filtered_walk(ev, points, tol):
-    """Every point in order, the predicate only inside [lo/2, 2*hi]."""
+    """Every point in order, the predicate only inside [lo, hi]."""
     window = ev.delta2_window(tol)
     if window is None:
         return None
-    lo, hi = 0.5 * window[0], 2.0 * window[1]
+    lo, hi = window
     return next((d for d in points if lo <= d <= hi and ev.feasible(d, tol)), None)
 
 
@@ -693,11 +722,11 @@ class TestFirstFeasibleWalk:
     @pytest.mark.parametrize(
         "window",
         [
-            (4.0, 4.0),  # [2, 8]: both ends on a point
-            (3.0, 2.5),  # [1.5, 5]: upper end on a point
+            (2.0, 8.0),  # both ends on a point
+            (1.5, 5.0),  # upper end on a point
             (1.0, 100.0),  # every point inside
-            (0.01, 0.1),  # [0.005, 0.2]: below every point
-            (50.0, 100.0),  # [25, 200]: above every point
+            (0.005, 0.2),  # below every point
+            (25.0, 200.0),  # above every point
             (10.0, 1.0),  # lo > hi: empty
             (0.0, math.inf),  # unbounded above
             None,
@@ -724,20 +753,27 @@ class TestFirstFeasibleWalk:
 
 
 def reference_window(ev, tol):
-    """delta2_window as written before its single pass: a tuple, scale_of,
-    max or min per bound."""
+    """delta2_window written with a tuple, scale_of, max and min per bound:
+    each row's bounds c + k*d > 0 widened by eta*(|rhs0| + |lhs| + 1) in c
+    and eta*|s| in k, rows too large to bound left out, None once a row
+    empties the interval."""
     if not ev.window_ok or ev.d1 < SEARCH_DELTA_FLOOR:
         return None
+    eta = subsolution._WINDOW_ETA * (1.0 + tol)
     lo, hi = 0.0, math.inf
     for lhs, rhs0, s in (
         (ev.lhs_l, ev.rhs_l0, ev.slope_l),
         (ev.lhs_r, ev.rhs_r0, ev.slope_r),
     ):
-        a = rhs0 - lhs
+        size = abs(rhs0) + abs(lhs) + 1.0
+        if not (size + abs(s)) * (1.0 + tol) < subsolution._WINDOW_SIZE_CAP:
+            continue
+        a = rhs0 - lhs + eta * size
+        slack = eta * abs(s)
         for c, k in (
-            (a - tol * scale_of(lhs), s),
-            (a - tol * rhs0, s * (1.0 - tol)),
-            (a + tol * rhs0, s * (1.0 + tol)),
+            (a - tol * scale_of(lhs), s + slack),
+            (a - tol * rhs0, s * (1.0 - tol) + slack),
+            (a + tol * rhs0, s * (1.0 + tol) + slack),
         ):
             if k > 0.0:
                 lo = max(lo, -c / k)
@@ -745,6 +781,8 @@ def reference_window(ev, tol):
                 hi = min(hi, -c / k)
             elif not c > 0.0:
                 return None
+        if lo > hi:
+            return None
     return lo, hi
 
 
@@ -754,8 +792,19 @@ EDGE_VALUES = (0.0, -0.0, 1.0, -1.0, 3.5, -0.25, 5e-324, -5e-324, 1e-300, 1e300,
                math.inf, -math.inf, math.nan)
 
 
+def hand_made(rows):
+    """An evaluator inside the density window, with delta1 = 1 and the
+    (lhs, rhs0, slope) entropy rows ``rows`` (left, right)."""
+    ev = object.__new__(_ReducedEvaluator)
+    ev.rl, ev.rr, ev.rho1 = 1.0, 4.0, 2.0
+    ev.window_ok, ev.d1 = True, 1.0
+    (ev.lhs_l, ev.rhs_l0, ev.slope_l), (ev.lhs_r, ev.rhs_r0, ev.slope_r) = rows
+    return ev
+
+
 class TestDelta2Window:
-    """The single-pass window equals the per-bound max/min form, repr for repr."""
+    """The single-pass window equals the per-bound max/min form, repr for repr,
+    and is never returned empty."""
 
     @pytest.mark.parametrize("tol", [STRICT_TOL, 1e-9])
     def test_matches_reference_on_random_case5(self, tol):
@@ -769,32 +818,155 @@ class TestDelta2Window:
                 ev = _ReducedEvaluator(t, rho1)
                 got = ev.delta2_window(tol)
                 assert repr(got) == repr(reference_window(ev, tol)), (p, rho1)
-                kinds["none" if got is None else "open" if got[0] < got[1] else "empty"] += 1
-        assert kinds["none"] and kinds["open"] and kinds["empty"]
+                kinds["none" if got is None else "open" if got[0] <= got[1] else "empty"] += 1
+        assert kinds["none"] and kinds["open"] and not kinds["empty"]
 
     @pytest.mark.parametrize("tol", [STRICT_TOL, 0.5, 1.0, 2.0])
     def test_matches_reference_on_hand_made_coefficients(self, tol):
         rng = np.random.default_rng(13)
         values = np.array(EDGE_VALUES)
         for _ in range(3000):
-            ev = object.__new__(_ReducedEvaluator)
-            ev.window_ok, ev.d1 = True, 1.0
-            lhs_l, rhs_l0, slope_l, lhs_r, rhs_r0, slope_r = (
-                float(v) for v in rng.choice(values, 6)
-            )
-            ev.lhs_l, ev.rhs_l0, ev.slope_l = lhs_l, rhs_l0, slope_l
-            ev.lhs_r, ev.rhs_r0, ev.slope_r = lhs_r, rhs_r0, slope_r
+            v = [float(x) for x in rng.choice(values, 6)]
+            ev = hand_made((v[:3], v[3:]))
             assert repr(ev.delta2_window(tol)) == repr(reference_window(ev, tol))
 
     @pytest.mark.parametrize("slope", [0.0, -0.0, math.nan])
     def test_zero_and_nan_slopes(self, slope):
-        ev = object.__new__(_ReducedEvaluator)
-        ev.window_ok, ev.d1 = True, 1.0
-        ev.lhs_l, ev.rhs_l0, ev.slope_l = 1.0, 2.0, slope
-        ev.lhs_r, ev.rhs_r0, ev.slope_r = 1.0, 3.0, -1.0
+        ev = hand_made(((1.0, 2.0, slope), (1.0, 3.0, -1.0)))
         assert repr(ev.delta2_window(STRICT_TOL)) == repr(reference_window(ev, STRICT_TOL))
         ev.rhs_l0 = 1.0  # base margin 0: a zero slope fails every delta2
         assert repr(ev.delta2_window(STRICT_TOL)) == repr(reference_window(ev, STRICT_TOL))
+
+
+def entropy_rows_pass(ev, delta2, tol):
+    """Both entropy rows strict at ``tol``: the part of ``feasible`` that
+    delta2_window bounds (the other rows do not depend on delta2 or only
+    through its floor)."""
+    return all(margin > tol * scale for _, margin, scale in ev.rows(delta2)[-2:])
+
+
+def near(x, n=4):
+    """x and the n floats on either side of it."""
+    points, below, above = [x], x, x
+    for _ in range(n):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        points += [below, above]
+    return points
+
+
+def exact_ends(ev, tol):
+    """-c/k of the six unwidened bounds c + k*d > 0: where the window of
+    exact arithmetic ends, near which the float predicate changes its
+    answer."""
+    ends = []
+    for lhs, rhs0, s in ((ev.lhs_l, ev.rhs_l0, ev.slope_l), (ev.lhs_r, ev.rhs_r0, ev.slope_r)):
+        a = rhs0 - lhs
+        for c, k in (
+            (a - tol * scale_of(lhs), s),
+            (a - tol * rhs0, s * (1.0 - tol)),
+            (a + tol * rhs0, s * (1.0 + tol)),
+        ):
+            if k != 0.0 and math.isfinite(c / k):
+                ends.append(-c / k)
+    return ends
+
+
+def passes_outside(cases, tol):
+    """(passing points, passing points outside delta2_window) over the
+    probe points >= 0 of each (evaluator, probes) case and the floats next
+    to both ends of its window."""
+    passed = outside = 0
+    for ev, probes in cases:
+        window = ev.delta2_window(tol)
+        if window is not None:
+            probes = probes + [math.nextafter(window[0], -math.inf), math.nextafter(window[1], math.inf)]
+        for d in probes:
+            if 0.0 <= d < math.inf and entropy_rows_pass(ev, d, tol):
+                passed += 1
+                outside += window is None or not window[0] <= d <= window[1]
+    return passed, outside
+
+
+# passes at every delta2 for tol < 2: margin 2 against tol * scale 1
+PASSING_ROW = (-1.0, 1.0, 0.0)
+
+WINDOW_TOLS = [STRICT_TOL, 1e-9, 1e-6, 0.5, 1.0, 2.0]
+
+
+def cancelling_case(rng):
+    """A hand-made evaluator with one row whose terms cancel near a random
+    d0 (rhs0 + s*d0 ~ lhs, or rhs0 ~ -s*d0), or are unrelated, and probe
+    points next to d0 and to every end of the exact window."""
+    lhs = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 6))
+    s = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4, 6))
+    d0 = float(10.0 ** rng.uniform(-6, 8))
+    rhs0 = (
+        lhs - s * d0,
+        -s * d0,
+        float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 6)),
+    )[rng.integers(3)]
+    rows = ((lhs, rhs0, s), PASSING_ROW)
+    return hand_made(rows if rng.integers(2) else rows[::-1]), near(d0)
+
+
+class TestWindowBoundsThePredicate:
+    """Outside delta2_window the float predicate fails: at the floats next to
+    its ends, next to the ends of the exact-arithmetic window, and at every
+    point the search walks."""
+
+    @pytest.mark.parametrize("tol", WINDOW_TOLS)
+    def test_cancelling_coefficients(self, tol, monkeypatch):
+        rng = np.random.default_rng(14)
+        cases = []
+        for _ in range(600):
+            ev, probes = cancelling_case(rng)
+            cases.append((ev, probes + [x for end in exact_ends(ev, tol) for x in near(end)]))
+        passed, outside = passes_outside(cases, tol)
+        assert outside == 0
+        if tol < 2.0:
+            # at tol >= 2 no row can pass: rhs - lhs <= 2*max(|lhs|, |rhs|)
+            assert passed > 0
+            # the rounding term is needed: without it passing points fall
+            # outside the window
+            monkeypatch.setattr(subsolution, "_WINDOW_ETA", 0.0)
+            assert passes_outside(cases, tol)[1] > 0
+
+    @pytest.mark.parametrize("tol", WINDOW_TOLS)
+    def test_edge_values(self, tol):
+        rng = np.random.default_rng(15)
+        values = np.array(EDGE_VALUES)
+        cases = []
+        for _ in range(1500):
+            v = [float(x) for x in rng.choice(values, 6)]
+            ev = hand_made((v[:3], v[3:]))
+            probes = list(EDGE_VALUES) + [x for end in exact_ends(ev, tol) for x in near(end, 1)]
+            cases.append((ev, probes))
+        passed, outside = passes_outside(cases, tol)
+        assert outside == 0
+        assert passed > 0 or tol >= 2.0
+
+    def test_search_points(self, monkeypatch):
+        # every halving step and grid point, at every guided candidate and
+        # every second grid rho1 of schedule and random problems
+        rng = np.random.default_rng(604)
+        problems = perturbed_problems(
+            wedge.build_sr, [random_case5(rng)[0] for _ in range(4)], monkeypatch
+        )
+        problems += [random_case5(rng, profile="tight")[0] for _ in range(8)]
+        hits = 0
+        for p in problems:
+            t = _ProblemTerms(p)
+            rho1_grid, delta2_grid = scan_grids(p, 128)
+            for rho1 in _guided_candidates(p, 64) + rho1_grid[::2]:
+                ev = _ReducedEvaluator(t, rho1)
+                if not ev.window_ok:
+                    continue
+                window = ev.delta2_window(STRICT_TOL)
+                for d in halving_steps(ev) + delta2_grid:
+                    if ev.feasible(d, STRICT_TOL):
+                        hits += 1
+                        assert window is not None and window[0] <= d <= window[1], (p, rho1, d)
+        assert hits > 0
 
 
 def test_search_work_per_rho1(monkeypatch):
@@ -819,3 +991,27 @@ def test_search_work_per_rho1(monkeypatch):
     assert rho1_evaluated > 128
     assert calls["pressure"] <= rho1_evaluated + 2
     assert calls["internal_energy"] <= rho1_evaluated + 2
+
+
+def test_predicate_runs_only_inside_open_windows(monkeypatch):
+    """A schedule miss runs the predicate at no point; a hit runs it only
+    inside non-empty delta2 windows."""
+    rng = np.random.default_rng(601)
+    seen = perturbed_problems(wedge.build_sr, [random_case5(rng)[0] for _ in range(3)], monkeypatch)
+    miss = next(p for p in seen if search_feasible(p) is None)
+    hit = next(p for p in seen if search_feasible(p) is not None)
+    calls, outside = [], []
+    feasible = _ReducedEvaluator.feasible
+
+    def counted(ev, delta2, tol):
+        calls.append(delta2)
+        window = ev.delta2_window(tol)
+        if window is None or not window[0] <= delta2 <= window[1]:
+            outside.append(delta2)
+        return feasible(ev, delta2, tol)
+
+    monkeypatch.setattr(_ReducedEvaluator, "feasible", counted)
+    assert search_feasible(miss) is None
+    assert calls == []
+    assert search_feasible(hit) is not None
+    assert calls and outside == []

@@ -225,6 +225,8 @@ class TestFixedEndpointForms:
 
     @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan])
     def test_bad_densities_raise_the_same_errors(self, gamma, bad):
+        # the former forms returned NaN for a NaN density when gamma = 1,
+        # where the kernels now raise DomainError
         law = GasLaw(1.3, gamma)
         for rho in (0.7, bad):
             for a, b in ((bad, rho), (rho, bad)):
@@ -235,10 +237,32 @@ class TestFixedEndpointForms:
                     outcomes = []
                     for call in (lambda: old(law, a, b), lambda: new(law, a, b), lambda: to(law, b)(a)):
                         try:
-                            outcomes.append(("value", call().hex()))
+                            value = call()
+                            outcomes.append(
+                                ("value", value.hex()) if math.isfinite(value) else ("error", DomainError)
+                            )
                         except DomainError as err:
                             outcomes.append(("error", type(err)))
                     assert outcomes[0] == outcomes[1] == outcomes[2], (new.__name__, a, b)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_densities_rejected(self, gamma, bad):
+        # one comparison per call rejects them in the builders and in the
+        # functions they return, before any arithmetic
+        law = GasLaw(1.3, gamma)
+        for rho in (0.7, bad):
+            for kernel, to in (
+                (rarefaction_integral, rarefaction_integral_to),
+                (shock_bracket, shock_bracket_to),
+            ):
+                with pytest.raises(DomainError, match="finite"):
+                    kernel(law, bad, rho)
+                with pytest.raises(DomainError, match="finite"):
+                    kernel(law, rho, bad)
+                with pytest.raises(DomainError, match="finite"):
+                    to(law, bad)
+                with pytest.raises(DomainError, match="finite"):
+                    to(law, 0.7)(bad)
 
     def test_zero_density_rejected_by_the_shock_form(self, gamma):
         law = GasLaw(1.3, gamma)

@@ -142,6 +142,11 @@ class TestScheduleSizes:
         with pytest.raises(DomainError):
             build(p, scan_points=0, grid=0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_bad_search_tolerance_rejected(self, build, p, tol):
+        with pytest.raises(DomainError, match="tol_strict"):
+            build(p, tol_strict=tol)
+
     def test_zero_halvings_is_one_attempt(self, build, p, monkeypatch):
         monkeypatch.setattr(eulerfan.wedge, "search_feasible", lambda p, **kw: None)
         with pytest.raises(ConstructionError) as err:

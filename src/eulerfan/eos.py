@@ -33,9 +33,10 @@ class GasLaw:
         object.__setattr__(self, "isothermal", abs(self.gamma - 1.0) < GAMMA_ONE_BAND)
 
 
-def _check_density(rho: float) -> None:
-    if not (rho > 0.0):
-        raise DomainError(f"density must be positive, got {rho!r}")
+# Each kernel tests 0 < rho < inf itself: a shared checking function cost
+# a call per kernel evaluation, more than the test.
+def _bad_density(rho: float) -> DomainError:
+    return DomainError(f"density must be finite and positive, got {rho!r}")
 
 
 def _overflow(name: str, law: GasLaw, rho: float) -> NumericError:
@@ -43,7 +44,8 @@ def _overflow(name: str, law: GasLaw, rho: float) -> NumericError:
 
 
 def pressure(law: GasLaw, rho: float) -> float:
-    _check_density(rho)
+    if not 0.0 < rho < math.inf:
+        raise _bad_density(rho)
     try:
         return law.K * rho**law.gamma
     except OverflowError:
@@ -52,7 +54,8 @@ def pressure(law: GasLaw, rho: float) -> float:
 
 def pressure_derivative(law: GasLaw, rho: float) -> float:
     """dp/drho = K * gamma * rho**(gamma-1); the squared sound speed."""
-    _check_density(rho)
+    if not 0.0 < rho < math.inf:
+        raise _bad_density(rho)
     if law.isothermal:
         return law.K
     try:
@@ -63,7 +66,8 @@ def pressure_derivative(law: GasLaw, rho: float) -> float:
 
 def internal_energy(law: GasLaw, rho: float) -> float:
     """Specific internal energy, defined by p(rho) = rho**2 * eps'(rho)."""
-    _check_density(rho)
+    if not 0.0 < rho < math.inf:
+        raise _bad_density(rho)
     if law.isothermal:
         return law.K * math.log(rho)
     try:

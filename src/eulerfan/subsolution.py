@@ -5,11 +5,8 @@ the verifier of the full condition system."""
 
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from . import certificate as cert
@@ -413,33 +410,25 @@ def check_reduced(
     return Certificate(tuple(entries))
 
 
-def _first_feasible(
-    ev: _ReducedEvaluator, points, tol: float, window: tuple[float, float] | None = None
-) -> float | None:
+def _first_feasible(ev: _ReducedEvaluator, points, tol: float) -> float | None:
     """First of ``points``, in their order, at which ``ev.feasible`` holds.
 
-    ``points`` is a sequence sorted one way or the other.  The predicate
-    runs only at the points inside ``ev.delta2_window(tol)`` (passed as
-    ``window`` by a caller that has it already, computed here otherwise):
-    it fails at every point outside, so the answer is that of walking every
-    point.  The points inside are one run, found by bisection and walked in
-    order.
+    The predicate fails outside ``ev.delta2_window(tol)``, so it runs only at
+    the points inside; the answer is that of walking every point.  Nothing is
+    drawn from ``points`` when the window is empty.
     """
+    window = ev.delta2_window(tol)
     if window is None:
-        window = ev.delta2_window(tol)
-    if window is None or not points:
         return None
     lo, hi = window
-    if points[0] > points[-1]:
-        start = bisect.bisect_left(points, -hi, key=operator.neg)
-    else:
-        start = bisect.bisect_left(points, lo)
-    for delta2 in itertools.islice(points, start, None):
-        if not lo <= delta2 <= hi:
-            return None
-        if ev.feasible(delta2, tol):
-            return delta2
-    return None
+    return next((d for d in points if lo <= d <= hi and ev.feasible(d, tol)), None)
+
+
+def _halvings(delta2: float):
+    """delta2, delta2/2, ... down to SEARCH_DELTA_FLOOR."""
+    while delta2 >= SEARCH_DELTA_FLOOR:
+        yield delta2
+        delta2 *= 0.5
 
 
 def _feasible_delta2(ev: _ReducedEvaluator, tol: float) -> float | None:
@@ -447,8 +436,8 @@ def _feasible_delta2(ev: _ReducedEvaluator, tol: float) -> float | None:
 
     Both entropy margins are affine in delta2, so the feasible set in delta2
     is an interval touching 0; the upper start point is a crude positive-root
-    bound from the base values and slopes.  The schedule is only built when
-    the delta2 window is not empty.
+    bound from the base values and slopes.  The schedule is a lazy sequence,
+    walked only when the delta2 window is not empty.
     """
     if not ev.window_ok:
         return None
@@ -459,16 +448,9 @@ def _feasible_delta2(ev: _ReducedEvaluator, tol: float) -> float | None:
         and b0 > tol * cert.scale_of(ev.lhs_r, ev.rhs_r0)
     ):
         return None
-    window = ev.delta2_window(tol)
-    if window is None:
-        return None
     denom = max(abs(ev.slope_l), abs(ev.slope_r), 1e-300)
-    delta2 = min(10.0 * (abs(a0) + abs(b0)) / denom, DELTA2_CAP)
-    schedule = []
-    while delta2 >= SEARCH_DELTA_FLOOR:
-        schedule.append(delta2)
-        delta2 *= 0.5
-    return _first_feasible(ev, schedule, tol, window)
+    start = min(10.0 * (abs(a0) + abs(b0)) / denom, DELTA2_CAP)
+    return _first_feasible(ev, _halvings(start), tol)
 
 
 def _guided_candidates(p, scan_points):
@@ -527,9 +509,10 @@ def search_feasible(
     when the discriminant is negative or zero up to rounding (within
     STRICT_TOL of its larger term), as on single-shock data, where both fan
     speeds coincide.  Raises DomainError for ``scan_points`` below 1 or
-    ``grid`` below 2, where nothing or a single point would be searched, and
-    for a ``tol_strict`` that is not finite and positive, where no point
-    could pass and the empty result would certify nothing.
+    ``grid`` below 2, where nothing or a single point would be searched, for
+    a ``tol_strict`` that is not finite and positive, where no point could
+    pass and the empty result would certify nothing, and for data with
+    rho- > rho+, whose density window is empty: rotate_180 them first.
     """
     scan_points = require_count("scan_points", scan_points, 1)
     grid = require_count("grid", grid, 2)
@@ -545,7 +528,7 @@ def search_feasible(
         )
     rl, rr = t.rl, t.rr
     if not rl < rr:
-        return None
+        raise DomainError("the search needs rho- < rho+; rotate the problem first")
     previous = None
     for rho1 in _guided_candidates(p, scan_points):
         if rho1 == previous or not rho1 < rho1_below:

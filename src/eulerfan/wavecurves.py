@@ -93,14 +93,11 @@ def shock_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
 
 def shock_bracket_to(law: GasLaw, rho_b: float):
     """rho_a -> shock_bracket(law, rho_a, rho_b), bit for bit, with p(rho_b)
-    computed once."""
-    if not 0.0 < rho_b < math.inf:
-        raise DomainError(_POSITIVE)
+    computed once; ``pressure`` rejects a density that is not finite and
+    positive."""
     p_b = pressure(law, rho_b)
 
     def bracket(rho_a: float) -> float:
-        if not 0.0 < rho_a < math.inf:
-            raise DomainError(_POSITIVE)
         num = (rho_a - rho_b) * (pressure(law, rho_a) - p_b)
         # max(num, 0.0) without the call: keeps -0.0 and NaN as max does
         return math.sqrt((0.0 if 0.0 > num else num) / (rho_a * rho_b))

@@ -61,8 +61,9 @@ def _attempt(p, u2, s, rho_ref, right_case, search_opts):
     """The construction with auxiliary state u2, or a failure reason string.
 
     The left piece (left data to u2) needs a fan subsolution with rho1 below
-    ``rho_ref``, so the search looks only there; the right piece (u2 to right data) must be the single
-    classical 3-wave of ``right_case``, whose left edge mu2 lies beyond mu1.
+    ``rho_ref``, so the search looks only there; the right piece (u2 to right
+    data) must be the single classical 3-wave of ``right_case``, whose left
+    edge mu2 lies beyond mu1.
     """
     law = p.law
     tilde = RiemannProblem(law, p.left, u2)

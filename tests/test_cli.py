@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from eulerfan import (
     RiemannProblem,
     State,
     discriminant,
+    rotate_180,
     search_feasible,
     solve_standard,
     verify_standard,
@@ -30,13 +32,15 @@ from eulerfan.cli import (
     problem_dict,
 )
 from eulerfan.wedge import build_s
-from generators import random_case6_one_shock
+from generators import random_case5, random_case6_one_shock
 
 CASE6_DOC = {
     "law": {"K": 1.0, "gamma": 1.0},
     "left": {"rho": 1.0, "v1": 0.0, "v2": 0.0},
     "right": {"rho": 4.0, "v1": 0.0, "v2": -1.5},
 }
+
+SUBSOLUTION_DOC = dict(CASE6_DOC, right={"rho": 4.0, "v1": 0.0, "v2": -1.0})
 
 NO_SUBSOLUTION_DOC = {
     "law": {"K": 1.0, "gamma": 1.0},
@@ -152,6 +156,40 @@ class TestModes:
         search = json.loads((out / "subsolution_search.json").read_text())
         assert search == {"found": False}
 
+    def test_subsolution_mode_rejects_wrong_density_order(self, tmp_path, capsys):
+        # the found case turned half a turn: this mode does not rotate, and
+        # an empty search would read as a certified miss (exit 2)
+        p = rotate_180(parse_problem(SUBSOLUTION_DOC))
+        assert p.left.rho > p.right.rho and discriminant(p) == 5.0
+        path = write_doc(tmp_path, problem_dict(p))
+        out = tmp_path / "out"
+        status = main(["--mode", "subsolution", "--input", path, "--out", str(out)])
+        assert status == STATUS_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: the search needs rho- < rho+")
+        assert not out.exists()
+
+    def test_spent_schedule_lists_every_attempt(self, tmp_path, capsys):
+        # random_case5 seed 2, draw 21 (test_wedge's known schedule
+        # exhaustion) on a two-attempt schedule that starts at s = 1/4
+        rng = np.random.default_rng(2)
+        for _ in range(22):
+            p, _ = random_case5(rng)
+        doc = dict(problem_dict(p), perturbation={"initial": 0.25, "max_halvings": 1})
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["--mode", "wedge", "--input", path, "--out", str(out)]) == STATUS_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "numeric failure: construction failed after 2 attempts",
+            "  attempt s=0.25: no-feasible-pair",
+            "  attempt s=0.125: no-feasible-pair",
+        ]
+        assert not out.exists()
+
     def test_lemmas_mode(self, tmp_path):
         out = tmp_path / "out"
         status = main(["--mode", "lemmas", "--samples", "300", "--seed", "7", "--out", str(out)])
@@ -260,6 +298,39 @@ class TestValidation:
         doc = dict(CASE6_DOC, right={"rho": 4.0, "v1": 0.5, "v2": -1.5})
         path = write_doc(tmp_path, doc)
         assert main(["--mode", "classify", "--input", path]) == STATUS_INPUT
+
+    @pytest.mark.parametrize(
+        "mode, doc, field",
+        [
+            ("classify", dict(CASE6_DOC, law={"K": "1", "gamma": 1.0}), "law.K"),
+            ("classify", dict(CASE6_DOC, law={"K": math.inf, "gamma": 1.0}), "law.K"),
+            ("classify", dict(CASE6_DOC, law={"K": 1.0, "gamma": 0.5}), "law.gamma"),
+            ("classify", {"law": CASE6_DOC["law"], "left": CASE6_DOC["left"]}, "right"),
+            ("classify", dict(CASE6_DOC, left=[1.0, 0.0, 0.0]), "left"),
+            ("classify", [CASE6_DOC], "<input>"),
+            ("subsolution", dict(SUBSOLUTION_DOC, search=[64, 128]), "search"),
+            ("wedge", dict(CASE6_DOC, perturbation=0.5), "perturbation"),
+            ("wedge", dict(CASE6_DOC, perturbation={"initial": -0.5}), "perturbation.initial"),
+        ],
+        ids=["not-a-number", "not-finite", "below-minimum", "missing-section",
+             "section-not-an-object", "document-not-an-object", "search-not-an-object",
+             "perturbation-not-an-object", "initial-not-positive"],
+    )
+    def test_bad_field_names_it(self, tmp_path, capsys, mode, doc, field):
+        # json.dumps writes an infinite K as the non-standard Infinity,
+        # which json.loads reads back
+        path = write_doc(tmp_path, doc)
+        assert main(["--mode", mode, "--input", path]) == STATUS_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"input error at {field}:")
+
+    def test_unreadable_input(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        assert main(["--mode", "classify", "--input", path]) == STATUS_INPUT
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error at <input>:")
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"

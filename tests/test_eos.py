@@ -9,9 +9,11 @@ from eulerfan import (
     DomainError,
     GasLaw,
     NumericError,
+    admissibility_bracket,
     internal_energy,
     pressure,
     pressure_derivative,
+    sound_speed,
 )
 from eulerfan.eos import GAMMA_ONE_BAND
 
@@ -74,6 +76,25 @@ def test_gamma_one_band_selects_log_branch():
 def test_nonpositive_density_rejected(op, rho):
     with pytest.raises(DomainError):
         op(GasLaw(1.0, 1.4), rho)
+
+
+@pytest.mark.parametrize("op", [pressure, pressure_derivative, internal_energy, sound_speed])
+@pytest.mark.parametrize("gamma", [1.0, 1.4])
+@pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan])
+def test_non_finite_density_rejected(op, gamma, rho):
+    # at inf the power forms returned inf, and the isothermal sound speed 1.0
+    with pytest.raises(DomainError, match="finite"):
+        op(GasLaw(1.0, gamma), rho)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.4])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_admissibility_bracket_rejects_non_finite_density(gamma, bad):
+    # it returned NaN at an infinite density
+    law = GasLaw(1.0, gamma)
+    for a, b in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(DomainError, match="finite"):
+            admissibility_bracket(law, a, b)
 
 
 @pytest.mark.parametrize("op", [pressure, pressure_derivative, internal_energy])

@@ -23,6 +23,7 @@ from eulerfan import (
     lift_to_full,
     reduced_from,
     reduced_residuals,
+    rotate_180,
     search_feasible,
     shock_bracket,
     solve_standard,
@@ -195,6 +196,16 @@ class TestSearch:
 
     def test_documented_empty_instance(self):
         assert search_feasible(NO_SUBSOLUTION) is None
+
+    def test_wrong_density_order_rejected(self):
+        # CASE5 turned half a turn has the same positive discriminant, but
+        # rho- > rho+ leaves no density window: None would claim a certified
+        # empty search where the unrotated problem has a pair
+        p = rotate_180(CASE5)
+        assert p.left.rho > p.right.rho and discriminant(p) == discriminant(CASE5) == 5.0
+        assert search_feasible(CASE5) is not None
+        with pytest.raises(DomainError, match="rho- < rho\\+"):
+            search_feasible(p)
 
     def test_negative_discriminant_rejected(self):
         p = RiemannProblem(LAW_LOG, State(1, 0, 0), State(4, 0, -3.0))
@@ -715,8 +726,8 @@ ASCENDING = tuple(float(k) for k in range(1, 11))
 
 
 class TestFirstFeasibleWalk:
-    """The bisected walk runs the predicate at the points of the full
-    filtered walk, in the same order, and returns the same point."""
+    """The walk runs the predicate at the points of the full filtered walk,
+    in the same order, and returns the same point."""
 
     @pytest.mark.parametrize("order", ["ascending", "descending"])
     @pytest.mark.parametrize(
@@ -750,6 +761,20 @@ class TestFirstFeasibleWalk:
 
     def test_no_points(self):
         assert _first_feasible(StubEvaluator((1.0, 2.0), {1.0}), (), STRICT_TOL) is None
+
+    @pytest.mark.parametrize("window", [None, (2.0, 8.0)])
+    def test_lazy_points_drawn_only_for_an_open_window(self, window):
+        drawn = []
+
+        def points():
+            for d in ASCENDING:
+                drawn.append(d)
+                yield d
+
+        ev, ref = StubEvaluator(window, {6.0}), StubEvaluator(window, {6.0})
+        assert _first_feasible(ev, points(), STRICT_TOL) == filtered_walk(ref, ASCENDING, STRICT_TOL)
+        assert ev.calls == ref.calls
+        assert drawn == ([] if window is None else list(ASCENDING[:6]))
 
 
 def reference_window(ev, tol):

@@ -1,7 +1,8 @@
-"""Exception types shared across the toolkit, and the one check of the
-integer sizes (sample counts, seeds, search and schedule lengths) that the
-public functions take."""
+"""Exception types shared across the toolkit, and the checks of the integer
+sizes (sample counts, seeds, search and schedule lengths) and the finite
+positive numbers (tolerances, fractions, times) that public functions take."""
 
+import math
 import operator
 
 
@@ -70,3 +71,17 @@ def require_count(name: str, value, minimum: int) -> int:
     if count < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value!r}")
     return count
+
+
+def require_positive(name: str, value) -> float:
+    """``value`` as a float, or DomainError unless it is an int or a float
+    (not a bool) that is finite, fits a float, and is above zero."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not 0.0 < number < math.inf:
+        raise DomainError(f"{name} must be a finite positive number, got {value!r:.40}")
+    return number

@@ -1,5 +1,6 @@
 """Stand-alone evaluators for the three structural inequalities underpinning
-the constructions, plus seeded sampling batches for property suites.
+the constructions (Lemma 1's is ``subsolution.admissibility_bracket``), plus
+seeded sampling batches for property suites.
 
 numpy is imported by ``run_suite`` alone, so importing the package (and every
 CLI mode but ``lemmas``) does not pay for it."""
@@ -29,10 +30,6 @@ class LemmaReport:
     inputs: dict
     gap: float
     passed: bool
-
-
-# Lemma 1's gap is the admissibility bracket itself, positive for a != b.
-lemma1_gap = admissibility_bracket
 
 
 def lemma2_gap(law: GasLaw, rho_minus: float, rho_plus: float) -> float:
@@ -114,7 +111,7 @@ def run_suite(n_samples: int = 10000, seed: int = DEFAULT_SEED) -> dict:
         ratio = 10.0 ** (1e-6 + (3.0 - 1e-6) * u_ratio)  # density ratio up to 1e3
         hi = lo * ratio
         mid = lo * ratio ** (0.01 + (0.99 - 0.01) * u_mid)
-        gaps = (lemma1_gap(law, lo, hi), lemma2_gap(law, lo, hi), lemma3_gaps(law, lo, mid, hi))
+        gaps = (admissibility_bracket(law, lo, hi), lemma2_gap(law, lo, hi), lemma3_gaps(law, lo, mid, hi))
         for j, gap in enumerate(gaps):
             passed = gap > 0.0
             if passed:

@@ -11,7 +11,7 @@ from enum import Enum
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import GasLaw, internal_energy, pressure
-from .errors import BracketError, DomainError, InvariantError, NumericError
+from .errors import BracketError, DomainError, InvariantError, NumericError, require_positive
 from .wavecurves import (
     State,
     lambda1,
@@ -395,8 +395,11 @@ def verify_standard(
     classification band of a boundary, informational near-boundary notes.
     Problems are reported in the certificate, except float overflow: a
     squared velocity above about 1e154, or an overflowing pressure or energy,
-    raises NumericError.
+    raises NumericError, and a tolerance that is not finite and positive
+    raises DomainError.
     """
+    tol_eq = require_positive("tol_eq", tol_eq)
+    tol_strict = require_positive("tol_strict", tol_strict)
     law = p.law
     entries = []
     dv = p.dv

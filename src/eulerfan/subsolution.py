@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import GasLaw, internal_energy, pressure
-from .errors import CriterionError, DomainError, InvariantError, NumericError, require_count
+from .errors import CriterionError, DomainError, InvariantError, NumericError, require_count, require_positive
 from .riemann import EQUATION_TOL, STRICT_TOL, CaseId, RiemannProblem, classify, solve_standard
 from .wavecurves import shock_bracket
 
@@ -147,42 +147,28 @@ def _bracket(rho_a: float, rho_b: float, p_a: float, p_b: float, e_a: float, e_b
     return p_a + p_b - 2.0 * rho_a * rho_b * (e_a - e_b) / (rho_a - rho_b)
 
 
-def _fan_speeds(t: _ProblemTerms, d: float, rho1: float) -> tuple[float, float]:
-    rl, rr = t.rl, t.rr
-    base = (rl * t.vl2 - rr * t.vr2) / (rl - rr)
-    mu0 = base + math.sqrt(d * (rr - rho1) / (rho1 - rl)) / (rl - rr)
-    mu1 = base - math.sqrt(d * (rho1 - rl) / (rr - rho1)) / (rl - rr)
-    return mu0, mu1
-
-
-def fan_speeds(p: RiemannProblem, rho1: float) -> tuple[float, float]:
-    """Closed-form interface speeds (mu0, mu1) of the wedge with density rho1.
-
-    The square-root signs are the unique choice with mu0 < mu1.
-    """
-    return _fan_speeds(*_star_terms(p, rho1), rho1)
-
-
 def v12_star(p: RiemannProblem, rho1: float) -> float:
     """Wedge normal velocity forced by the mass jump at the left interface."""
     return _v12(*_star_terms(p, rho1), rho1)
 
 
-def delta1_star(p: RiemannProblem, rho1: float) -> float:
-    """Wedge normal-stress excess forced by the momentum jump on the left."""
-    t, d = _star_terms(p, rho1)
-    return _delta1(t, d, rho1, pressure(p.law, rho1))
-
-
 def reduced_from(p: RiemannProblem, rho1: float, delta2: float) -> ReducedSubsolution:
-    """Assemble the reduced unknowns determined by the pair (rho1, delta2)."""
+    """Assemble the reduced unknowns determined by the pair (rho1, delta2).
+
+    The closed forms at a wedge density rho1 strictly inside (rho-, rho+):
+    the interface speeds mu0 < mu1, whose square-root signs are the unique
+    choice with mu0 < mu1; the wedge normal velocity v12 forced by the mass
+    jump at the left interface; and the wedge normal-stress excess delta1
+    forced by the momentum jump on the left.
+    """
     t, d = _star_terms(p, rho1)
-    mu0, mu1 = _fan_speeds(t, d, rho1)
+    rl, rr = t.rl, t.rr
+    base = (rl * t.vl2 - rr * t.vr2) / (rl - rr)
     return ReducedSubsolution(
         rho1=rho1,
         v12=_v12(t, d, rho1),
-        mu0=mu0,
-        mu1=mu1,
+        mu0=base + math.sqrt(d * (rr - rho1) / (rho1 - rl)) / (rl - rr),
+        mu1=base - math.sqrt(d * (rho1 - rl) / (rr - rho1)) / (rl - rr),
         delta1=_delta1(t, d, rho1, pressure(p.law, rho1)),
         delta2=delta2,
     )
@@ -399,8 +385,10 @@ def check_reduced(
     The density window, delta positivity, and the two entropy inequalities,
     the latter evaluated with the closed-form wedge quantities.  When rho1
     sits outside the open window the star functions are undefined and only
-    the (failing) window margins are reported.
+    the (failing) window margins are reported.  Raises DomainError for a
+    ``tol_strict`` that is not finite and positive.
     """
+    tol_strict = require_positive("tol_strict", tol_strict)
     if not p.left.rho < p.right.rho:
         raise DomainError("the reduced conditions need rho- < rho+")
     entries = []
@@ -456,16 +444,21 @@ def _feasible_delta2(ev: _ReducedEvaluator, tol: float) -> float | None:
 def _guided_candidates(p, scan_points):
     """rho1 candidates mirroring the perturbation argument: approach either
     the left density or the middle density of the standard solution,
-    whichever end the left normal velocity selects."""
+    whichever end the left normal velocity selects.  At most ``scan_points``
+    of them, drawn lazily, up to the first step ``gap * 0.5**k`` that
+    underflows to 0.0 (by k = 1075): every later one would equal that one."""
     if classify(p) is not CaseId.S1R3:
-        return []
+        return
     rho_m = solve_standard(p).middle.rho
     jump = shock_bracket(p.law, p.left.rho, rho_m)
     threshold = rho_m * jump / (2.0 * (rho_m - p.left.rho))
     gap = rho_m - p.left.rho
-    if p.left.v2 > threshold:
-        return [p.left.rho + gap * 0.5**k for k in range(1, scan_points + 1)]
-    return [rho_m - gap * 0.5**k for k in range(1, scan_points + 1)]
+    from_left = p.left.v2 > threshold
+    for k in range(1, scan_points + 1):
+        step = gap * 0.5**k
+        yield p.left.rho + step if from_left else rho_m - step
+        if step == 0.0:
+            return
 
 
 @functools.lru_cache(maxsize=4)
@@ -511,14 +504,16 @@ def search_feasible(
     speeds coincide.  Raises DomainError for ``scan_points`` below 1 or
     ``grid`` below 2, where nothing or a single point would be searched, for
     a ``tol_strict`` that is not finite and positive, where no point could
-    pass and the empty result would certify nothing, and for data with
-    rho- > rho+, whose density window is empty: rotate_180 them first.
+    pass and the empty result would certify nothing, for a ``rho1_below``
+    that is not an int or a float or is NaN, and for data with rho- > rho+,
+    whose density window is empty: rotate_180 them first.
     """
     scan_points = require_count("scan_points", scan_points, 1)
     grid = require_count("grid", grid, 2)
-    if not 0.0 < tol_strict < math.inf:
-        raise DomainError(f"tol_strict must be finite and positive, got {tol_strict!r}")
-    if math.isnan(rho1_below):
+    tol_strict = require_positive("tol_strict", tol_strict)
+    if isinstance(rho1_below, bool) or not isinstance(rho1_below, (int, float)):
+        raise DomainError(f"rho1_below must be a number, got {rho1_below!r}")
+    if isinstance(rho1_below, float) and math.isnan(rho1_below):
         raise DomainError("rho1_below must be a number, got nan")
     t = _ProblemTerms(p)
     if t.disc <= t.disc_noise:
@@ -599,7 +594,10 @@ def verify_full(
     equations of both interfaces, the two pointwise subsolution inequalities,
     and the two interface entropy inequalities.  Every violation is reported
     as a failing entry; float overflow is not: a squared velocity above about
-    1e154, or an overflowing pressure or energy, raises NumericError."""
+    1e154, or an overflowing pressure or energy, raises NumericError, and a
+    tolerance that is not finite and positive raises DomainError."""
+    tol_eq = require_positive("tol_eq", tol_eq)
+    tol_strict = require_positive("tol_strict", tol_strict)
     law = p.law
     rl, vl1, vl2 = p.left.rho, p.left.v1, p.left.v2
     rr, vr1, vr2 = p.right.rho, p.right.v1, p.right.v2

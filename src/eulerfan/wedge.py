@@ -5,13 +5,12 @@ right piece classically, and certify that the two glue (mu1 < mu2)."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import pressure
-from .errors import ConstructionError, DomainError, NumericError, require_count
+from .errors import ConstructionError, DomainError, NumericError, require_count, require_positive
 from .riemann import (
     EQUATION_TOL,
     RAREFACTION,
@@ -98,18 +97,14 @@ def _construct(p, rho_ref, place, right_case, initial_fraction, max_halvings, se
     ``place(s)`` gives (rho2, u2) for the fraction s, or (rho2, reason) when
     u2 cannot sit there; s halves after every failed attempt, and the
     attempt log becomes the ConstructionError once the schedule is spent.
-    Raises DomainError for a negative ``max_halvings`` or an
-    ``initial_fraction`` that is not a finite positive number.
+    It also ends before s underflows to 0.0, which would repeat one attempt,
+    so at most about 2,100 are made.  Raises DomainError for a negative
+    ``max_halvings`` or an ``initial_fraction`` that is not a finite
+    positive number.
     """
     max_halvings = require_count("max_halvings", max_halvings, 0)
-    if isinstance(initial_fraction, bool) or not (
-        isinstance(initial_fraction, (int, float))
-        and math.isfinite(initial_fraction)
-        and initial_fraction > 0.0
-    ):
-        raise DomainError(f"initial_fraction must be finite and positive, got {initial_fraction!r}")
+    s = require_positive("initial_fraction", initial_fraction)
     attempts = []
-    s = initial_fraction
     for _ in range(max_halvings + 1):
         rho2, u2 = place(s)
         outcome = u2 if isinstance(u2, str) else _attempt(p, u2, s, rho_ref, right_case, search_opts)
@@ -117,6 +112,8 @@ def _construct(p, rho_ref, place, right_case, initial_fraction, max_halvings, se
             return outcome
         attempts.append({"s": s, "rho2": rho2, "failure": outcome})
         s *= 0.5
+        if s == 0.0:
+            break
     raise ConstructionError(attempts)
 
 
@@ -201,7 +198,10 @@ def verify_construction(
     """Glue-level certificate for a construction built from problem ``p``:
     speed ordering mu0 < mu1 < mu2, the wedge density below its reference,
     wave-curve membership of the auxiliary state, and the chain bounding mu1
-    from above through the wedge's positive normal-stress excess."""
+    from above through the wedge's positive normal-stress excess.  Raises
+    DomainError for a tolerance that is not finite and positive."""
+    tol_eq = require_positive("tol_eq", tol_eq)
+    tol_strict = require_positive("tol_strict", tol_strict)
     law = w.problem_tilde.law
     is_rarefaction = w.right_wave.waves[0].kind == RAREFACTION
     entries = [
@@ -256,10 +256,7 @@ def fan_geometry(w: WedgeConstruction, t: float) -> list[tuple[str, float, float
     with t.  Raises DomainError unless t is a finite positive number (a bool
     is not one), and NumericError when a breakpoint overflows.
     """
-    if isinstance(t, bool) or not (
-        isinstance(t, (int, float)) and 0.0 < t <= sys.float_info.max
-    ):
-        raise DomainError("time must be finite and positive")
+    t = require_positive("t", t)
     x0 = w.sub.mu0 * t
     x1 = w.sub.mu1 * t
     wave = w.right_wave.waves[0]

@@ -1,0 +1,96 @@
+"""The public surface: every export resolves, and every argument that must be
+a finite positive number is checked the same way, by errors.require_positive."""
+
+import math
+
+import pytest
+
+import eulerfan
+from eulerfan import (
+    DomainError,
+    GasLaw,
+    RiemannProblem,
+    State,
+    build_s,
+    check_reduced,
+    lift_to_full,
+    reduced_from,
+    search_feasible,
+    solve_standard,
+    verify_construction,
+    verify_full,
+    verify_standard,
+)
+from eulerfan.errors import require_positive
+
+LAW_LOG = GasLaw(1.0, 1.0)
+
+CASE5 = RiemannProblem(LAW_LOG, State(1, 0, 0), State(4, 0, -1))
+CASE6 = RiemannProblem(LAW_LOG, State(1, 0, 0), State(4, 0, -1.5))
+
+# each of these once got through one of the checked functions: a bool as 1.0,
+# a string or None as a TypeError, an int beyond the floats as an
+# OverflowError, and a negative or NaN tolerance as a passing certificate
+NOT_POSITIVE = [True, False, "1e-12", None, 10**400, math.nan, math.inf, -math.inf, -1.0, 0.0]
+NOT_POSITIVE_IDS = ["True", "False", "string", "None", "huge-int", "nan", "inf", "-inf", "-1", "0"]
+
+not_positive = pytest.mark.parametrize("value", NOT_POSITIVE, ids=NOT_POSITIVE_IDS)
+both_tolerances = pytest.mark.parametrize("name", ["tol_eq", "tol_strict"])
+
+
+def test_every_export_resolves():
+    assert [name for name in eulerfan.__all__ if not hasattr(eulerfan, name)] == []
+
+
+@not_positive
+def test_require_positive_rejects(value):
+    with pytest.raises(DomainError, match="^x must be"):
+        require_positive("x", value)
+
+
+@pytest.mark.parametrize("value", [1, 0.5, 5e-324, 1.7976931348623157e308, 2**1023])
+def test_require_positive_returns_a_float(value):
+    number = require_positive("x", value)
+    assert type(number) is float and number == value
+
+
+@not_positive
+def test_check_reduced_tolerance_rejected(value):
+    # at tol_strict=-1.0 the negative delta2 below was marked as passing
+    with pytest.raises(DomainError, match="tol_strict"):
+        check_reduced(CASE5, 2.0, -0.1, tol_strict=value)
+
+
+@both_tolerances
+@not_positive
+def test_verify_full_tolerance_rejected(name, value):
+    rho1, delta2 = search_feasible(CASE5)
+    full = lift_to_full(CASE5, reduced_from(CASE5, rho1, delta2))
+    with pytest.raises(DomainError, match=name):
+        verify_full(CASE5, full, **{name: value})
+
+
+@both_tolerances
+@not_positive
+def test_verify_standard_tolerance_rejected(name, value):
+    with pytest.raises(DomainError, match=name):
+        verify_standard(CASE5, solve_standard(CASE5), **{name: value})
+
+
+@both_tolerances
+@not_positive
+def test_verify_construction_tolerance_rejected(name, value):
+    w = build_s(CASE6)
+    with pytest.raises(DomainError, match=name):
+        verify_construction(CASE6, w, **{name: value})
+
+
+@pytest.mark.parametrize("value", [True, "4.0", None], ids=["True", "string", "None"])
+def test_search_bound_rejected(value):
+    # NaN is in test_subsolution's TestBoundedSearch
+    with pytest.raises(DomainError, match="rho1_below"):
+        search_feasible(CASE5, rho1_below=value)
+
+
+def test_search_bound_beyond_the_floats_is_no_bound():
+    assert search_feasible(CASE5, rho1_below=10**400) == search_feasible(CASE5)

@@ -7,7 +7,7 @@ import pytest
 from eulerfan import (
     DomainError,
     GasLaw,
-    lemma1_gap,
+    admissibility_bracket,
     lemma2_f,
     lemma2_gap,
     lemma3_gaps,
@@ -22,19 +22,19 @@ class TestLemma1:
     def test_hand_value(self):
         e2 = math.e**2
         expected = 1.0 + e2 - 2.0 * e2 * 2.0 / (e2 - 1.0)
-        assert lemma1_gap(LAW_LOG, 1.0, e2) == pytest.approx(expected, rel=1e-14)
+        assert admissibility_bracket(LAW_LOG, 1.0, e2) == pytest.approx(expected, rel=1e-14)
         assert expected > 0.0
 
     def test_swap_symmetry(self):
         law = GasLaw(2.0, 1.4)
-        assert lemma1_gap(law, 0.3, 7.7) == pytest.approx(
-            lemma1_gap(law, 7.7, 0.3), rel=1e-13
+        assert admissibility_bracket(law, 0.3, 7.7) == pytest.approx(
+            admissibility_bracket(law, 7.7, 0.3), rel=1e-13
         )
-        assert lemma1_gap(law, 0.3, 7.7) > 0.0
+        assert admissibility_bracket(law, 0.3, 7.7) > 0.0
 
     def test_equal_densities_rejected(self):
         with pytest.raises(DomainError):
-            lemma1_gap(LAW_LOG, 2.0, 2.0)
+            admissibility_bracket(LAW_LOG, 2.0, 2.0)
 
 
 class TestLemma2:

@@ -16,10 +16,8 @@ from eulerfan import (
     RiemannProblem,
     State,
     check_reduced,
-    delta1_star,
     discriminant,
     extract_deltas,
-    fan_speeds,
     lift_to_full,
     reduced_from,
     reduced_residuals,
@@ -68,7 +66,8 @@ class TestDiscriminant:
 
 class TestClosedForms:
     def test_fan_speeds_hand_values(self):
-        mu0, mu1 = fan_speeds(CASE5, 2.0)
+        r = reduced_from(CASE5, 2.0, 1.0)
+        mu0, mu1 = r.mu0, r.mu1
         assert mu0 == pytest.approx(-4.0 / 3.0 - math.sqrt(10.0) / 3.0, rel=1e-14)
         assert mu1 == pytest.approx(-4.0 / 3.0 + math.sqrt(2.5) / 3.0, rel=1e-14)
         assert mu0 < mu1
@@ -76,20 +75,22 @@ class TestClosedForms:
     def test_fan_speed_divergence_at_window_edges(self):
         near_left = 1.0 + 1e-10
         near_right = 4.0 - 1e-10
-        mu0_l, mu1_l = fan_speeds(CASE5, near_left)
-        mu0_r, mu1_r = fan_speeds(CASE5, near_right)
+        left = reduced_from(CASE5, near_left, 1.0)
+        right = reduced_from(CASE5, near_right, 1.0)
+        mu0_l, mu1_l = left.mu0, left.mu1
+        mu0_r, mu1_r = right.mu0, right.mu1
         assert mu0_l < -1e4 and abs(mu1_l) < 10.0
         assert mu1_r > 1e4 and abs(mu0_r) < 10.0
 
     def test_window_required(self):
         for rho1 in (1.0, 4.0, 0.5, 5.0):
             with pytest.raises(DomainError):
-                fan_speeds(CASE5, rho1)
+                reduced_from(CASE5, rho1, 1.0)
 
     def test_negative_discriminant_rejected(self):
         p = RiemannProblem(LAW_LOG, State(1, 0, 0), State(4, 0, -3.0))
         with pytest.raises(CriterionError):
-            fan_speeds(p, 2.0)
+            reduced_from(p, 2.0, 1.0)
 
     def test_small_scale_negative_discriminant_rejected(self):
         # the example above shrunk (densities by 1e-3, K by 1e-8, velocities
@@ -97,16 +98,16 @@ class TestClosedForms:
         # terms but far outside the rounding of its terms
         p = RiemannProblem(GasLaw(1e-8, 1.0), State(1e-3, 0, 0), State(4e-3, 0, -3e-4))
         assert discriminant(p) == pytest.approx(-2.7e-13, rel=1e-12)
-        for star in (fan_speeds, v12_star, delta1_star):
-            with pytest.raises(CriterionError):
-                star(p, 2e-3)
+        with pytest.raises(CriterionError):
+            v12_star(p, 2e-3)
         with pytest.raises(CriterionError):
             reduced_from(p, 2e-3, 1e-3)
 
     def test_single_shock_boundary_clamps_to_shock_speed(self):
         # on the single-shock locus the discriminant is a roundoff-size
         # number and both fan speeds collapse onto the shock speed
-        mu0, mu1 = fan_speeds(CASE6, 2.0)
+        r = reduced_from(CASE6, 2.0, 1.0)
+        mu0, mu1 = r.mu0, r.mu1
         sigma = solve_standard(CASE6).waves[0].speeds[0]
         assert mu0 == pytest.approx(sigma, abs=1e-9)
         assert mu1 == pytest.approx(sigma, abs=1e-9)
@@ -115,16 +116,16 @@ class TestClosedForms:
     def test_v12_hand_value_and_mass_identity(self):
         v12 = v12_star(CASE5, 2.0)
         assert v12 == pytest.approx(-(4.0 + math.sqrt(10.0)) / 6.0, rel=1e-14)
-        mu0, _ = fan_speeds(CASE5, 2.0)
+        mu0 = reduced_from(CASE5, 2.0, 1.0).mu0
         assert mu0 * (1.0 - 2.0) == pytest.approx(0.0 - 2.0 * v12, rel=1e-13)
 
     def test_delta1_hand_value(self):
-        d1 = delta1_star(CASE5, 2.0)
+        d1 = reduced_from(CASE5, 2.0, 1.0).delta1
         assert d1 == pytest.approx(-0.5 + (4.0 + math.sqrt(10.0)) ** 2 / 36.0, rel=1e-13)
 
     def test_delta1_left_edge_limit(self):
         # -> D / (rho- (rho+ - rho-)) = 5/3 for the hand example
-        d1 = delta1_star(CASE5, 1.0 + 1e-9)
+        d1 = reduced_from(CASE5, 1.0 + 1e-9, 1.0).delta1
         assert d1 == pytest.approx(5.0 / 3.0, rel=1e-4)
 
     def test_delta1_positive_between_shock_endpoints(self):
@@ -143,7 +144,7 @@ class TestClosedForms:
             )
             for t in (0.1, 0.5, 0.9):
                 rho1 = rl + t * (rm - rl)
-                assert delta1_star(p, rho1) > 0.0
+                assert reduced_from(p, rho1, 1.0).delta1 > 0.0
 
     def test_reduced_residuals_vanish(self):
         rng = np.random.default_rng(4)
@@ -230,7 +231,11 @@ class TestSearch:
         with pytest.raises(DomainError):
             search_feasible(CASE5, **sizes)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    @pytest.mark.parametrize(
+        "tol",
+        [math.nan, math.inf, -math.inf, -1.0, 0.0, True, "1e-12", None, 10**400],
+        ids=["nan", "inf", "-inf", "-1.0", "0.0", "True", "string", "None", "huge-int"],
+    )
     def test_bad_tolerance_rejected(self, tol):
         # criterion 4's first feasible draw: no point passes at such a
         # tolerance, and None would claim a certified empty search
@@ -266,6 +271,45 @@ class TestSearch:
         assert search_feasible(CASE5, scan_points=1, grid=2) == reference_search(
             CASE5, scan_points=1, grid=2
         )
+
+
+def full_guided_list(p, scan_points):
+    """The guided candidates as one list of ``scan_points`` floats, every
+    one computed: the walk as it was before it stopped at underflow."""
+    rho_m = solve_standard(p).middle.rho
+    jump = shock_bracket(p.law, p.left.rho, rho_m)
+    gap = rho_m - p.left.rho
+    if p.left.v2 > rho_m * jump / (2.0 * gap):
+        return [p.left.rho + gap * 0.5**k for k in range(1, scan_points + 1)]
+    return [rho_m - gap * 0.5**k for k in range(1, scan_points + 1)]
+
+
+def without_repeats(values):
+    """``values`` with each run of equal neighbours cut to its first."""
+    return [v for i, v in enumerate(values) if i == 0 or v != values[i - 1]]
+
+
+class TestGuidedCandidates:
+    def test_walk_stops_where_the_step_underflows(self):
+        # random_case5 seed 2 draw 21: a size of 10**6 built a list of 10**6
+        # floats, all but the first 1075 or so repeats of an end density
+        rng = np.random.default_rng(2)
+        for _ in range(22):
+            p, _ = random_case5(rng)
+        walked = list(_guided_candidates(p, 10**6))
+        assert len(walked) <= 1075
+        assert walked[-1] in (p.left.rho, solve_standard(p).middle.rho)
+
+    @pytest.mark.parametrize("scan_points", [1, 64, 1074, 1075, 1076, 3000])
+    def test_same_walk_as_the_full_list(self, scan_points):
+        # the search skips a candidate equal to the one before it, so only
+        # the walk without repeats decides its answer
+        rng = np.random.default_rng(606)
+        for i in range(40):
+            p, _ = random_case5(rng, profile=("wide", "tight")[i % 2])
+            walked = list(_guided_candidates(p, scan_points))
+            assert len(walked) <= min(scan_points, 1075)
+            assert without_repeats(walked) == without_repeats(full_guided_list(p, scan_points))
 
 
 class TestNumericFailure:
@@ -349,7 +393,7 @@ class TestLiftAndVerify:
 
     def test_symmetric_deltas_square(self):
         p, (rho1, _) = self._feasible_setup()
-        d1 = delta1_star(p, rho1)
+        d1 = reduced_from(p, rho1, 1.0).delta1
         r = reduced_from(p, rho1, d1)  # delta2 == delta1
         full = lift_to_full(p, r)
         half_c = 0.5 * full.c1
@@ -494,7 +538,7 @@ def reference_search(p, *, scan_points=64, grid=128, tol_strict=STRICT_TOL, rho1
     if not p.left.rho < p.right.rho:
         return None
     t = _ProblemTerms(p)
-    for rho1 in _guided_candidates(p, scan_points):
+    for rho1 in list(_guided_candidates(p, scan_points)):
         if rho1 >= rho1_below:
             continue
         found = reference_halving(_ReducedEvaluator(t, rho1), tol_strict)
@@ -572,7 +616,7 @@ class TestSearchMatchesReference:
         hits = 0
         for p in problems:
             t = _ProblemTerms(p)
-            for rho1 in _guided_candidates(p, 64):
+            for rho1 in list(_guided_candidates(p, 64)):
                 ev = _ReducedEvaluator(t, rho1)
                 found = _feasible_delta2(ev, STRICT_TOL)
                 assert found == reference_halving(ev, STRICT_TOL), (p, rho1)
@@ -668,7 +712,7 @@ class TestBoundedSearch:
         assert misses > 0
         # without the bound the same searches would have gone to rho_m and
         # back: the check above is not vacuous
-        guided = [_guided_candidates(p, 64) for p in perturbed_problems(
+        guided = [list(_guided_candidates(p, 64)) for p in perturbed_problems(
             wedge.build_sr, problems, monkeypatch)]
         assert any(len(set(c)) < len(c) for c in guided)
 
@@ -839,7 +883,7 @@ class TestDelta2Window:
             p, _ = random_case5(rng)
             t = _ProblemTerms(p)
             rho1_grid, _ = scan_grids(p, 64)
-            for rho1 in rho1_grid + _guided_candidates(p, 64):
+            for rho1 in rho1_grid + list(_guided_candidates(p, 64)):
                 ev = _ReducedEvaluator(t, rho1)
                 got = ev.delta2_window(tol)
                 assert repr(got) == repr(reference_window(ev, tol)), (p, rho1)
@@ -982,7 +1026,7 @@ class TestWindowBoundsThePredicate:
         for p in problems:
             t = _ProblemTerms(p)
             rho1_grid, delta2_grid = scan_grids(p, 128)
-            for rho1 in _guided_candidates(p, 64) + rho1_grid[::2]:
+            for rho1 in list(_guided_candidates(p, 64)) + rho1_grid[::2]:
                 ev = _ReducedEvaluator(t, rho1)
                 if not ev.window_ok:
                     continue

@@ -132,7 +132,9 @@ class TestScheduleSizes:
             build(p, max_halvings=max_halvings)
 
     @pytest.mark.parametrize(
-        "initial_fraction", [0.0, -0.5, math.inf, math.nan, True, "0.5", None]
+        "initial_fraction",
+        [0.0, -0.5, math.inf, math.nan, True, "0.5", None, 10**400],
+        ids=["0.0", "-0.5", "inf", "nan", "True", "0.5", "None", "huge-int"],
     )
     def test_bad_initial_fraction_rejected(self, build, p, initial_fraction):
         with pytest.raises(DomainError):
@@ -152,6 +154,14 @@ class TestScheduleSizes:
         with pytest.raises(ConstructionError) as err:
             build(p, max_halvings=0, initial_fraction=1)
         assert [a["s"] for a in err.value.attempts] == [1]
+
+    def test_schedule_stops_where_s_underflows(self, build, p, monkeypatch):
+        # from s = 1.0 the 1075th halving gives 0.0; the 126 attempts past it
+        # all repeated the same failing one
+        monkeypatch.setattr(eulerfan.wedge, "search_feasible", lambda p, **kw: None)
+        with pytest.raises(ConstructionError) as err:
+            build(p, max_halvings=1200, initial_fraction=1.0)
+        assert [a["s"] for a in err.value.attempts] == [0.5**k for k in range(1075)]
 
 
 class TestBuildS:

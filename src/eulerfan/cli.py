@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 from . import oracles
 from .certificate import Certificate
 from .eos import GasLaw
-from .errors import ConstructionError, DomainError, EulerFanError, NumericError
+from .errors import ConstructionError, DomainError, EulerFanError, NumericError, is_number, to_float
 from .riemann import (
     EQUATION_TOL,
     RAREFACTION,
@@ -157,13 +157,9 @@ def _get_number(doc: dict, name: str, path: str, *, positive=False, minimum=None
     if name not in doc:
         raise SpecError(f"{path}.{name}", "missing required field")
     value = doc[name]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise SpecError(f"{path}.{name}", f"expected a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:
-        # a JSON integer beyond the largest float
-        raise SpecError(f"{path}.{name}", "must be finite") from None
+    value = to_float(value)  # NaN for a JSON integer beyond the largest float
     if not math.isfinite(value):
         raise SpecError(f"{path}.{name}", "must be finite")
     if positive and not value > 0.0:
@@ -175,13 +171,39 @@ def _get_number(doc: dict, name: str, path: str, *, positive=False, minimum=None
 
 def _get_int(fieldname: str, value, minimum: int) -> int:
     """An integral number (7 or 7.0) of at least ``minimum``, as an int."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
+    if not is_number(value) or isinstance(value, float) and not value.is_integer():
         raise SpecError(fieldname, f"expected an integer, got {value!r}")
     if value < minimum:
         raise SpecError(fieldname, f"must be >= {minimum}, got {value!r}")
     return int(value)
+
+
+# The sections of an input document and the fields each one reads; seed and
+# samples are numbers.  Every mode rejects any other key and a section that
+# is not an object, so a misspelled name is an input error instead of a
+# silent default, and one document serves every mode.
+_SECTIONS = {
+    "law": ("K", "gamma"),
+    "left": ("rho", "v1", "v2"),
+    "right": ("rho", "v1", "v2"),
+    "search": ("scan_points", "grid"),
+    "perturbation": ("initial", "max_halvings"),
+}
+
+
+def _check_keys(doc) -> None:
+    if not isinstance(doc, dict):
+        raise SpecError("<input>", "top-level document must be a JSON object")
+    for name, section in doc.items():
+        if name in ("seed", "samples"):
+            continue
+        if name not in _SECTIONS:
+            raise SpecError(name, "unknown section")
+        if not isinstance(section, dict):
+            raise SpecError(name, f"expected an object, got {section!r}")
+        for key in section:
+            if key not in _SECTIONS[name]:
+                raise SpecError(f"{name}.{key}", "unknown field")
 
 
 def _get_section(doc: dict, name: str) -> dict:
@@ -212,7 +234,7 @@ def parse_problem(doc: dict) -> RiemannProblem:
     return RiemannProblem(law, states["left"], states["right"])
 
 
-def load_input(path: str) -> dict:
+def load_input(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -225,16 +247,12 @@ def load_input(path: str) -> dict:
     except ValueError as exc:
         # an integer literal longer than the interpreter's int digit limit
         raise SpecError("<input>", str(exc)) from exc
-    if not isinstance(doc, dict):
-        raise SpecError("<input>", "top-level document must be a JSON object")
     return doc
 
 
 def _search_options(doc: dict, tol_strict: float) -> dict:
     opts = {"tol_strict": tol_strict}
     search_doc = doc.get("search", {})
-    if not isinstance(search_doc, dict):
-        raise SpecError("search", "expected an object")
     for name, minimum in (("scan_points", 1), ("grid", 2)):
         if name in search_doc:
             opts[name] = _get_int(f"search.{name}", search_doc[name], minimum)
@@ -244,8 +262,6 @@ def _search_options(doc: dict, tol_strict: float) -> dict:
 def _perturbation_options(doc: dict) -> dict:
     opts = {}
     pert_doc = doc.get("perturbation", {})
-    if not isinstance(pert_doc, dict):
-        raise SpecError("perturbation", "expected an object")
     if "initial" in pert_doc:
         opts["initial_fraction"] = _get_number(pert_doc, "initial", "perturbation", positive=True)
     if "max_halvings" in pert_doc:
@@ -411,12 +427,14 @@ def run(
     samples: int | None = None,
 ) -> RunResult:
     """Execute one CLI mode on a parsed input document; a tolerance left
-    as None takes the library default."""
+    as None takes the library default.  A key outside _SECTIONS is an input
+    error in every mode."""
     if mode not in MODES:
         raise SpecError("--mode", f"unknown mode {mode!r}")
+    _check_keys(doc)
     for name, tol in (("--tol-eq", tol_eq), ("--tol-strict", tol_strict)):
-        if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-            raise SpecError(name, f"must be finite and positive, got {tol!r}")
+        if tol is not None and not 0.0 < to_float(tol) < math.inf:
+            raise SpecError(name, f"must be finite and positive, got {tol!r:.40}")
     if mode == "lemmas":
         return _run_lemmas(doc, seed, samples)
     tol_eq = EQUATION_TOL if tol_eq is None else tol_eq
@@ -484,10 +502,14 @@ def main(argv=None) -> int:
         return STATUS_NUMERIC
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for name, content in result.artifacts.items():
-            with open(os.path.join(args.out, name), "w", encoding="utf-8") as handle:
-                handle.write(content)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            for name, content in result.artifacts.items():
+                with open(os.path.join(args.out, name), "w", encoding="utf-8") as handle:
+                    handle.write(content)
+        except OSError as exc:
+            print(f"input error at --out: {exc}", file=sys.stderr)
+            return STATUS_INPUT
     for line in result.summary:
         print(line)
     if args.out:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, require_positive
 
 # Below this distance from 1, gamma is treated as exactly 1 so that the
 # internal energy uses the logarithmic branch instead of the catastrophically
@@ -16,16 +16,17 @@ GAMMA_ONE_BAND = 1e-12
 
 @dataclass(frozen=True)
 class GasLaw:
-    """Pressure law parameters: p(rho) = K * rho**gamma, K > 0, gamma >= 1."""
+    """Pressure law parameters: p(rho) = K * rho**gamma, K > 0, gamma >= 1.
+
+    Each is an int or a float (not a bool), kept as given."""
 
     K: float
     gamma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.K) and self.K > 0.0):
-            raise DomainError(f"pressure constant K must be positive, got {self.K!r}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
-            raise DomainError(f"adiabatic exponent must be >= 1, got {self.gamma!r}")
+        require_positive("pressure constant K", self.K)
+        if not require_positive("adiabatic exponent gamma", self.gamma) >= 1.0:
+            raise DomainError(f"adiabatic exponent gamma must be >= 1, got {self.gamma!r}")
         # ``isothermal``: computed once per law and read by every kernel call.
         # A plain attribute, not a field, so asdict, == and hash ignore it;
         # not a cached_property, whose write to __dict__ would slow every

@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit, and the checks of the integer
-sizes (sample counts, seeds, search and schedule lengths) and the finite
-positive numbers (tolerances, fractions, times) that public functions take."""
+sizes (sample counts, seeds, search and schedule lengths), the numbers and
+the finite positive numbers (tolerances, fractions, times, law constants)
+that public functions take."""
 
 import math
 import operator
@@ -73,15 +74,24 @@ def require_count(name: str, value, minimum: int) -> int:
     return count
 
 
+def is_number(value) -> bool:
+    """An int or a float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def to_float(value) -> float:
+    """``value`` as a float; NaN for a bool, a non-number or an int beyond
+    the floats."""
+    try:
+        return float(value) if is_number(value) else math.nan
+    except OverflowError:
+        return math.nan
+
+
 def require_positive(name: str, value) -> float:
     """``value`` as a float, or DomainError unless it is an int or a float
     (not a bool) that is finite, fits a float, and is above zero."""
-    number = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            pass
+    number = to_float(value)
     if not 0.0 < number < math.inf:
         raise DomainError(f"{name} must be a finite positive number, got {value!r:.40}")
     return number

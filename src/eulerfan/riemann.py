@@ -11,7 +11,7 @@ from enum import Enum
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import GasLaw, internal_energy, pressure
-from .errors import BracketError, DomainError, InvariantError, NumericError, require_positive
+from .errors import BracketError, DomainError, InvariantError, NumericError, require_positive, to_float
 from .wavecurves import (
     State,
     lambda1,
@@ -98,10 +98,14 @@ class RiemannProblem:
     right: State
 
     def __post_init__(self):
+        if not (
+            isinstance(self.law, GasLaw) and isinstance(self.left, State) and isinstance(self.right, State)
+        ):
+            raise DomainError("a Riemann problem takes a GasLaw and two States")
         if self.left.rho <= 0.0 or self.right.rho <= 0.0:
             raise DomainError("initial states need positive density")
         for s in (self.left, self.right):
-            if not (math.isfinite(s.v1) and math.isfinite(s.v2)):
+            if not (math.isfinite(to_float(s.v1)) and math.isfinite(to_float(s.v2))):
                 raise DomainError("initial states need finite velocities")
         if self.left.v1 != self.right.v1:
             raise DomainError("tangential velocities must agree on both sides")

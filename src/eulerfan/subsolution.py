@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import GasLaw, internal_energy, pressure
-from .errors import CriterionError, DomainError, InvariantError, NumericError, require_count, require_positive
+from .errors import CriterionError, DomainError, InvariantError, NumericError, is_number, require_count, require_positive
 from .riemann import EQUATION_TOL, STRICT_TOL, CaseId, RiemannProblem, classify, solve_standard
 from .wavecurves import shock_bracket
 
@@ -25,13 +25,13 @@ DELTA2_CAP = 1e8
 # tolerance, so points hugging the 1e-12 margin line are too fragile to lift.
 SEARCH_DELTA_FLOOR = 2e-6
 
-# delta2_window widens each bound by _WINDOW_ETA * (1 + tol), 32 unit
+# delta2_window widens each row's bound by _WINDOW_ETA * (1 + tol), 32 unit
 # roundoffs of a double per unit of 1 + tol, so that rounding in the
 # predicate and in the window cannot put a passing delta2 outside it.
 _WINDOW_ETA = 2.0**-48
 
 # delta2_window leaves out a row whose coefficients, times 1 + tol, reach
-# this size: its bounds could overflow, and leaving it out only widens.
+# this size: its bound could overflow, and leaving it out only widens.
 _WINDOW_SIZE_CAP = 2.0**1000
 
 
@@ -289,39 +289,37 @@ class _ReducedEvaluator:
         when it fails at every delta2 (rho1 outside the window, delta1 too
         small, or no delta2 left by the entropy rows).
 
-        A row with base margin a = rhs0 - lhs and slope s passes, in exact
-        arithmetic, when a + s*d > tol*max(1, |lhs|, |rhs0 + s*d|), that is
-        when a + s*d exceeds tol*max(1, |lhs|) and +-tol*(rhs0 + s*d): three
-        affine bounds c + k*d > 0.
+        An entropy row with terms lhs and rhs = rhs0 + s*d passes when its
+        margin rhs - lhs exceeds tol*max(1, |lhs|, |rhs|), so only when it
+        exceeds tol*max(1, |lhs|): one affine bound c + k*d > 0 per row.
+        Leaving out the |rhs| part of the scale only widens the window.
 
         The predicate computes rhs = fl(rhs0 + fl(d*s)) and passes when
-        fl(rhs - lhs) > fl(tol*scale), scale = max(1, |lhs|, |rhs|).  Rounding
-        is monotone, so that implies rhs - lhs > tol*scale exactly; only rhs
-        carries error.  In the standard model (Higham, Accuracy and
+        fl(rhs - lhs) > fl(tol*scale) >= fl(tol*max(1, |lhs|)).  Rounding is
+        monotone, so that implies rhs - lhs > tol*max(1, |lhs|) exactly; only
+        rhs carries error.  In the standard model (Higham, Accuracy and
         Stability of Numerical Algorithms, ch. 2-3: fl(x op y) = (x op y)(1 +
         e) + f, |e| <= u = 2**-53, |f| <= 2**-1075, f = 0 for + and -) that
-        error is at most u|rhs0| + 2u|s|d to first order in u, plus underflow,
-        and each bound feels it at most 1 + tol times.  Computing c, k and
-        -c/k below loses at most another 4u(1+tol)(|rhs0| + |lhs| + 1) in c
-        and 3u(1+tol)|s| in k, plus 8u for underflow in k (d times 2**-1075
-        is at most 4u for a float d); the 1 in the c term takes every
-        absolute term.  So eta = 32u(1+tol), more than twice the total of
-        13u(1+tol) on c and 5u(1+tol) on k, gives c' = c + eta*(|rhs0| +
-        |lhs| + 1) and k' = k + eta*|s| (both widen, as d >= 0) with every
-        passing d inside [lo, hi] as computed here.  Monotonicity holds
-        through overflow too, and an overflowing rhs makes the scale inf and
-        the row fail.
+        error is at most u|rhs0| + 2u|s|d to first order in u, plus underflow.
+        Computing c, k and -c/k below loses at most another 4u(1+tol)(|rhs0| +
+        |lhs| + 1) in c and 3u|s| in k, plus 8u for underflow (d times
+        2**-1075 is at most 4u for a float d); the 1 in the c term takes every
+        absolute term.  So eta = 32u(1+tol), more than twice the totals of
+        13u(1+tol) per unit of |rhs0| + |lhs| + 1 on c and 5u per unit of |s|
+        on k, gives c' = c + eta*(|rhs0| + |lhs| + 1) and k' = k + eta*|s|
+        (both widen, as d >= 0) with every passing d inside [lo, hi] as
+        computed here.  Monotonicity holds through overflow too, and an
+        overflowing rhs makes the scale inf and the row fail.
 
-        A bound with k' > 0 raises lo to -c'/k', one with k' < 0 lowers hi
-        to it, and one with k' = 0 passes every d or none.  Each bound
-        branches on its own k': tol >= 1 flips the sign of s*(1 - tol).  A
-        row whose (|rhs0| + |lhs| + |s| + 1)*(1 + tol) is not below
-        _WINDOW_SIZE_CAP could overflow inside its bounds and is left out,
-        which only widens the window.
+        A row with k' > 0 raises lo to -c'/k', one with k' < 0 lowers hi to
+        it, and one with k' = 0 passes every d or none.  A row whose (|rhs0|
+        + |lhs| + |s| + 1)*(1 + tol) is not below _WINDOW_SIZE_CAP could
+        overflow inside its bound and is left out, which only widens the
+        window.
         """
         if not self.window_ok or self.d1 < SEARCH_DELTA_FLOOR:
             return None
-        down, up = 1.0 - tol, 1.0 + tol
+        up = 1.0 + tol
         eta = _WINDOW_ETA * up
         lo, hi = 0.0, math.inf
         for lhs, rhs0, s in (
@@ -330,34 +328,10 @@ class _ReducedEvaluator:
         ):
             m = abs(lhs)
             size = abs(rhs0) + m + 1.0
-            slack = abs(s)
-            if not (size + slack) * up < _WINDOW_SIZE_CAP:
+            if not (size + abs(s)) * up < _WINDOW_SIZE_CAP:
                 continue
-            slack *= eta
-            a = rhs0 - lhs + eta * size
-            c, k = a - tol * (m if m > 1.0 else 1.0), s + slack
-            if k > 0.0:
-                x = -c / k
-                if x > lo:
-                    lo = x
-            elif k < 0.0:
-                x = -c / k
-                if x < hi:
-                    hi = x
-            elif not c > 0.0:
-                return None
-            c, k = a - tol * rhs0, s * down + slack
-            if k > 0.0:
-                x = -c / k
-                if x > lo:
-                    lo = x
-            elif k < 0.0:
-                x = -c / k
-                if x < hi:
-                    hi = x
-            elif not c > 0.0:
-                return None
-            c, k = a + tol * rhs0, s * up + slack
+            c = rhs0 - lhs + eta * size - tol * (m if m > 1.0 else 1.0)
+            k = s + eta * abs(s)
             if k > 0.0:
                 x = -c / k
                 if x > lo:
@@ -511,10 +485,8 @@ def search_feasible(
     scan_points = require_count("scan_points", scan_points, 1)
     grid = require_count("grid", grid, 2)
     tol_strict = require_positive("tol_strict", tol_strict)
-    if isinstance(rho1_below, bool) or not isinstance(rho1_below, (int, float)):
+    if not is_number(rho1_below) or rho1_below != rho1_below:
         raise DomainError(f"rho1_below must be a number, got {rho1_below!r}")
-    if isinstance(rho1_below, float) and math.isnan(rho1_below):
-        raise DomainError("rho1_below must be a number, got nan")
     t = _ProblemTerms(p)
     if t.disc <= t.disc_noise:
         raise CriterionError(

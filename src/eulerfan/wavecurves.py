@@ -8,22 +8,25 @@ import math
 from dataclasses import dataclass
 
 from .eos import GasLaw, pressure, sound_speed
-from .errors import DegenerateShockError, DivergenceError, DomainError
+from .errors import DegenerateShockError, DivergenceError, DomainError, is_number, to_float
 
 
 @dataclass(frozen=True)
 class State:
     """One constant gas state: density plus tangential (v1) and normal (v2)
-    velocity components.  rho == 0 only ever appears as the vacuum edge
-    produced by the solver itself."""
+    velocity components, each an int or a float (not a bool), kept as given.
+    rho == 0 only ever appears as the vacuum edge produced by the solver
+    itself, and so does a NaN velocity."""
 
     rho: float
     v1: float
     v2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.rho) and self.rho >= 0.0):
-            raise DomainError(f"density must be nonnegative, got {self.rho!r}")
+        if not 0.0 <= to_float(self.rho) < math.inf:
+            raise DomainError(f"density must be finite and nonnegative, got {self.rho!r:.40}")
+        if not (is_number(self.v1) and is_number(self.v2)):
+            raise DomainError(f"velocities must be numbers, got {self.v1!r:.40} and {self.v2!r:.40}")
 
 
 _NONNEGATIVE = "densities must be finite and nonnegative"

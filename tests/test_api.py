@@ -1,6 +1,8 @@
-"""The public surface: every export resolves, and every argument that must be
-a finite positive number is checked the same way, by errors.require_positive."""
+"""The public surface: every export resolves, every argument that must be a
+finite positive number is checked the same way, by errors.require_positive,
+and the problem types take only numbers."""
 
+import json
 import math
 
 import pytest
@@ -21,6 +23,7 @@ from eulerfan import (
     verify_full,
     verify_standard,
 )
+from eulerfan.cli import problem_dict
 from eulerfan.errors import require_positive
 
 LAW_LOG = GasLaw(1.0, 1.0)
@@ -94,3 +97,58 @@ def test_search_bound_rejected(value):
 
 def test_search_bound_beyond_the_floats_is_no_bound():
     assert search_feasible(CASE5, rho1_below=10**400) == search_feasible(CASE5)
+
+
+# each was accepted (a bool, which problem_dict then wrote back as true) or
+# leaked a TypeError (a string, None) or an OverflowError (an int beyond the
+# floats) from GasLaw, State or RiemannProblem
+NOT_A_NUMBER = [True, False, "1", None]
+NOT_A_NUMBER_IDS = ["True", "False", "string", "None"]
+not_a_number = pytest.mark.parametrize("value", NOT_A_NUMBER + [10**400], ids=NOT_A_NUMBER_IDS + ["huge-int"])
+
+
+@pytest.mark.parametrize("name", ["K", "gamma"])
+@not_a_number
+def test_law_takes_only_numbers(name, value):
+    with pytest.raises(DomainError, match=name):
+        GasLaw(**dict({"K": 1.0, "gamma": 1.4}, **{name: value}))
+
+
+@not_a_number
+def test_state_density_takes_only_numbers(value):
+    with pytest.raises(DomainError, match="density"):
+        State(value, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("index", [1, 2], ids=["v1", "v2"])
+@pytest.mark.parametrize("value", NOT_A_NUMBER, ids=NOT_A_NUMBER_IDS)
+def test_state_velocities_take_only_numbers(index, value):
+    args = [1.0, 0.0, 0.0]
+    args[index] = value
+    with pytest.raises(DomainError, match="velocities"):
+        State(*args)
+
+
+@pytest.mark.parametrize(
+    "law, left, right",
+    [
+        ((1.0, 1.0), State(1, 0, 0), State(4, 0, -1)),
+        (LAW_LOG, (1, 0, 0), State(4, 0, -1)),
+        (LAW_LOG, State(1, 0, 0), None),
+        (LAW_LOG, State(1, 0, 0), State(4, 0, 10**400)),
+        (LAW_LOG, State(1, 0, 0), State(4, 0, math.nan)),
+    ],
+    ids=["law-a-tuple", "left-a-tuple", "right-None", "huge-int-velocity", "nan-velocity"],
+)
+def test_problem_takes_a_law_and_two_states(law, left, right):
+    with pytest.raises(DomainError):
+        RiemannProblem(law, left, right)
+
+
+def test_int_data_is_kept_as_given():
+    # the artifacts of int data keep their bytes: 1, not 1.0
+    p = RiemannProblem(GasLaw(1, 2), State(1, 0, 0), State(4, 0, -1))
+    assert json.dumps(problem_dict(p), sort_keys=True) == (
+        '{"law": {"K": 1, "gamma": 2}, "left": {"rho": 1, "v1": 0, "v2": 0}, '
+        '"right": {"rho": 4, "v1": 0, "v2": -1}}'
+    )

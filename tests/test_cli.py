@@ -27,9 +27,11 @@ from eulerfan.cli import (
     certificate_from_json,
     certificate_to_json,
     emit_geometry,
+    SpecError,
     main,
     parse_problem,
     problem_dict,
+    run,
 )
 from eulerfan.wedge import build_s
 from generators import random_case5, random_case6_one_shock
@@ -311,10 +313,19 @@ class TestValidation:
             ("subsolution", dict(SUBSOLUTION_DOC, search=[64, 128]), "search"),
             ("wedge", dict(CASE6_DOC, perturbation=0.5), "perturbation"),
             ("wedge", dict(CASE6_DOC, perturbation={"initial": -0.5}), "perturbation.initial"),
+            # unknown keys: each ran with the defaults and exited 0
+            ("subsolution", dict(SUBSOLUTION_DOC, serach={"scan_points": 0}), "serach"),
+            ("standard", dict(CASE6_DOC, tolerances={"tol_eq": "nonsense", "tol_strict": -5}),
+             "tolerances"),
+            ("classify", dict(CASE6_DOC, law={"K": 1.0, "gama": 1.0}), "law.gama"),
+            ("subsolution", dict(SUBSOLUTION_DOC, search={"scan_point": 0}), "search.scan_point"),
+            ("lemmas", {"seeds": 3}, "seeds"),
         ],
         ids=["not-a-number", "not-finite", "below-minimum", "missing-section",
              "section-not-an-object", "document-not-an-object", "search-not-an-object",
-             "perturbation-not-an-object", "initial-not-positive"],
+             "perturbation-not-an-object", "initial-not-positive", "misspelled-section",
+             "tolerances-section", "misspelled-law-field", "misspelled-search-field",
+             "lemmas-misspelled-key"],
     )
     def test_bad_field_names_it(self, tmp_path, capsys, mode, doc, field):
         # json.dumps writes an infinite K as the non-standard Infinity,
@@ -325,6 +336,46 @@ class TestValidation:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"input error at {field}:")
+
+    def test_every_mode_reads_one_document(self, tmp_path):
+        doc = dict(
+            SUBSOLUTION_DOC,
+            search={"scan_points": 64, "grid": 128},
+            perturbation={"initial": 0.5, "max_halvings": 40},
+            seed=7,
+            samples=300,
+        )
+        path = write_doc(tmp_path, doc)
+        for mode in ("classify", "standard", "subsolution", "wedge", "lemmas"):
+            assert main(["--mode", mode, "--input", path]) == STATUS_OK, mode
+
+    @pytest.mark.parametrize("name", ["tol_eq", "tol_strict"])
+    @pytest.mark.parametrize("value", [True, "1e-9", 10**400], ids=["True", "string", "huge-int"])
+    def test_run_rejects_a_tolerance_that_is_not_a_number(self, name, value):
+        # run took True as 1.0 for tol_strict, and leaked a TypeError for a
+        # string and an OverflowError for an int beyond the floats
+        with pytest.raises(SpecError, match="--tol-"):
+            run("standard", CASE6_DOC, **{name: value})
+
+    @pytest.mark.parametrize("mode", ["classify", "lemmas"])
+    def test_run_rejects_a_document_that_is_not_an_object(self, mode):
+        # lemmas mode raised AttributeError from doc.get
+        with pytest.raises(SpecError, match="<input>"):
+            run(mode, [CASE6_DOC])
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_out_not_a_directory(self, tmp_path, capsys, under):
+        # os.makedirs raised FileExistsError or NotADirectoryError
+        path = write_doc(tmp_path, CASE6_DOC)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        out = blocker / "out" if under else blocker
+        assert main(["--mode", "classify", "--input", path, "--out", str(out)]) == STATUS_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error at --out:")
+        assert blocker.read_text() == "kept"
 
     def test_unreadable_input(self, tmp_path, capsys):
         path = str(tmp_path / "missing.json")

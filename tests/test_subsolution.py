@@ -822,10 +822,10 @@ class TestFirstFeasibleWalk:
 
 
 def reference_window(ev, tol):
-    """delta2_window written with a tuple, scale_of, max and min per bound:
-    each row's bounds c + k*d > 0 widened by eta*(|rhs0| + |lhs| + 1) in c
-    and eta*|s| in k, rows too large to bound left out, None once a row
-    empties the interval."""
+    """delta2_window written with scale_of, max and min: each row's one bound
+    c + k*d > 0 widened by eta*(|rhs0| + |lhs| + 1) in c and eta*|s| in k,
+    rows too large to bound left out, None once a row empties the
+    interval."""
     if not ev.window_ok or ev.d1 < SEARCH_DELTA_FLOOR:
         return None
     eta = subsolution._WINDOW_ETA * (1.0 + tol)
@@ -837,19 +837,14 @@ def reference_window(ev, tol):
         size = abs(rhs0) + abs(lhs) + 1.0
         if not (size + abs(s)) * (1.0 + tol) < subsolution._WINDOW_SIZE_CAP:
             continue
-        a = rhs0 - lhs + eta * size
-        slack = eta * abs(s)
-        for c, k in (
-            (a - tol * scale_of(lhs), s + slack),
-            (a - tol * rhs0, s * (1.0 - tol) + slack),
-            (a + tol * rhs0, s * (1.0 + tol) + slack),
-        ):
-            if k > 0.0:
-                lo = max(lo, -c / k)
-            elif k < 0.0:
-                hi = min(hi, -c / k)
-            elif not c > 0.0:
-                return None
+        c = rhs0 - lhs + eta * size - tol * scale_of(lhs)
+        k = s + eta * abs(s)
+        if k > 0.0:
+            lo = max(lo, -c / k)
+        elif k < 0.0:
+            hi = min(hi, -c / k)
+        elif not c > 0.0:
+            return None
         if lo > hi:
             return None
     return lo, hi
@@ -872,8 +867,8 @@ def hand_made(rows):
 
 
 class TestDelta2Window:
-    """The single-pass window equals the per-bound max/min form, repr for repr,
-    and is never returned empty."""
+    """The window equals the per-row max/min form, repr for repr, and is
+    never returned empty."""
 
     @pytest.mark.parametrize("tol", [STRICT_TOL, 1e-9])
     def test_matches_reference_on_random_case5(self, tol):
@@ -924,9 +919,10 @@ def near(x, n=4):
 
 
 def exact_ends(ev, tol):
-    """-c/k of the six unwidened bounds c + k*d > 0: where the window of
-    exact arithmetic ends, near which the float predicate changes its
-    answer."""
+    """-c/k of the six unwidened bounds c + k*d > 0 that make up the exact
+    predicate, tol*max(1, |lhs|) and +-tol*rhs per row: where the float
+    predicate changes its answer, though delta2_window bounds only the
+    first of them."""
     ends = []
     for lhs, rhs0, s in ((ev.lhs_l, ev.rhs_l0, ev.slope_l), (ev.lhs_r, ev.rhs_r0, ev.slope_r)):
         a = rhs0 - lhs
@@ -1084,3 +1080,29 @@ def test_predicate_runs_only_inside_open_windows(monkeypatch):
     assert calls == []
     assert search_feasible(hit) is not None
     assert calls and outside == []
+
+
+def test_schedules_run_the_predicate_only_where_it_passes(monkeypatch):
+    """On the first 20 problems of the seed-601 batch, every predicate call
+    of build_sr's schedules is a search hit: a window wider than it needs to
+    be would send the predicate to failing points."""
+    rng = np.random.default_rng(601)
+    problems = [random_case5(rng)[0] for _ in range(20)]
+    calls, hits = [], []
+    feasible = _ReducedEvaluator.feasible
+
+    def counted_feasible(ev, delta2, tol):
+        calls.append(delta2)
+        return feasible(ev, delta2, tol)
+
+    def counted_search(p, **opts):
+        found = search_feasible(p, **opts)
+        hits.append(found is not None)
+        return found
+
+    monkeypatch.setattr(_ReducedEvaluator, "feasible", counted_feasible)
+    monkeypatch.setattr(wedge, "search_feasible", counted_search)
+    for p in problems:
+        wedge.build_sr(p)
+    assert len(hits) > len(problems)  # some schedules miss before they hit
+    assert len(calls) == sum(hits) == len(problems)

@@ -49,7 +49,9 @@ STATUS_NOT_FOUND = 2
 STATUS_NUMERIC = 3
 
 
-class SpecError(Exception):
+class SpecError(DomainError):
+    """Malformed input, with the document field or flag it is at."""
+
     def __init__(self, fieldname: str, message: str):
         self.fieldname = fieldname
         self.message = message
@@ -91,16 +93,9 @@ def solution_dict(s: StandardSolution) -> dict:
 
 
 def subsolution_dict(f: FanSubsolution) -> dict:
-    return {
-        "rho1": f.rho1,
-        "v11": f.v11,
-        "v12": f.v12,
-        "u11": f.u11,
-        "u12": f.u12,
-        "C1": f.c1,
-        "mu0": f.mu0,
-        "mu1": f.mu1,
-    }
+    fields = asdict(f)
+    fields["C1"] = fields.pop("c1")
+    return fields
 
 
 def construction_dict(w: WedgeConstruction) -> dict:
@@ -153,85 +148,85 @@ def emit_geometry(w: WedgeConstruction, t_samples: list[float]) -> str:
 # input parsing
 
 
-def _get_number(doc: dict, name: str, path: str, *, positive=False, minimum=None):
-    if name not in doc:
-        raise SpecError(f"{path}.{name}", "missing required field")
-    value = doc[name]
-    if not is_number(value):
-        raise SpecError(f"{path}.{name}", f"expected a number, got {value!r}")
-    value = to_float(value)  # NaN for a JSON integer beyond the largest float
-    if not math.isfinite(value):
-        raise SpecError(f"{path}.{name}", "must be finite")
-    if positive and not value > 0.0:
-        raise SpecError(f"{path}.{name}", f"must be positive, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise SpecError(f"{path}.{name}", f"must be >= {minimum}, got {value!r}")
-    return value
+# The rules a value can follow: a finite number of at least an optional
+# minimum, a finite positive number, or an integral number (7 or 7.0) of at
+# least a minimum.
+_NUMBER, _POSITIVE, _INTEGER = "number", "positive", "integer"
+_STATE = {"rho": (_POSITIVE, None), "v1": (_NUMBER, None), "v2": (_NUMBER, None)}
 
-
-def _get_int(fieldname: str, value, minimum: int) -> int:
-    """An integral number (7 or 7.0) of at least ``minimum``, as an int."""
-    if not is_number(value) or isinstance(value, float) and not value.is_integer():
-        raise SpecError(fieldname, f"expected an integer, got {value!r}")
-    if value < minimum:
-        raise SpecError(fieldname, f"must be >= {minimum}, got {value!r}")
-    return int(value)
-
-
-# The sections of an input document and the fields each one reads; seed and
-# samples are numbers.  Every mode rejects any other key and a section that
-# is not an object, so a misspelled name is an input error instead of a
-# silent default, and one document serves every mode.
-_SECTIONS = {
-    "law": ("K", "gamma"),
-    "left": ("rho", "v1", "v2"),
-    "right": ("rho", "v1", "v2"),
-    "search": ("scan_points", "grid"),
-    "perturbation": ("initial", "max_halvings"),
+# The keys of an input document: each section with the rule of each of its
+# fields, and the top-level numbers seed and samples with theirs.  Every
+# mode checks the whole document against this table, so a misspelled name
+# or a bad value is an input error instead of a silent default, whichever
+# fields the mode reads, and one document serves every mode.
+_SCHEMA = {
+    "law": {"K": (_POSITIVE, None), "gamma": (_NUMBER, 1.0)},
+    "left": _STATE,
+    "right": _STATE,
+    "search": {"scan_points": (_INTEGER, 1), "grid": (_INTEGER, 2)},
+    "perturbation": {"initial": (_POSITIVE, None), "max_halvings": (_INTEGER, 0)},
+    "seed": (_INTEGER, 0),
+    "samples": (_INTEGER, 1),
 }
 
 
-def _check_keys(doc) -> None:
+def _check_field(fieldname: str, value, rule):
+    """``value`` under ``rule``, as a float (an int for an integer rule), or
+    SpecError naming ``fieldname``."""
+    kind, minimum = rule
+    if kind == _INTEGER:
+        if not is_number(value) or isinstance(value, float) and not value.is_integer():
+            raise SpecError(fieldname, f"expected an integer, got {value!r}")
+    elif not is_number(value):
+        raise SpecError(fieldname, f"expected a number, got {value!r}")
+    else:
+        value = to_float(value)  # NaN for an integer beyond the floats
+        if not math.isfinite(value):
+            raise SpecError(fieldname, "must be finite")
+        if kind == _POSITIVE and not value > 0.0:
+            raise SpecError(fieldname, f"must be positive, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise SpecError(fieldname, f"must be >= {minimum}, got {value!r}")
+    return int(value) if kind == _INTEGER else value
+
+
+def check_document(doc) -> dict:
+    """A copy of an input document with every key and value checked against
+    _SCHEMA; SpecError at the first that breaks it.  Sections stay optional
+    here: parse_problem requires the ones a problem needs."""
     if not isinstance(doc, dict):
         raise SpecError("<input>", "top-level document must be a JSON object")
+    checked = {}
     for name, section in doc.items():
-        if name in ("seed", "samples"):
-            continue
-        if name not in _SECTIONS:
+        if name not in _SCHEMA:
             raise SpecError(name, "unknown section")
+        rules = _SCHEMA[name]
+        if isinstance(rules, tuple):
+            checked[name] = _check_field(name, section, rules)
+            continue
         if not isinstance(section, dict):
             raise SpecError(name, f"expected an object, got {section!r}")
-        for key in section:
-            if key not in _SECTIONS[name]:
+        checked[name] = {}
+        for key, value in section.items():
+            if key not in rules:
                 raise SpecError(f"{name}.{key}", "unknown field")
-
-
-def _get_section(doc: dict, name: str) -> dict:
-    if name not in doc:
-        raise SpecError(name, "missing required section")
-    section = doc[name]
-    if not isinstance(section, dict):
-        raise SpecError(name, f"expected an object, got {section!r}")
-    return section
+            checked[name][key] = _check_field(f"{name}.{key}", value, rules[key])
+    return checked
 
 
 def parse_problem(doc: dict) -> RiemannProblem:
-    law_doc = _get_section(doc, "law")
-    law = GasLaw(
-        K=_get_number(law_doc, "K", "law", positive=True),
-        gamma=_get_number(law_doc, "gamma", "law", minimum=1.0),
-    )
-    states = {}
-    for side in ("left", "right"):
-        side_doc = _get_section(doc, side)
-        states[side] = State(
-            rho=_get_number(side_doc, "rho", side, positive=True),
-            v1=_get_number(side_doc, "v1", side),
-            v2=_get_number(side_doc, "v2", side),
-        )
-    if states["left"].v1 != states["right"].v1:
+    """The problem of a document checked by check_document: the law and
+    both sides are required, with every field."""
+    for name in ("law", "left", "right"):
+        if name not in doc:
+            raise SpecError(name, "missing required section")
+        for key in _SCHEMA[name]:
+            if key not in doc[name]:
+                raise SpecError(f"{name}.{key}", "missing required field")
+    law, left, right = GasLaw(**doc["law"]), State(**doc["left"]), State(**doc["right"])
+    if left.v1 != right.v1:
         raise SpecError("right.v1", "tangential velocities must match left.v1")
-    return RiemannProblem(law, states["left"], states["right"])
+    return RiemannProblem(law, left, right)
 
 
 def load_input(path: str):
@@ -248,25 +243,6 @@ def load_input(path: str):
         # an integer literal longer than the interpreter's int digit limit
         raise SpecError("<input>", str(exc)) from exc
     return doc
-
-
-def _search_options(doc: dict, tol_strict: float) -> dict:
-    opts = {"tol_strict": tol_strict}
-    search_doc = doc.get("search", {})
-    for name, minimum in (("scan_points", 1), ("grid", 2)):
-        if name in search_doc:
-            opts[name] = _get_int(f"search.{name}", search_doc[name], minimum)
-    return opts
-
-
-def _perturbation_options(doc: dict) -> dict:
-    opts = {}
-    pert_doc = doc.get("perturbation", {})
-    if "initial" in pert_doc:
-        opts["initial_fraction"] = _get_number(pert_doc, "initial", "perturbation", positive=True)
-    if "max_halvings" in pert_doc:
-        opts["max_halvings"] = _get_int("perturbation.max_halvings", pert_doc["max_halvings"], 0)
-    return opts
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +282,7 @@ def _run_standard(p: RiemannProblem, tol_eq, tol_strict) -> RunResult:
 
 
 def _run_subsolution(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
-    found = search_feasible(p, **_search_options(doc, tol_strict))
+    found = search_feasible(p, tol_strict=tol_strict, **doc.get("search", {}))
     if found is None:
         return RunResult(
             STATUS_NOT_FOUND,
@@ -343,19 +319,18 @@ def _run_subsolution(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
 
 
 def _run_wedge(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
-    case = classify(p)
-    rotated = False
-    working = p
-    if case is CaseId.R1S3 or (case is CaseId.SINGLE_S and p.left.rho > p.right.rho):
-        working = rotate_180(p)
-        rotated = True
-        case = classify(working)
-    pert = _perturbation_options(doc)
-    search = _search_options(doc, tol_strict)
+    # S1R3 data has rho- < rho+, and so does a single 1-shock; R1S3 and
+    # a single 3-shock have the opposite order, and turn into those
+    rotated = p.left.rho > p.right.rho
+    working = rotate_180(p) if rotated else p
+    case = classify(working)
+    options = dict(doc.get("search", {}), tol_strict=tol_strict)
+    for key, value in doc.get("perturbation", {}).items():
+        options["initial_fraction" if key == "initial" else key] = value
     if case is CaseId.S1R3:
-        construction = build_sr(working, **pert, **search)
+        construction = build_sr(working, **options)
     elif case is CaseId.SINGLE_S:
-        construction = build_s(working, **pert, **search)
+        construction = build_s(working, **options)
     else:
         raise SpecError(
             "<input>",
@@ -401,10 +376,7 @@ def _run_wedge(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
     )
 
 
-def _run_lemmas(doc, seed, samples) -> RunResult:
-    # a command-line value takes precedence over the document's field
-    seed = _get_int("seed", doc.get("seed", oracles.DEFAULT_SEED) if seed is None else seed, 0)
-    samples = _get_int("samples", doc.get("samples", 10000) if samples is None else samples, 1)
+def _run_lemmas(seed, samples) -> RunResult:
     summary = oracles.run_suite(n_samples=samples, seed=seed)
     status = STATUS_OK if summary["overall"] else STATUS_NUMERIC
     return RunResult(
@@ -426,17 +398,30 @@ def run(
     seed: int | None = None,
     samples: int | None = None,
 ) -> RunResult:
-    """Execute one CLI mode on a parsed input document; a tolerance left
-    as None takes the library default.  A key outside _SECTIONS is an input
-    error in every mode."""
+    """Execute one CLI mode on a parsed input document.
+
+    Every mode checks the whole document against _SCHEMA, and every flag
+    value given, before it runs, so a bad key or value is an input error
+    whether or not the mode reads it.  A tolerance left as None takes the
+    library default; a seed or sample count given here takes precedence
+    over the document's field."""
     if mode not in MODES:
         raise SpecError("--mode", f"unknown mode {mode!r}")
-    _check_keys(doc)
-    for name, tol in (("--tol-eq", tol_eq), ("--tol-strict", tol_strict)):
-        if tol is not None and not 0.0 < to_float(tol) < math.inf:
-            raise SpecError(name, f"must be finite and positive, got {tol!r:.40}")
+    doc = check_document(doc)
+    tol_eq, tol_strict, seed, samples = (
+        value if value is None else _check_field(flag, value, rule)
+        for flag, value, rule in (
+            ("--tol-eq", tol_eq, (_POSITIVE, None)),
+            ("--tol-strict", tol_strict, (_POSITIVE, None)),
+            ("--seed", seed, _SCHEMA["seed"]),
+            ("--samples", samples, _SCHEMA["samples"]),
+        )
+    )
     if mode == "lemmas":
-        return _run_lemmas(doc, seed, samples)
+        return _run_lemmas(
+            doc.get("seed", oracles.DEFAULT_SEED) if seed is None else seed,
+            doc.get("samples", 10000) if samples is None else samples,
+        )
     tol_eq = EQUATION_TOL if tol_eq is None else tol_eq
     tol_strict = STRICT_TOL if tol_strict is None else tol_strict
     p = parse_problem(doc)
@@ -486,11 +471,17 @@ def main(argv=None) -> int:
             seed=args.seed,
             samples=args.samples,
         )
-    except SpecError as exc:
-        print(f"input error at {exc.fieldname}: {exc.message}", file=sys.stderr)
-        return STATUS_INPUT
+        if args.out:
+            try:
+                os.makedirs(args.out, exist_ok=True)
+                for name, content in result.artifacts.items():
+                    with open(os.path.join(args.out, name), "w", encoding="utf-8") as handle:
+                        handle.write(content)
+            except OSError as exc:
+                raise SpecError("--out", str(exc)) from exc
     except DomainError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        where = f" at {exc.fieldname}" if isinstance(exc, SpecError) else ""
+        print(f"input error{where}: {getattr(exc, 'message', exc)}", file=sys.stderr)
         return STATUS_INPUT
     except ConstructionError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
@@ -501,15 +492,6 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return STATUS_NUMERIC
 
-    if args.out:
-        try:
-            os.makedirs(args.out, exist_ok=True)
-            for name, content in result.artifacts.items():
-                with open(os.path.join(args.out, name), "w", encoding="utf-8") as handle:
-                    handle.write(content)
-        except OSError as exc:
-            print(f"input error at --out: {exc}", file=sys.stderr)
-            return STATUS_INPUT
     for line in result.summary:
         print(line)
     if args.out:

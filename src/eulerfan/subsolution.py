@@ -131,7 +131,10 @@ def _star_terms(p: RiemannProblem, rho1: float) -> tuple[_ProblemTerms, float]:
 def _v12(t: _ProblemTerms, d: float, rho1: float) -> float:
     rl, rr = t.rl, t.rr
     root = math.sqrt(d * (rho1 - rl) * (rr - rho1))
-    return (-rl * t.vl2 * (rr - rho1) - rr * t.vr2 * (rho1 - rl) + root) / (rho1 * (rl - rr))
+    try:
+        return (-rl * t.vl2 * (rr - rho1) - rr * t.vr2 * (rho1 - rl) + root) / (rho1 * (rl - rr))
+    except ZeroDivisionError:
+        raise NumericError(f"arithmetic underflow: the v12 divisor at rho1={rho1!r}") from None
 
 
 def _delta1(t: _ProblemTerms, d: float, rho1: float, p1: float) -> float:
@@ -141,6 +144,8 @@ def _delta1(t: _ProblemTerms, d: float, rho1: float, p1: float) -> float:
         return -(p1 - t.pl) / rho1 + rl * (rho1 - rl) / (rho1**2 * (rl - rr) ** 2) * term**2
     except OverflowError:
         raise NumericError(f"arithmetic overflow: delta1 at rho1={rho1!r}") from None
+    except ZeroDivisionError:
+        raise NumericError(f"arithmetic underflow: the delta1 divisor at rho1={rho1!r}") from None
 
 
 def _bracket(rho_a: float, rho_b: float, p_a: float, p_b: float, e_a: float, e_b: float) -> float:

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 from .eos import GasLaw, pressure, sound_speed
-from .errors import DegenerateShockError, DivergenceError, DomainError, is_number, to_float
+from .errors import DegenerateShockError, DivergenceError, DomainError, NumericError, is_number, to_float
 
 
 @dataclass(frozen=True)
@@ -39,20 +39,26 @@ def rarefaction_integral(law: GasLaw, rho_a: float, rho_b: float) -> float:
     Antisymmetric under swapping the endpoints.  For gamma > 1 the integrand
     is integrable down to the vacuum, so zero endpoints are allowed; for
     gamma = 1 the integral diverges there.  A negative, infinite or NaN
-    density raises DomainError.
+    density raises DomainError, and a density ratio or a result beyond the
+    floats raises NumericError.
     """
     if not (0.0 <= rho_a < math.inf and 0.0 <= rho_b < math.inf):
         raise DomainError(_NONNEGATIVE)
     if rho_a == rho_b:
         # before the terms at rho_b, which may overflow
         return 0.0
-    return rarefaction_integral_to(law, rho_b)(rho_a)
+    integral = rarefaction_integral_to(law, rho_b)(rho_a)
+    if not abs(integral) < math.inf:
+        raise NumericError(f"arithmetic overflow: the rarefaction integral {rho_a!r} to {rho_b!r}")
+    return integral
 
 
 def rarefaction_integral_to(law: GasLaw, rho_b: float):
     """rho_a -> rarefaction_integral(law, rho_a, rho_b), bit for bit, with
     the terms at the fixed upper endpoint rho_b (its sound speed and
-    2/(gamma-1)) computed once."""
+    2/(gamma-1)) computed once.  Only a density ratio that underflows to 0
+    raises NumericError here; rarefaction_integral checks its one result
+    for overflow."""
     if not 0.0 <= rho_b < math.inf:
         raise DomainError(_NONNEGATIVE)
     if law.isothermal:
@@ -65,7 +71,12 @@ def rarefaction_integral_to(law: GasLaw, rho_b: float):
                 return 0.0
             if rho_a == 0.0 or rho_b == 0.0:
                 raise DivergenceError("integral diverges at the vacuum for gamma = 1")
-            return root_k * math.log(rho_b / rho_a)
+            try:
+                return root_k * math.log(rho_b / rho_a)
+            except ValueError:  # log(0.0): the ratio underflowed
+                raise NumericError(
+                    f"arithmetic underflow: the density ratio {rho_b!r}/{rho_a!r}"
+                ) from None
 
         return integral
     # gamma > 1: the sound speed has the finite vacuum limit 0
@@ -87,23 +98,33 @@ def shock_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
 
     The magnitude of the normal-velocity jump across a shock joining the two
     densities; symmetric in its arguments and zero iff they coincide.  A
-    density that is not finite and positive raises DomainError.
+    density that is not finite and positive raises DomainError, and a
+    density product or a result beyond the floats raises NumericError.
     """
     if not (0.0 < rho_a < math.inf and 0.0 < rho_b < math.inf):
         raise DomainError(_POSITIVE)
-    return shock_bracket_to(law, rho_b)(rho_a)
+    bracket = shock_bracket_to(law, rho_b)(rho_a)
+    if not (bracket < math.inf and rho_a * rho_b < math.inf):
+        raise NumericError(f"arithmetic overflow: the shock bracket of {rho_a!r} and {rho_b!r}")
+    return bracket
 
 
 def shock_bracket_to(law: GasLaw, rho_b: float):
     """rho_a -> shock_bracket(law, rho_a, rho_b), bit for bit, with p(rho_b)
     computed once; ``pressure`` rejects a density that is not finite and
-    positive."""
+    positive.  Only a density product that underflows to 0 raises
+    NumericError here; shock_bracket checks its one result for overflow."""
     p_b = pressure(law, rho_b)
 
     def bracket(rho_a: float) -> float:
         num = (rho_a - rho_b) * (pressure(law, rho_a) - p_b)
         # max(num, 0.0) without the call: keeps -0.0 and NaN as max does
-        return math.sqrt((0.0 if 0.0 > num else num) / (rho_a * rho_b))
+        try:
+            return math.sqrt((0.0 if 0.0 > num else num) / (rho_a * rho_b))
+        except ZeroDivisionError:
+            raise NumericError(
+                f"arithmetic underflow: the density product {rho_a!r}*{rho_b!r}"
+            ) from None
 
     return bracket
 

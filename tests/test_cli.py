@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +13,8 @@ import pytest
 
 from eulerfan import (
     Certificate,
+    CriterionError,
+    EulerFanError,
     GasLaw,
     RiemannProblem,
     State,
@@ -24,10 +29,12 @@ from eulerfan.cli import (
     STATUS_NOT_FOUND,
     STATUS_NUMERIC,
     STATUS_OK,
+    RunResult,
     certificate_from_json,
     certificate_to_json,
-    emit_geometry,
     SpecError,
+    check_document,
+    emit_geometry,
     main,
     parse_problem,
     problem_dict,
@@ -144,7 +151,7 @@ class TestModes:
         status = main(["--mode", "subsolution", "--input", path, "--out", str(out)])
         assert status == STATUS_OK
         search = json.loads((out / "subsolution_search.json").read_text())
-        p = parse_problem(doc)
+        p = parse_problem(check_document(doc))
         expected = search_feasible(p, scan_points=3, grid=7)
         assert (search["rho1"], search["delta2"]) == expected
         # the small search takes another pair than the default one
@@ -161,7 +168,7 @@ class TestModes:
     def test_subsolution_mode_rejects_wrong_density_order(self, tmp_path, capsys):
         # the found case turned half a turn: this mode does not rotate, and
         # an empty search would read as a certified miss (exit 2)
-        p = rotate_180(parse_problem(SUBSOLUTION_DOC))
+        p = rotate_180(parse_problem(check_document(SUBSOLUTION_DOC)))
         assert p.left.rho > p.right.rho and discriminant(p) == 5.0
         path = write_doc(tmp_path, problem_dict(p))
         out = tmp_path / "out"
@@ -254,6 +261,35 @@ class TestModes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "law, rho, v2, mode",
+        [
+            # near_boundaries: the shock bracket's density product underflows
+            ({"K": 1.0, "gamma": 1.4}, (5e-324, 1e-323), (0.0, -1e-300), "classify"),
+            ({"K": 1.0, "gamma": 1.4}, (5e-324, 1e-323), (0.0, -1e-300), "standard"),
+            # the bracket is NaN, and inf: classify read S1R3, and SingleS
+            ({"K": 1.0, "gamma": 1.0}, (1e200, 4e200), (0.0, -1e10), "classify"),
+            ({"K": 1.0, "gamma": 1.0}, (1e200, 1e-200), (0.0, 0.0), "classify"),
+            # rho1**2*(rl - rr)**2 underflows in the search's delta1
+            ({"K": 1e300, "gamma": 1.4}, (1e-160, 4e-160), (0.0, 0.0), "subsolution"),
+        ],
+        ids=["product-underflow-classify", "product-underflow-standard",
+             "nan-bracket-classify", "inf-bracket-classify", "delta1-divisor-subsolution"],
+    )
+    def test_kernel_limits_are_a_numeric_failure(self, tmp_path, capsys, law, rho, v2, mode):
+        doc = {
+            "law": law,
+            "left": {"rho": rho[0], "v1": 0.0, "v2": v2[0]},
+            "right": {"rho": rho[1], "v1": 0.0, "v2": v2[1]},
+        }
+        path = write_doc(tmp_path, doc)
+        assert main(["--mode", mode, "--input", path]) == STATUS_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert re.match(r"numeric failure: arithmetic (over|under)flow", lines[0]), lines[0]
+
     def test_velocity_overflow_is_a_numeric_failure(self, tmp_path, capsys):
         # the discriminant squares the velocity jump: 1e160**2 overflows
         doc = {
@@ -332,6 +368,28 @@ class TestValidation:
         # which json.loads reads back
         path = write_doc(tmp_path, doc)
         assert main(["--mode", mode, "--input", path]) == STATUS_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"input error at {field}:")
+
+    @pytest.mark.parametrize(
+        "mode, doc, flags, field",
+        [
+            ("classify", dict(CASE6_DOC, search={"grid": 0}), [], "search.grid"),
+            ("standard", dict(CASE6_DOC, seed="abc"), [], "seed"),
+            ("lemmas", {"law": {"K": -1}}, [], "law.K"),
+            ("subsolution", dict(SUBSOLUTION_DOC, perturbation={"max_halvings": -5}), [],
+             "perturbation.max_halvings"),
+            ("classify", CASE6_DOC, ["--samples", "0"], "--samples"),
+        ],
+        ids=["classify-grid", "standard-seed", "lemmas-law", "subsolution-max-halvings",
+             "classify-samples-flag"],
+    )
+    def test_bad_value_in_an_unread_field(self, tmp_path, capsys, mode, doc, flags, field):
+        # each ran and exited 0: only the modes that read a value checked it
+        path = write_doc(tmp_path, doc)
+        assert main(["--mode", mode, "--input", path, *flags]) == STATUS_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
@@ -465,6 +523,67 @@ def test_single_shock_subsolution_exits_3(tmp_path, capsys, positive):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("numeric failure: the search requires a positive discriminant")
+
+
+def _sweep_document(rng):
+    """A document whose numbers mix magnitudes log-uniform over 1e-320 to
+    1e308 with moderate ones, with small search and schedule sizes."""
+
+    def magnitude():
+        if rng.random() < 0.5:
+            return float(10.0 ** rng.uniform(-320.0, 308.0))
+        return float(rng.uniform(0.1, 10.0))
+
+    def velocity():
+        return magnitude() * float(rng.choice([-1.0, 1.0]))
+
+    gamma = [1.0, 1.4, 3.0, float(1.0 + 10.0 ** rng.uniform(-15.0, 3.0))][rng.integers(4)]
+    v1 = velocity()
+    return {
+        "law": {"K": magnitude(), "gamma": gamma},
+        "left": {"rho": magnitude(), "v1": v1, "v2": velocity()},
+        "right": {"rho": magnitude(), "v1": v1, "v2": velocity()},
+        "search": {"scan_points": 8, "grid": 8},
+        "perturbation": {"max_halvings": 3},
+    }
+
+
+def test_no_traceback_at_any_scale():
+    # every mode gives a result or a typed error: a shock bracket's density
+    # product and the closed forms' divisors underflowed to 0 and raised
+    # ZeroDivisionError
+    rng = np.random.default_rng(20171)
+    for _ in range(300):
+        doc = _sweep_document(rng)
+        for mode in ("classify", "standard", "subsolution", "wedge"):
+            try:
+                result = run(mode, doc)
+            except EulerFanError:  # SpecError is one too
+                continue
+            except Exception as exc:
+                pytest.fail(f"{mode} on {doc}: {exc!r}")
+            assert isinstance(result, RunResult)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(language):
+    return re.search(rf"```{language}\n(.*?)```", README.read_text(), re.S).group(1)
+
+
+def test_readme_examples_run():
+    doc = json.loads(_readme_block("json"))
+    for mode in ("classify", "standard", "wedge"):
+        assert run(mode, doc).status == STATUS_OK, mode
+    # single-shock data: the search is refused, never run
+    with pytest.raises(CriterionError):
+        run("subsolution", doc)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(_readme_block("python"), {})
+    glue_margin, overall = printed.getvalue().split()
+    assert float(glue_margin) > 0.0 and overall == "True"
 
 
 class TestDeterminismAndRoundTrip:

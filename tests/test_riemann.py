@@ -120,6 +120,23 @@ def test_pressure_overflow_is_a_numeric_error(op):
 
 
 @pytest.mark.parametrize(
+    "op, p",
+    [
+        # the shock bracket's density product underflows: ZeroDivisionError
+        (near_boundaries, make(GasLaw(1.0, 1.4), 5e-324, 0.0, 1e-323, -1e-300)),
+        # the bracket was NaN, and the pattern read S1R3 where it is S1S3
+        (classify, make(LAW_LOG, 1e200, 0.0, 4e200, -1e10)),
+        # the bracket was inf, and the pattern read SingleS
+        (classify, make(LAW_LOG, 1e200, 0.0, 1e-200, 0.0)),
+    ],
+    ids=["near-boundaries-underflow", "classify-nan-bracket", "classify-inf-bracket"],
+)
+def test_bracket_beyond_the_floats_is_a_numeric_error(op, p):
+    with pytest.raises(NumericError, match="arithmetic (over|under)flow"):
+        op(p)
+
+
+@pytest.mark.parametrize(
     "p",
     [
         # the energy density squares v1, which no solver step touches

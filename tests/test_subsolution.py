@@ -340,6 +340,21 @@ class TestNumericFailure:
         p = RiemannProblem(LAW_LOG, State(1e200, 0, 0), State(4e200, 0, -1e-3))
         with pytest.raises(NumericError, match="arithmetic overflow"):
             search_feasible(p)
+        # the search stops earlier, at the shock bracket of its guided scan
+        with pytest.raises(NumericError, match="arithmetic overflow: delta1"):
+            reduced_from(p, 2e200, 1.0)
+
+    def test_closed_form_divisor_underflow(self):
+        # rho1*(rl - rr) is 2e-200 * -3e-200: it underflows to -0.0 in v12
+        p = RiemannProblem(LAW_LOG, State(1e-200, 0, 0), State(4e-200, 0, 0))
+        with pytest.raises(NumericError, match="arithmetic underflow"):
+            reduced_from(p, 2e-200, 1.0)
+        with pytest.raises(NumericError, match="arithmetic underflow"):
+            check_reduced(p, 2e-200, 1.0)
+        # rho1**2*(rl - rr)**2 underflows in delta1
+        p = RiemannProblem(GasLaw(1e300, 1.4), State(1e-160, 0, 0), State(4e-160, 0, 0))
+        with pytest.raises(NumericError, match="arithmetic underflow"):
+            search_feasible(p)
 
     def test_tangential_velocity_overflow(self):
         # the search never sees v1; the lift and both verifiers square it

@@ -8,6 +8,7 @@ from eulerfan import (
     DivergenceError,
     DomainError,
     GasLaw,
+    NumericError,
     State,
     lambda1,
     lambda3,
@@ -117,6 +118,44 @@ class TestShockBracket:
             hi = lo * ratio
             mid = lo * ratio ** rng.uniform(0.01, 0.99)
             assert shock_bracket(law, lo, mid) < shock_bracket(law, lo, hi)
+
+
+class TestArithmeticLimits:
+    """A density product, a density ratio or a result beyond the floats is a
+    NumericError, not a bare exception or a silent inf, NaN or 0.0."""
+
+    @pytest.mark.parametrize(
+        "law, rho_a, rho_b, word",
+        [
+            (LAW_LOG, 1e200, 4e200, "overflow"),  # was NaN: inf/inf
+            (LAW_LOG, 1e200, 1e-200, "overflow"),  # was inf
+            (LAW_LOG, 2e154, 3e154, "overflow"),  # was 0.0: the product overflows
+            (GasLaw(1.0, 1.4), 5e-324, 1e-323, "underflow"),  # was ZeroDivisionError
+        ],
+        ids=["nan", "inf", "product-overflow", "product-underflow"],
+    )
+    def test_shock_bracket(self, law, rho_a, rho_b, word):
+        with pytest.raises(NumericError, match=f"arithmetic {word}"):
+            shock_bracket(law, rho_a, rho_b)
+
+    @pytest.mark.parametrize(
+        "rho_a, rho_b, word",
+        # the true values are -921 and 921: log(1e-400) and log(1e400)
+        [(1e200, 1e-200, "underflow"), (1e-200, 1e200, "overflow")],
+        ids=["ratio-underflow", "ratio-overflow"],
+    )
+    def test_rarefaction_integral(self, rho_a, rho_b, word):
+        with pytest.raises(NumericError, match=f"arithmetic {word}"):
+            rarefaction_integral(LAW_LOG, rho_a, rho_b)
+
+    def test_scale_invariance_holds_where_it_is_finite(self):
+        # for gamma = 1 both kernels depend only on the density ratio
+        assert shock_bracket(LAW_LOG, 2e150, 3e150) == pytest.approx(
+            shock_bracket(LAW_LOG, 2.0, 3.0), rel=1e-15
+        )
+        assert rarefaction_integral(LAW_LOG, 1e-150, 1e150) == pytest.approx(
+            300.0 * math.log(10.0), rel=1e-15
+        )
 
 
 class TestSpeeds:

@@ -18,7 +18,6 @@ from .errors import (
 )
 from .oracles import (
     DEFAULT_SEED,
-    LemmaReport,
     lemma2_f,
     lemma2_gap,
     lemma3_gaps,
@@ -82,7 +81,6 @@ __all__ = [
     "FanSubsolution",
     "GasLaw",
     "InvariantError",
-    "LemmaReport",
     "NumericError",
     "ReducedSubsolution",
     "RiemannProblem",

@@ -8,7 +8,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import oracles
 from .certificate import Certificate
@@ -20,7 +20,6 @@ from .riemann import (
     STRICT_TOL,
     CaseId,
     RiemannProblem,
-    StandardSolution,
     classify,
     near_boundaries,
     rotate_180,
@@ -28,7 +27,7 @@ from .riemann import (
     verify_standard,
 )
 from .subsolution import (
-    FanSubsolution,
+    GRID_MAX,
     check_reduced,
     extract_deltas,
     lift_to_full,
@@ -66,49 +65,39 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# serialization (floats render as shortest round-trippable decimals; NaN,
-# which only appears as the undefined vacuum velocity, maps to null)
+# serialization (floats render as shortest round-trippable decimals)
+
+# Artifact keys that differ from the field names: the wedge's fan
+# subsolution, and the kinetic bound spelled as in the paper.
+_RENAMED = {"sub": "subsolution", "c1": "C1"}
 
 
-def _f(x):
-    if isinstance(x, float) and math.isnan(x):
-        return None
+def result_dict(x):
+    """JSON-ready data of a result: a dataclass becomes a dict of its fields
+    (renamed by _RENAMED), a tuple a list, a CaseId its value, and anything
+    else stays as it is.  A NaN inside a State, which is only ever the
+    vacuum's undefined middle velocity, becomes None; a NaN anywhere else is
+    kept, so that dumps refuses it."""
+    if type(x) is float:  # most leaves: skip the failed field lookup below
+        return x
+    fields = getattr(type(x), "__dataclass_fields__", None)
+    if fields is not None:
+        vacuum_nan = type(x) is State
+        out = {}
+        for name in fields:
+            value = getattr(x, name)
+            out[_RENAMED.get(name, name)] = None if vacuum_nan and value != value else result_dict(value)
+        return out
+    if type(x) is tuple:
+        return [result_dict(v) for v in x]
+    if isinstance(x, CaseId):
+        return x.value
     return x
 
 
-def state_dict(s: State) -> dict:
-    return {"rho": _f(s.rho), "v1": _f(s.v1), "v2": _f(s.v2)}
-
-
-def problem_dict(p: RiemannProblem) -> dict:
-    return {"law": asdict(p.law), "left": state_dict(p.left), "right": state_dict(p.right)}
-
-
-def solution_dict(s: StandardSolution) -> dict:
-    return {
-        "case": s.case.value,
-        "middle": state_dict(s.middle) if s.middle is not None else None,
-        "waves": [asdict(w) for w in s.waves],
-    }
-
-
-def subsolution_dict(f: FanSubsolution) -> dict:
-    fields = asdict(f)
-    fields["C1"] = fields.pop("c1")
-    return fields
-
-
-def construction_dict(w: WedgeConstruction) -> dict:
-    return {
-        "u2": state_dict(w.u2),
-        "problem_tilde": problem_dict(w.problem_tilde),
-        "problem_wedge": problem_dict(w.problem_wedge),
-        "subsolution": subsolution_dict(w.sub),
-        "right_wave": solution_dict(w.right_wave),
-        "mu2": w.mu2,
-        "glue_margin": w.glue_margin,
-        "perturbation": w.perturbation,
-    }
+# The names callers convert problems and constructions by; the wedge mode
+# uses them too, since the benchmark's tracer times construction_dict.
+problem_dict = construction_dict = result_dict
 
 
 def dumps(obj) -> str:
@@ -127,20 +116,17 @@ def certificate_from_json(text: str) -> Certificate:
     return Certificate.from_dict(json.loads(text))
 
 
-def emit_geometry(w: WedgeConstruction, t_samples: list[float]) -> str:
-    """CSV table of fan breakpoints, one row per (time, breakpoint).
+def emit_geometry(w: WedgeConstruction) -> str:
+    """CSV table of the fan breakpoints at t = 1, one row per breakpoint.
 
-    Breakpoints are strictly increasing within each time sample; the shock
-    line contributes a single breakpoint between its nondegenerate
-    neighbours.
+    Breakpoints are strictly increasing; the shock line contributes a single
+    breakpoint between its nondegenerate neighbours.  Other times scale
+    them: see fan_geometry.
     """
-    if not t_samples:
-        raise DomainError("t_samples must be nonempty")
+    regions = [r for r in fan_geometry(w, 1.0) if r[1] != r[2]]
     lines = ["t,breakpoint,left_region,right_region"]
-    for t in t_samples:
-        regions = [r for r in fan_geometry(w, t) if r[1] != r[2]]
-        for (label_a, _, hi), (label_b, _, _) in zip(regions, regions[1:]):
-            lines.append(f"{t!r},{hi!r},{label_a},{label_b}")
+    for (label_a, _, hi), (label_b, _, _) in zip(regions, regions[1:]):
+        lines.append(f"1.0,{hi!r},{label_a},{label_b}")
     return "\n".join(lines) + "\n"
 
 
@@ -150,7 +136,7 @@ def emit_geometry(w: WedgeConstruction, t_samples: list[float]) -> str:
 
 # The rules a value can follow: a finite number of at least an optional
 # minimum, a finite positive number, or an integral number (7 or 7.0) of at
-# least a minimum.
+# least a minimum and at most an optional maximum, the rule's third item.
 _NUMBER, _POSITIVE, _INTEGER = "number", "positive", "integer"
 _STATE = {"rho": (_POSITIVE, None), "v1": (_NUMBER, None), "v2": (_NUMBER, None)}
 
@@ -163,7 +149,7 @@ _SCHEMA = {
     "law": {"K": (_POSITIVE, None), "gamma": (_NUMBER, 1.0)},
     "left": _STATE,
     "right": _STATE,
-    "search": {"scan_points": (_INTEGER, 1), "grid": (_INTEGER, 2)},
+    "search": {"scan_points": (_INTEGER, 1), "grid": (_INTEGER, 2, GRID_MAX)},
     "perturbation": {"initial": (_POSITIVE, None), "max_halvings": (_INTEGER, 0)},
     "seed": (_INTEGER, 0),
     "samples": (_INTEGER, 1),
@@ -173,7 +159,7 @@ _SCHEMA = {
 def _check_field(fieldname: str, value, rule):
     """``value`` under ``rule``, as a float (an int for an integer rule), or
     SpecError naming ``fieldname``."""
-    kind, minimum = rule
+    kind, minimum, *maximum = rule
     if kind == _INTEGER:
         if not is_number(value) or isinstance(value, float) and not value.is_integer():
             raise SpecError(fieldname, f"expected an integer, got {value!r}")
@@ -187,6 +173,8 @@ def _check_field(fieldname: str, value, rule):
             raise SpecError(fieldname, f"must be positive, got {value!r}")
     if minimum is not None and value < minimum:
         raise SpecError(fieldname, f"must be >= {minimum}, got {value!r}")
+    if maximum and value > maximum[0]:
+        raise SpecError(fieldname, f"must be <= {maximum[0]}, got {value!r}")
     return int(value) if kind == _INTEGER else value
 
 
@@ -270,7 +258,7 @@ def _run_standard(p: RiemannProblem, tol_eq, tol_strict) -> RunResult:
     return RunResult(
         status,
         {
-            "standard_solution.json": dumps(solution_dict(solution)),
+            "standard_solution.json": dumps(result_dict(solution)),
             "standard_certificate.json": certificate_to_json(certificate),
         },
         [
@@ -299,13 +287,8 @@ def _run_subsolution(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
         STATUS_OK if ok else STATUS_NUMERIC,
         {
             "subsolution_search.json": dumps(
-                {
-                    "found": True,
-                    "rho1": rho1,
-                    "delta2": delta2,
-                    "reduced": asdict(reduced),
-                    "full": subsolution_dict(full),
-                }
+                {"found": True, "rho1": rho1, "delta2": delta2,
+                 "reduced": result_dict(reduced), "full": result_dict(full)}
             ),
             "reduced_certificate.json": certificate_to_json(reduced_cert),
             "full_certificate.json": certificate_to_json(full_cert),
@@ -337,32 +320,21 @@ def _run_wedge(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
             f"wedge mode needs shock+rarefaction or single-shock data, got {case.value}",
         )
     tols = {"tol_eq": tol_eq, "tol_strict": tol_strict}
-    glue_cert = verify_construction(working, construction, **tols)
-    full_cert = verify_full(construction.problem_tilde, construction.sub, **tols)
-    d1, d2 = extract_deltas(construction.sub)
-    reduced_cert = check_reduced(
-        construction.problem_tilde, construction.sub.rho1, d2, tol_strict=tol_strict
-    )
-    right_cert = verify_standard(construction.problem_wedge, construction.right_wave, **tols)
-    ok = all(c.overall for c in (glue_cert, full_cert, reduced_cert, right_cert))
+    tilde, sub = construction.problem_tilde, construction.sub
+    certificates = {
+        "glue": verify_construction(working, construction, **tols),
+        "subsolution_full": verify_full(tilde, sub, **tols),
+        "subsolution_reduced": check_reduced(tilde, sub.rho1, extract_deltas(sub)[1], tol_strict=tol_strict),
+        "right_wave": verify_standard(construction.problem_wedge, construction.right_wave, **tols),
+    }
+    ok = all(c.overall for c in certificates.values())
     artifacts = {
         "wedge_construction.json": dumps(
-            {
-                "rotated": rotated,
-                "input": problem_dict(p),
-                "working": problem_dict(working),
-                "construction": construction_dict(construction),
-            }
+            {"rotated": rotated, "input": problem_dict(p), "working": problem_dict(working),
+             "construction": construction_dict(construction)}
         ),
-        "wedge_certificates.json": dumps(
-            {
-                "glue": glue_cert.to_dict(),
-                "subsolution_full": full_cert.to_dict(),
-                "subsolution_reduced": reduced_cert.to_dict(),
-                "right_wave": right_cert.to_dict(),
-            }
-        ),
-        "wedge_geometry.csv": emit_geometry(construction, [1.0]),
+        "wedge_certificates.json": dumps({name: c.to_dict() for name, c in certificates.items()}),
+        "wedge_geometry.csv": emit_geometry(construction),
     }
     return RunResult(
         STATUS_OK if ok else STATUS_NUMERIC,

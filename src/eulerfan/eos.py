@@ -35,7 +35,9 @@ class GasLaw:
 
 
 # Each kernel tests 0 < rho < inf itself: a shared checking function cost
-# a call per kernel evaluation, more than the test.
+# a call per kernel evaluation, more than the test.  Each also compares its
+# result with inf once, which catches an overflowing product or quotient as
+# well as an overflowing ``**`` (mapped to inf first).
 def _bad_density(rho: float) -> DomainError:
     return DomainError(f"density must be finite and positive, got {rho!r}")
 
@@ -48,9 +50,12 @@ def pressure(law: GasLaw, rho: float) -> float:
     if not 0.0 < rho < math.inf:
         raise _bad_density(rho)
     try:
-        return law.K * rho**law.gamma
+        p = law.K * rho**law.gamma
     except OverflowError:
-        raise _overflow("pressure", law, rho) from None
+        p = math.inf
+    if p < math.inf:
+        return p
+    raise _overflow("pressure", law, rho)
 
 
 def pressure_derivative(law: GasLaw, rho: float) -> float:
@@ -60,21 +65,28 @@ def pressure_derivative(law: GasLaw, rho: float) -> float:
     if law.isothermal:
         return law.K
     try:
-        return law.K * law.gamma * rho ** (law.gamma - 1.0)
+        c2 = law.K * law.gamma * rho ** (law.gamma - 1.0)
     except OverflowError:
-        raise _overflow("pressure derivative", law, rho) from None
+        c2 = math.inf
+    if c2 < math.inf:
+        return c2
+    raise _overflow("pressure derivative", law, rho)
 
 
 def internal_energy(law: GasLaw, rho: float) -> float:
     """Specific internal energy, defined by p(rho) = rho**2 * eps'(rho)."""
     if not 0.0 < rho < math.inf:
         raise _bad_density(rho)
-    if law.isothermal:
-        return law.K * math.log(rho)
     try:
-        return law.K * rho ** (law.gamma - 1.0) / (law.gamma - 1.0)
+        if law.isothermal:
+            e = law.K * math.log(rho)  # negative below rho = 1
+        else:
+            e = law.K * rho ** (law.gamma - 1.0) / (law.gamma - 1.0)
     except OverflowError:
-        raise _overflow("internal energy", law, rho) from None
+        e = math.inf
+    if abs(e) < math.inf:
+        return e
+    raise _overflow("internal energy", law, rho)
 
 
 def sound_speed(law: GasLaw, rho: float) -> float:

@@ -60,9 +60,9 @@ class ConstructionError(EulerFanError):
         )
 
 
-def require_count(name: str, value, minimum: int) -> int:
+def require_count(name: str, value, minimum: int, maximum: int | None = None) -> int:
     """``value`` as an int, or DomainError unless it is an integer (not a
-    bool) of at least ``minimum``."""
+    bool) of at least ``minimum`` and, if given, at most ``maximum``."""
     if isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     try:
@@ -71,6 +71,8 @@ def require_count(name: str, value, minimum: int) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
     if count < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value!r}")
+    if maximum is not None and count > maximum:
+        raise DomainError(f"{name} must be <= {maximum}, got {value!r}")
     return count
 
 

@@ -8,7 +8,6 @@ CLI mode but ``lemmas``) does not pay for it."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .eos import GasLaw
 from .errors import DomainError, require_count
@@ -22,14 +21,6 @@ F_GAMMAS = (1.1, 1.4, 5.0 / 3.0, 2.0, 3.0)
 # Sample rows drawn from the generator at a time: one call per chunk instead
 # of five per sample, without holding every draw of a long suite at once.
 CHUNK_ROWS = 256
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    lemma: str
-    inputs: dict
-    gap: float
-    passed: bool
 
 
 def lemma2_gap(law: GasLaw, rho_minus: float, rho_plus: float) -> float:
@@ -98,7 +89,7 @@ def run_suite(n_samples: int = 10000, seed: int = DEFAULT_SEED) -> dict:
     n_samples = require_count("n_samples", n_samples, 1)
     seed = require_count("seed", seed, 0)
     names = ("lemma1", "lemma2", "lemma3")
-    worst: list[LemmaReport | None] = [None, None, None]
+    worst: list[tuple[float, dict] | None] = [None, None, None]  # (gap, inputs)
     counts = [0, 0, 0]
 
     for i, (u_gamma, u_k, u_lo, u_ratio, u_mid) in enumerate(_draws(n_samples, seed)):
@@ -113,13 +104,12 @@ def run_suite(n_samples: int = 10000, seed: int = DEFAULT_SEED) -> dict:
         mid = lo * ratio ** (0.01 + (0.99 - 0.01) * u_mid)
         gaps = (admissibility_bracket(law, lo, hi), lemma2_gap(law, lo, hi), lemma3_gaps(law, lo, mid, hi))
         for j, gap in enumerate(gaps):
-            passed = gap > 0.0
-            if passed:
+            if gap > 0.0:
                 counts[j] += 1
             current = worst[j]
-            if current is None or gap < current.gap:
+            if current is None or gap < current[0]:
                 # a new minimum is rare, so its inputs are built only here
-                worst[j] = LemmaReport(names[j], _inputs(names[j], law, lo, mid, hi), gap, passed)
+                worst[j] = (gap, _inputs(names[j], law, lo, mid, hi))
 
     f_all_positive = True
     f_min = math.inf
@@ -146,11 +136,11 @@ def run_suite(n_samples: int = 10000, seed: int = DEFAULT_SEED) -> dict:
         "f_grid": {"all_positive": f_all_positive, "min_value": f_min},
         "isothermal_branch": {"all_positive": log_ok},
     }
-    for name, count, w in zip(names, counts, worst):
+    for name, count, (gap, inputs) in zip(names, counts, worst):
         summary["lemmas"][name] = {
             "positive_count": count,
-            "min_gap": w.gap,
-            "min_gap_inputs": w.inputs,
+            "min_gap": gap,
+            "min_gap_inputs": inputs,
             "all_positive": count == n_samples,
         }
     summary["overall"] = (

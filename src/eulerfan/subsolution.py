@@ -34,6 +34,11 @@ _WINDOW_ETA = 2.0**-48
 # this size: its bound could overflow, and leaving it out only widens.
 _WINDOW_SIZE_CAP = 2.0**1000
 
+# The largest grid search_feasible takes: its grid stage holds grid delta2
+# points and, on a miss, tries grid values of rho1.  A full miss at this size
+# took under a second and 3 MiB on a 2-core host; 1e9 would need tens of GB.
+GRID_MAX = 2**16
+
 
 @dataclass(frozen=True)
 class ReducedSubsolution:
@@ -86,6 +91,8 @@ class _ProblemTerms:
         except OverflowError:
             raise NumericError("arithmetic overflow: the squared velocity jump") from None
         self.disc = t1 - t2
+        if not math.isfinite(self.disc):
+            raise NumericError("arithmetic overflow: the discriminant")
         # Within disc_noise the sign of t1 - t2 is rounding error: on
         # single-shock data t1 and t2 agree to a few ulps.  The band scales
         # with the terms, so small-scale data keeps a genuine sign.
@@ -96,9 +103,10 @@ class _ProblemTerms:
         """Discriminant clamped to zero inside its roundoff band, computed
         once with the other terms; CriterionError below the band.
 
-        Single-shock data sits exactly on the zero of the discriminant, and
-        the auxiliary-state constructions evaluate arbitrarily close to it,
-        so small negative roundoff must not kill the square roots.
+        The search refuses a discriminant inside the band before it builds
+        an evaluator, so the clamp serves direct closed-form calls on the
+        single-shock locus, whose discriminant is zero up to roundoff: there
+        a small negative rounding error must not kill the square roots.
         """
         if self._clamped is None:
             raise CriterionError(
@@ -112,7 +120,8 @@ def discriminant(p: RiemannProblem) -> float:
 
     Positive exactly when the data's velocity jump is smaller in magnitude
     than the shock bracket of its densities; the square roots of the interface
-    speed formulas need it nonnegative.
+    speed formulas need it nonnegative.  Raises NumericError when it
+    overflows.
     """
     return _ProblemTerms(p).disc
 
@@ -153,8 +162,12 @@ def _bracket(rho_a: float, rho_b: float, p_a: float, p_b: float, e_a: float, e_b
 
 
 def v12_star(p: RiemannProblem, rho1: float) -> float:
-    """Wedge normal velocity forced by the mass jump at the left interface."""
-    return _v12(*_star_terms(p, rho1), rho1)
+    """Wedge normal velocity forced by the mass jump at the left interface;
+    NumericError when it overflows."""
+    v12 = _v12(*_star_terms(p, rho1), rho1)
+    if not math.isfinite(v12):
+        raise NumericError(f"arithmetic overflow: v12 at rho1={rho1!r}")
+    return v12
 
 
 def reduced_from(p: RiemannProblem, rho1: float, delta2: float) -> ReducedSubsolution:
@@ -164,19 +177,20 @@ def reduced_from(p: RiemannProblem, rho1: float, delta2: float) -> ReducedSubsol
     the interface speeds mu0 < mu1, whose square-root signs are the unique
     choice with mu0 < mu1; the wedge normal velocity v12 forced by the mass
     jump at the left interface; and the wedge normal-stress excess delta1
-    forced by the momentum jump on the left.
+    forced by the momentum jump on the left.  Raises NumericError when one
+    of these overflows.
     """
     t, d = _star_terms(p, rho1)
     rl, rr = t.rl, t.rr
     base = (rl * t.vl2 - rr * t.vr2) / (rl - rr)
-    return ReducedSubsolution(
-        rho1=rho1,
-        v12=_v12(t, d, rho1),
-        mu0=base + math.sqrt(d * (rr - rho1) / (rho1 - rl)) / (rl - rr),
-        mu1=base - math.sqrt(d * (rho1 - rl) / (rr - rho1)) / (rl - rr),
-        delta1=_delta1(t, d, rho1, pressure(p.law, rho1)),
-        delta2=delta2,
-    )
+    v12 = _v12(t, d, rho1)
+    mu0 = base + math.sqrt(d * (rr - rho1) / (rho1 - rl)) / (rl - rr)
+    mu1 = base - math.sqrt(d * (rho1 - rl) / (rr - rho1)) / (rl - rr)
+    delta1 = _delta1(t, d, rho1, pressure(p.law, rho1))
+    # as in _ReducedEvaluator: 0 * x is NaN exactly for an inf or NaN x
+    if not math.isfinite(0.0 * v12 + 0.0 * mu0 + 0.0 * mu1 + 0.0 * delta1):
+        raise NumericError(f"arithmetic overflow: the closed forms at rho1={rho1!r}")
+    return ReducedSubsolution(rho1, v12, mu0, mu1, delta1, delta2)
 
 
 def reduced_residuals(
@@ -480,15 +494,17 @@ def search_feasible(
     certified outcome of this search, not an error.  Raises CriterionError
     when the discriminant is negative or zero up to rounding (within
     STRICT_TOL of its larger term), as on single-shock data, where both fan
-    speeds coincide.  Raises DomainError for ``scan_points`` below 1 or
-    ``grid`` below 2, where nothing or a single point would be searched, for
+    speeds coincide, and NumericError when the discriminant overflows.
+    Raises DomainError for ``scan_points`` below 1 or ``grid`` below 2, where
+    nothing or a single point would be searched, for ``grid`` above
+    GRID_MAX, whose grid would not fit in memory or time, for
     a ``tol_strict`` that is not finite and positive, where no point could
     pass and the empty result would certify nothing, for a ``rho1_below``
     that is not an int or a float or is NaN, and for data with rho- > rho+,
     whose density window is empty: rotate_180 them first.
     """
     scan_points = require_count("scan_points", scan_points, 1)
-    grid = require_count("grid", grid, 2)
+    grid = require_count("grid", grid, 2, GRID_MAX)
     tol_strict = require_positive("tol_strict", tol_strict)
     if not is_number(rho1_below) or rho1_below != rho1_below:
         raise DomainError(f"rho1_below must be a number, got {rho1_below!r}")

@@ -15,9 +15,12 @@ from eulerfan import (
     Certificate,
     CriterionError,
     EulerFanError,
+    FanSubsolution,
     GasLaw,
+    NumericError,
     RiemannProblem,
     State,
+    Wave,
     discriminant,
     rotate_180,
     search_feasible,
@@ -25,6 +28,7 @@ from eulerfan import (
     verify_standard,
 )
 from eulerfan.cli import (
+    MODES,
     STATUS_INPUT,
     STATUS_NOT_FOUND,
     STATUS_NUMERIC,
@@ -34,12 +38,14 @@ from eulerfan.cli import (
     certificate_to_json,
     SpecError,
     check_document,
-    emit_geometry,
+    dumps,
     main,
     parse_problem,
     problem_dict,
+    result_dict,
     run,
 )
+from eulerfan.subsolution import GRID_MAX
 from eulerfan.wedge import build_s
 from generators import random_case5, random_case6_one_shock
 
@@ -395,6 +401,17 @@ class TestValidation:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"input error at {field}:")
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("grid", [GRID_MAX + 1, 1e9])
+    def test_grid_above_the_maximum(self, tmp_path, capsys, mode, grid):
+        # every mode accepted it, and the search would build and walk a grid
+        # of that many points: about 24 MiB at 2e5, tens of GB at 1e9
+        path = write_doc(tmp_path, dict(SUBSOLUTION_DOC, search={"grid": grid}))
+        assert main(["--mode", mode, "--input", path]) == STATUS_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"input error at search.grid: must be <= {GRID_MAX}, got "
+        )
+
     def test_every_mode_reads_one_document(self, tmp_path):
         doc = dict(
             SUBSOLUTION_DOC,
@@ -605,17 +622,56 @@ class TestDeterminismAndRoundTrip:
             assert original.value == back.value
             assert original.tolerance == back.tolerance
 
-    def test_geometry_empty_times_rejected(self):
-        w = build_s(RiemannProblem(GasLaw(1.0, 1.0), State(1, 0, 0), State(4, 0, -1.5)))
-        with pytest.raises(Exception):
-            emit_geometry(w, [])
 
-    def test_geometry_second_row_doubles_first(self):
-        w = build_s(RiemannProblem(GasLaw(1.0, 1.0), State(1, 0, 0), State(4, 0, -1.5)))
-        rows = emit_geometry(w, [1.0, 2.0]).splitlines()[1:]
-        first = [float(r.split(",")[1]) for r in rows if r.startswith("1.0,")]
-        second = [float(r.split(",")[1]) for r in rows if r.startswith("2.0,")]
-        assert second == [2.0 * b for b in first]
+class TestArtifactData:
+    """The rules by which results become artifact data."""
+
+    def test_vacuum_middle_velocity_is_null(self):
+        # the vacuum's middle velocity is undefined (NaN), and JSON has no NaN
+        doc = dict(CASE6_DOC, law={"K": 1.0, "gamma": 1.4},
+                   left={"rho": 1.0, "v1": 0.0, "v2": -10.0},
+                   right={"rho": 1.0, "v1": 0.0, "v2": 10.0})
+        result = run("standard", doc)
+        assert result.status == STATUS_OK
+        solution = json.loads(result.artifacts["standard_solution.json"])
+        assert solution["case"] == "R1R3Vacuum"
+        assert solution["middle"] == {"rho": 0.0, "v1": 0.0, "v2": None}
+
+    def test_nan_outside_a_state_is_refused(self):
+        # only a State maps NaN to null; elsewhere dumps refuses it
+        sub = result_dict(FanSubsolution(2.0, 0.0, math.nan, 0.0, 0.0, 1.0, -1.0, 1.0))
+        wave = result_dict(Wave(1, "shock", (math.nan,)))
+        assert math.isnan(sub["v12"]) and math.isnan(wave["speeds"][0])
+        for data in (sub, wave):
+            with pytest.raises(NumericError, match="non-finite"):
+                dumps(data)
+
+    def test_subsolution_kinetic_bound_is_C1(self):
+        result = run("subsolution", SUBSOLUTION_DOC)
+        assert result.status == STATUS_OK
+        full = json.loads(result.artifacts["subsolution_search.json"])["full"]
+        assert "C1" in full and "c1" not in full
+
+    def test_wedge_construction_keys(self):
+        result = run("wedge", CASE6_DOC)
+        assert result.status == STATUS_OK
+        construction = json.loads(result.artifacts["wedge_construction.json"])["construction"]
+        assert "subsolution" in construction and "sub" not in construction
+        assert construction["right_wave"]["case"] == "SingleS"
+        assert construction["right_wave"]["waves"][0]["speeds"] == [construction["mu2"]]
+
+    def test_construction_becomes_plain_json_types(self):
+        # json.dumps writes a tuple as a list and a CaseId, a str enum, as
+        # its value anyway, so only the converted types show these rules
+        data = result_dict(build_s(parse_problem(check_document(CASE6_DOC))))
+
+        def types(x):
+            yield type(x)
+            for child in x.values() if isinstance(x, dict) else x if isinstance(x, list) else ():
+                yield from types(child)
+
+        assert set(types(data)) <= {dict, list, str, float, int, bool, type(None)}
+        assert data["right_wave"]["case"] == "SingleS"
 
 
 # Runs in a fresh interpreter, so no other test has imported numpy there.

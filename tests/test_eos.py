@@ -104,6 +104,31 @@ def test_overflow_is_a_numeric_error(op):
         op(GasLaw(1.0, 3.0), 1e200)
 
 
+@pytest.mark.parametrize(
+    "op, law, rho",
+    [
+        (pressure, GasLaw(1e300, 1.4), 1e7),
+        (pressure_derivative, GasLaw(1e307, 1.4), 1e8),
+        (sound_speed, GasLaw(1e307, 1.4), 1e8),
+        (internal_energy, GasLaw(1e300, 1.0 + 1e-11), 10.0),
+        (internal_energy, GasLaw(1e307, 1.0), 1e300),
+        (internal_energy, GasLaw(1e307, 1.0), 1e-300),
+    ],
+    ids=["pressure", "derivative", "sound-speed", "energy-quotient", "energy-log", "energy-log-negative"],
+)
+def test_product_overflow_is_a_numeric_error(op, law, rho):
+    # the power is finite and the product or quotient overflows: each
+    # returned inf (or -inf) before
+    with pytest.raises(NumericError, match="overflows at rho="):
+        op(law, rho)
+
+
+def test_overflowing_bracket_is_a_numeric_error():
+    # p(1e7) and p(2e7) are both inf, so the bracket was inf - inf = NaN
+    with pytest.raises(NumericError, match="pressure overflows"):
+        admissibility_bracket(GasLaw(1e300, 1.4), 1e7, 2e7)
+
+
 @pytest.mark.parametrize("kwargs", [{"K": 0.0, "gamma": 1.4}, {"K": -1.0, "gamma": 1.4},
                                     {"K": 1.0, "gamma": 0.9}, {"K": math.inf, "gamma": 1.4}])
 def test_invalid_law_rejected(kwargs):

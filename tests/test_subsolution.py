@@ -33,6 +33,7 @@ from eulerfan.certificate import scale_of
 from eulerfan.riemann import STRICT_TOL
 from eulerfan.subsolution import (
     DELTA2_CAP,
+    GRID_MAX,
     SEARCH_DELTA_FLOOR,
     _feasible_delta2,
     _first_feasible,
@@ -231,6 +232,14 @@ class TestSearch:
         with pytest.raises(DomainError):
             search_feasible(CASE5, **sizes)
 
+    def test_grid_bound(self):
+        # the largest grid is a size like any other; one more is refused
+        # before the grid is built: at 1e9 points it would not fit in memory
+        assert search_feasible(CASE5, grid=GRID_MAX) == search_feasible(CASE5)
+        for grid in (GRID_MAX + 1, 10**9):
+            with pytest.raises(DomainError, match=f"grid must be <= {GRID_MAX}"):
+                search_feasible(CASE5, grid=grid)
+
     @pytest.mark.parametrize(
         "tol",
         [math.nan, math.inf, -math.inf, -1.0, 0.0, True, "1e-12", None, 10**400],
@@ -337,12 +346,34 @@ class TestNumericFailure:
 
     def test_delta1_overflow(self):
         # for gamma = 1 the densities are fine, but delta1 squares rho1
-        p = RiemannProblem(LAW_LOG, State(1e200, 0, 0), State(4e200, 0, -1e-3))
-        with pytest.raises(NumericError, match="arithmetic overflow"):
-            search_feasible(p)
-        # the search stops earlier, at the shock bracket of its guided scan
+        p = RiemannProblem(GasLaw(1e-20, 1.0), State(1e150, 0, 0), State(1e158, 0, -1e-10))
         with pytest.raises(NumericError, match="arithmetic overflow: delta1"):
-            reduced_from(p, 2e200, 1.0)
+            reduced_from(p, 1e156, 1.0)
+
+    def test_discriminant_overflow(self):
+        # both discriminant terms overflow to inf, and inf - inf is NaN:
+        # discriminant and v12_star returned it, reduced_from went on to delta1
+        p = RiemannProblem(LAW_LOG, State(1e200, 0, 0), State(4e200, 0, -1e-3))
+        for call in (
+            lambda: discriminant(p),
+            lambda: v12_star(p, 2e200),
+            lambda: reduced_from(p, 2e200, 1.0),
+            lambda: search_feasible(p),
+        ):
+            with pytest.raises(NumericError, match="arithmetic overflow: the discriminant"):
+                call()
+
+    def test_closed_form_overflow(self):
+        # S1R3 data with a finite discriminant of 1e300: v12 is -inf, mu0 and
+        # mu1 infinite and delta1 NaN, all returned without an error
+        p = RiemannProblem(LAW_LOG, State(1, 0, 0), State(1e150, 0, -1))
+        assert discriminant(p) == pytest.approx(1e300)
+        with pytest.raises(NumericError, match="arithmetic overflow: v12 at rho1="):
+            v12_star(p, 1e149)
+        with pytest.raises(NumericError, match="arithmetic overflow: the closed forms at rho1="):
+            reduced_from(p, 1e149, 1.0)
+        with pytest.raises(NumericError):
+            check_reduced(p, 1e149, 1.0)
 
     def test_closed_form_divisor_underflow(self):
         # rho1*(rl - rr) is 2e-200 * -3e-200: it underflows to -0.0 in v12

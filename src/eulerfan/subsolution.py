@@ -25,12 +25,12 @@ DELTA2_CAP = 1e8
 # tolerance, so points hugging the 1e-12 margin line are too fragile to lift.
 SEARCH_DELTA_FLOOR = 2e-6
 
-# delta2_window widens each row's bound by _WINDOW_ETA * (1 + tol), 32 unit
+# _delta2_window widens each row's bound by _WINDOW_ETA * (1 + tol), 32 unit
 # roundoffs of a double per unit of 1 + tol, so that rounding in the
 # predicate and in the window cannot put a passing delta2 outside it.
 _WINDOW_ETA = 2.0**-48
 
-# delta2_window leaves out a row whose coefficients, times 1 + tol, reach
+# _delta2_window leaves out a row whose coefficients, times 1 + tol, reach
 # this size: its bound could overflow, and leaving it out only widens.
 _WINDOW_SIZE_CAP = 2.0**1000
 
@@ -85,7 +85,13 @@ class _ProblemTerms:
         self.rr, self.vr2 = p.right.rho, p.right.v2
         self.pl, self.pr = pressure(law, self.rl), pressure(law, self.rr)
         self.el, self.er = internal_energy(law, self.rl), internal_energy(law, self.rr)
-        t1 = (self.rl - self.rr) * (self.pl - self.pr)
+        # the rho1-free factors of _v12 and _delta1, each the same float as
+        # the subexpression it stands for
+        self.gap = self.rl - self.rr
+        self.left_flux = -self.rl * self.vl2
+        self.right_flux = self.rr * self.vr2
+        self.jump = self.rr * (self.vl2 - self.vr2)
+        t1 = self.gap * (self.pl - self.pr)
         try:
             t2 = self.rr * self.rl * (self.vl2 - self.vr2) ** 2
         except OverflowError:
@@ -103,10 +109,11 @@ class _ProblemTerms:
         """Discriminant clamped to zero inside its roundoff band, computed
         once with the other terms; CriterionError below the band.
 
-        The search refuses a discriminant inside the band before it builds
-        an evaluator, so the clamp serves direct closed-form calls on the
-        single-shock locus, whose discriminant is zero up to roundoff: there
-        a small negative rounding error must not kill the square roots.
+        The search refuses a discriminant inside the band before it
+        evaluates any rho1, so the clamp serves direct closed-form calls on
+        the single-shock locus, whose discriminant is zero up to roundoff:
+        there a small negative rounding error must not kill the square
+        roots.
         """
         if self._clamped is None:
             raise CriterionError(
@@ -141,16 +148,16 @@ def _v12(t: _ProblemTerms, d: float, rho1: float) -> float:
     rl, rr = t.rl, t.rr
     root = math.sqrt(d * (rho1 - rl) * (rr - rho1))
     try:
-        return (-rl * t.vl2 * (rr - rho1) - rr * t.vr2 * (rho1 - rl) + root) / (rho1 * (rl - rr))
+        return (t.left_flux * (rr - rho1) - t.right_flux * (rho1 - rl) + root) / (rho1 * t.gap)
     except ZeroDivisionError:
         raise NumericError(f"arithmetic underflow: the v12 divisor at rho1={rho1!r}") from None
 
 
 def _delta1(t: _ProblemTerms, d: float, rho1: float, p1: float) -> float:
     rl, rr = t.rl, t.rr
-    term = rr * (t.vl2 - t.vr2) + math.sqrt(d * (rr - rho1) / (rho1 - rl))
+    term = t.jump + math.sqrt(d * (rr - rho1) / (rho1 - rl))
     try:
-        return -(p1 - t.pl) / rho1 + rl * (rho1 - rl) / (rho1**2 * (rl - rr) ** 2) * term**2
+        return -(p1 - t.pl) / rho1 + rl * (rho1 - rl) / (rho1**2 * t.gap**2) * term**2
     except OverflowError:
         raise NumericError(f"arithmetic overflow: delta1 at rho1={rho1!r}") from None
     except ZeroDivisionError:
@@ -187,7 +194,7 @@ def reduced_from(p: RiemannProblem, rho1: float, delta2: float) -> ReducedSubsol
     mu0 = base + math.sqrt(d * (rr - rho1) / (rho1 - rl)) / (rl - rr)
     mu1 = base - math.sqrt(d * (rho1 - rl) / (rr - rho1)) / (rl - rr)
     delta1 = _delta1(t, d, rho1, pressure(p.law, rho1))
-    # as in _ReducedEvaluator: 0 * x is NaN exactly for an inf or NaN x
+    # as in the entropy rows: 0 * x is NaN exactly for an inf or NaN x
     if not math.isfinite(0.0 * v12 + 0.0 * mu0 + 0.0 * mu1 + 0.0 * delta1):
         raise NumericError(f"arithmetic overflow: the closed forms at rho1={rho1!r}")
     return ReducedSubsolution(rho1, v12, mu0, mu1, delta1, delta2)
@@ -237,42 +244,134 @@ def admissibility_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
     )
 
 
-class _ReducedEvaluator:
-    """Per-rho1 cache of the star functions and of the affine-in-delta2
-    structure of the two entropy margins, so scanning many delta2 values for
-    one rho1 costs a handful of flops each.  Only p and eps at rho1 and the
-    two square roots are evaluated here; the rest comes from ``t``.
+def _left_row(t: _ProblemTerms, rho1: float):
+    """(p1, e1, v12, d1, lhs, rhs0, s): p, eps, v12 and delta1 at rho1
+    inside the density window, the terms both entropy rows share, and the
+    left entropy row, whose margin at delta2 is rhs0 + s*delta2 - lhs.  Only
+    p and eps at rho1 and the two square roots are evaluated here; the rest
+    comes from ``t``.
 
-    Raises NumericError when a coefficient overflowed to an inf or NaN: the
-    margins would then be meaningless, not negative."""
+    NumericError when a row term is inf or NaN, as the margin would then be
+    meaningless, not negative; an inf or NaN v12 or delta1 makes one.
+    """
+    d = t.clamped_disc()
+    p1, e1 = pressure(t.law, rho1), internal_energy(t.law, rho1)
+    v12 = _v12(t, d, rho1)
+    d1 = _delta1(t, d, rho1, p1)
+    rl, vl2 = t.rl, t.vl2
+    coupling = rl * rho1 * (v12 - vl2) / (rl - rho1)
+    lhs = (v12 - vl2) * _bracket(rl, rho1, t.pl, p1, t.el, e1)
+    rhs0 = d1 * rho1 * (v12 + vl2) - d1 * coupling
+    # 0 * x is 0 for finite x and NaN for inf or NaN: one isfinite per row
+    if not math.isfinite(0.0 * lhs + 0.0 * rhs0 + 0.0 * coupling):
+        raise NumericError(f"the reduced conditions overflow at rho1={rho1!r}")
+    return p1, e1, v12, d1, lhs, rhs0, -coupling
+
+
+def _right_row(t: _ProblemTerms, rho1: float, p1: float, e1: float, v12: float, d1: float):
+    """(lhs, rhs0, s) of the right entropy row from the shared terms, with
+    _left_row's NumericError."""
+    rr, vr2 = t.rr, t.vr2
+    coupling = rho1 * rr * (vr2 - v12) / (rho1 - rr)
+    lhs = (vr2 - v12) * _bracket(rho1, rr, p1, t.pr, e1, t.er)
+    rhs0 = -d1 * rho1 * (vr2 + v12) + d1 * coupling
+    if not math.isfinite(0.0 * lhs + 0.0 * rhs0 + 0.0 * coupling):
+        raise NumericError(f"the reduced conditions overflow at rho1={rho1!r}")
+    return lhs, rhs0, coupling
+
+
+def _delta2_window(t: _ProblemTerms, rho1: float, tol: float) -> tuple[float, float] | None:
+    """Closed interval [lo, hi], as a pair with lo <= hi, outside which the
+    search's predicate (``_ReducedRows.feasible``) fails at rho1 at every
+    delta2 >= 0 in float arithmetic; None when it fails at every delta2
+    (rho1 outside the density window, delta1 below SEARCH_DELTA_FLOOR, or no
+    delta2 left by the entropy rows).  This is the search's per-rho1 kernel:
+    it computes the shared terms with the left entropy row, exits when
+    delta1 is below the floor, bounds the left row, and computes the right
+    row only when the left one leaves a window.
+
+    An entropy row with terms lhs and rhs = rhs0 + s*d passes when its
+    margin rhs - lhs exceeds tol*max(1, |lhs|, |rhs|), so only when it
+    exceeds tol*max(1, |lhs|): one affine bound c + k*d > 0 per row.
+    Leaving out the |rhs| part of the scale only widens the window.
+
+    The predicate computes rhs = fl(rhs0 + fl(d*s)) and passes when
+    fl(rhs - lhs) > fl(tol*scale) >= fl(tol*max(1, |lhs|)).  Rounding is
+    monotone, so that implies rhs - lhs > tol*max(1, |lhs|) exactly; only
+    rhs carries error.  In the standard model (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 2-3: fl(x op y) = (x op y)(1 +
+    e) + f, |e| <= u = 2**-53, |f| <= 2**-1075, f = 0 for + and -) that
+    error is at most u|rhs0| + 2u|s|d to first order in u, plus underflow.
+    Computing c, k and -c/k below loses at most another 4u(1+tol)(|rhs0| +
+    |lhs| + 1) in c and 3u|s| in k, plus 8u for underflow (d times
+    2**-1075 is at most 4u for a float d); the 1 in the c term takes every
+    absolute term.  So eta = 32u(1+tol), more than twice the totals of
+    13u(1+tol) per unit of |rhs0| + |lhs| + 1 on c and 5u per unit of |s|
+    on k, gives c' = c + eta*(|rhs0| + |lhs| + 1) and k' = k + eta*|s|
+    (both widen, as d >= 0) with every passing d inside [lo, hi] as
+    computed here.  Monotonicity holds through overflow too, and an
+    overflowing rhs makes the scale inf and the row fail.
+
+    A row with k' > 0 raises lo to -c'/k', one with k' < 0 lowers hi to
+    it, and one with k' = 0 passes every d or none.  A row whose (|rhs0|
+    + |lhs| + |s| + 1)*(1 + tol) is not below _WINDOW_SIZE_CAP could
+    overflow inside its bound and is left out, which only widens the
+    window.
+
+    Raises NumericError when a row it computes has an inf or NaN term, as
+    _left_row and _right_row do.  A right row that overflows but is never
+    computed cannot raise: finite left-row terms (and delta1 below the
+    floor, or the left row's bound) have then already proved that the
+    predicate fails at every delta2 of this rho1.
+    """
+    if not t.rl < rho1 < t.rr:
+        return None
+    p1, e1, v12, d1, lhs, rhs0, s = _left_row(t, rho1)
+    if d1 < SEARCH_DELTA_FLOOR:
+        return None
+    up = 1.0 + tol
+    eta = _WINDOW_ETA * up
+    lo, hi = 0.0, math.inf
+    for right in (False, True):  # the right row only once the left leaves a window
+        if right:
+            lhs, rhs0, s = _right_row(t, rho1, p1, e1, v12, d1)
+        m, ms = abs(lhs), abs(s)
+        size = abs(rhs0) + m + 1.0
+        if not (size + ms) * up < _WINDOW_SIZE_CAP:
+            continue
+        c = rhs0 - lhs + eta * size - tol * (m if m > 1.0 else 1.0)
+        k = s + eta * ms
+        if k > 0.0:
+            x = -c / k
+            if x > lo:
+                lo = x
+        elif k < 0.0:
+            x = -c / k
+            if x < hi:
+                hi = x
+        elif not c > 0.0:
+            return None
+        if lo > hi:
+            return None
+    return lo, hi
+
+
+class _ReducedRows:
+    """The reduced conditions at one rho1, from the kernel's helpers and so
+    with its bits: delta1 and both entropy rows, each margin affine in
+    delta2, so scanning many delta2 values costs a handful of flops each.
+    The search builds one only where ``_delta2_window`` is open.
+
+    Raises NumericError as the row helpers do."""
 
     def __init__(self, t: _ProblemTerms, rho1: float):
-        rl, vl2 = t.rl, t.vl2
-        rr, vr2 = t.rr, t.vr2
-        self.rl, self.rr, self.rho1 = rl, rr, rho1
-        self.window_ok = rl < rho1 < rr
+        self.rl, self.rr, self.rho1 = t.rl, t.rr, rho1
+        self.window_ok = t.rl < rho1 < t.rr
         if not self.window_ok:
             return
-        d = t.clamped_disc()
-        p1, e1 = pressure(t.law, rho1), internal_energy(t.law, rho1)
-        v12 = _v12(t, d, rho1)
-        d1 = _delta1(t, d, rho1, p1)
+        p1, e1, v12, d1, self.lhs_l, self.rhs_l0, self.slope_l = _left_row(t, rho1)
         self.d1 = d1
-        coupling_l = rl * rho1 * (v12 - vl2) / (rl - rho1)
-        coupling_r = rho1 * rr * (vr2 - v12) / (rho1 - rr)
-        self.lhs_l = (v12 - vl2) * _bracket(rl, rho1, t.pl, p1, t.el, e1)
-        self.rhs_l0 = d1 * rho1 * (v12 + vl2) - d1 * coupling_l
-        self.slope_l = -coupling_l
-        self.lhs_r = (vr2 - v12) * _bracket(rho1, rr, p1, t.pr, e1, t.er)
-        self.rhs_r0 = -d1 * rho1 * (vr2 + v12) + d1 * coupling_r
-        self.slope_r = coupling_r
-        # 0 * x is 0 for finite x and NaN for inf or NaN, so one isfinite
-        # covers every coefficient (and d1, which feeds both rhs0)
-        if not math.isfinite(
-            0.0 * self.lhs_l + 0.0 * self.rhs_l0 + 0.0 * self.slope_l
-            + 0.0 * self.lhs_r + 0.0 * self.rhs_r0 + 0.0 * self.slope_r
-        ):
-            raise NumericError(f"the reduced conditions overflow at rho1={rho1!r}")
+        self.lhs_r, self.rhs_r0, self.slope_r = _right_row(t, rho1, p1, e1, v12, d1)
 
     def rows(self, delta2: float):
         """(label, margin, scale) for every reduced condition at (rho1, delta2).
@@ -302,69 +401,6 @@ class _ReducedEvaluator:
             return False
         return all(margin > tol * scale for _, margin, scale in self.rows(delta2))
 
-    def delta2_window(self, tol: float) -> tuple[float, float] | None:
-        """Closed interval [lo, hi], as a pair with lo <= hi, outside which
-        ``feasible`` fails at every delta2 >= 0 in float arithmetic; None
-        when it fails at every delta2 (rho1 outside the window, delta1 too
-        small, or no delta2 left by the entropy rows).
-
-        An entropy row with terms lhs and rhs = rhs0 + s*d passes when its
-        margin rhs - lhs exceeds tol*max(1, |lhs|, |rhs|), so only when it
-        exceeds tol*max(1, |lhs|): one affine bound c + k*d > 0 per row.
-        Leaving out the |rhs| part of the scale only widens the window.
-
-        The predicate computes rhs = fl(rhs0 + fl(d*s)) and passes when
-        fl(rhs - lhs) > fl(tol*scale) >= fl(tol*max(1, |lhs|)).  Rounding is
-        monotone, so that implies rhs - lhs > tol*max(1, |lhs|) exactly; only
-        rhs carries error.  In the standard model (Higham, Accuracy and
-        Stability of Numerical Algorithms, ch. 2-3: fl(x op y) = (x op y)(1 +
-        e) + f, |e| <= u = 2**-53, |f| <= 2**-1075, f = 0 for + and -) that
-        error is at most u|rhs0| + 2u|s|d to first order in u, plus underflow.
-        Computing c, k and -c/k below loses at most another 4u(1+tol)(|rhs0| +
-        |lhs| + 1) in c and 3u|s| in k, plus 8u for underflow (d times
-        2**-1075 is at most 4u for a float d); the 1 in the c term takes every
-        absolute term.  So eta = 32u(1+tol), more than twice the totals of
-        13u(1+tol) per unit of |rhs0| + |lhs| + 1 on c and 5u per unit of |s|
-        on k, gives c' = c + eta*(|rhs0| + |lhs| + 1) and k' = k + eta*|s|
-        (both widen, as d >= 0) with every passing d inside [lo, hi] as
-        computed here.  Monotonicity holds through overflow too, and an
-        overflowing rhs makes the scale inf and the row fail.
-
-        A row with k' > 0 raises lo to -c'/k', one with k' < 0 lowers hi to
-        it, and one with k' = 0 passes every d or none.  A row whose (|rhs0|
-        + |lhs| + |s| + 1)*(1 + tol) is not below _WINDOW_SIZE_CAP could
-        overflow inside its bound and is left out, which only widens the
-        window.
-        """
-        if not self.window_ok or self.d1 < SEARCH_DELTA_FLOOR:
-            return None
-        up = 1.0 + tol
-        eta = _WINDOW_ETA * up
-        lo, hi = 0.0, math.inf
-        for lhs, rhs0, s in (
-            (self.lhs_l, self.rhs_l0, self.slope_l),
-            (self.lhs_r, self.rhs_r0, self.slope_r),
-        ):
-            m = abs(lhs)
-            size = abs(rhs0) + m + 1.0
-            if not (size + abs(s)) * up < _WINDOW_SIZE_CAP:
-                continue
-            c = rhs0 - lhs + eta * size - tol * (m if m > 1.0 else 1.0)
-            k = s + eta * abs(s)
-            if k > 0.0:
-                x = -c / k
-                if x > lo:
-                    lo = x
-            elif k < 0.0:
-                x = -c / k
-                if x < hi:
-                    hi = x
-            elif not c > 0.0:
-                return None
-            if lo > hi:
-                return None
-        return lo, hi
-
 
 def check_reduced(
     p: RiemannProblem,
@@ -385,24 +421,10 @@ def check_reduced(
     if not p.left.rho < p.right.rho:
         raise DomainError("the reduced conditions need rho- < rho+")
     entries = []
-    for label, margin, scale in _ReducedEvaluator(_ProblemTerms(p), rho1).rows(delta2):
+    for label, margin, scale in _ReducedRows(_ProblemTerms(p), rho1).rows(delta2):
         kind = cert.NONSTRICT if label.startswith("entropy") else cert.STRICT
         entries.append(cert.make_entry(label, kind, margin, tol_strict * scale))
     return Certificate(tuple(entries))
-
-
-def _first_feasible(ev: _ReducedEvaluator, points, tol: float) -> float | None:
-    """First of ``points``, in their order, at which ``ev.feasible`` holds.
-
-    The predicate fails outside ``ev.delta2_window(tol)``, so it runs only at
-    the points inside; the answer is that of walking every point.  Nothing is
-    drawn from ``points`` when the window is empty.
-    """
-    window = ev.delta2_window(tol)
-    if window is None:
-        return None
-    lo, hi = window
-    return next((d for d in points if lo <= d <= hi and ev.feasible(d, tol)), None)
 
 
 def _halvings(delta2: float):
@@ -412,26 +434,32 @@ def _halvings(delta2: float):
         delta2 *= 0.5
 
 
-def _feasible_delta2(ev: _ReducedEvaluator, tol: float) -> float | None:
-    """Largest delta2 on a halving schedule that keeps every margin strict.
+def _first_feasible(
+    t: _ProblemTerms, rho1: float, window: tuple[float, float], tol: float, points=None
+) -> float | None:
+    """The search at a rho1 whose ``_delta2_window`` is the open ``window``:
+    the first delta2 of ``points``, in their order, at which the predicate
+    holds, or None.  The predicate fails outside the window, so it runs only
+    at the points inside; the answer is that of walking every point.
 
-    Both entropy margins are affine in delta2, so the feasible set in delta2
-    is an interval touching 0; the upper start point is a crude positive-root
-    bound from the base values and slopes.  The schedule is a lazy sequence,
-    walked only when the delta2 window is not empty.
+    ``points=None`` is the guided stage's schedule: both entropy margins are
+    affine in delta2, so the feasible set in delta2 is an interval touching
+    0, and the schedule halves delta2 down from a crude positive-root bound
+    on the base values and slopes, or is empty when a base margin fails.
     """
-    if not ev.window_ok:
-        return None
-    a0 = ev.rhs_l0 - ev.lhs_l
-    b0 = ev.rhs_r0 - ev.lhs_r
-    if not (
-        a0 > tol * cert.scale_of(ev.lhs_l, ev.rhs_l0)
-        and b0 > tol * cert.scale_of(ev.lhs_r, ev.rhs_r0)
-    ):
-        return None
-    denom = max(abs(ev.slope_l), abs(ev.slope_r), 1e-300)
-    start = min(10.0 * (abs(a0) + abs(b0)) / denom, DELTA2_CAP)
-    return _first_feasible(ev, _halvings(start), tol)
+    ev = _ReducedRows(t, rho1)
+    if points is None:
+        a0 = ev.rhs_l0 - ev.lhs_l
+        b0 = ev.rhs_r0 - ev.lhs_r
+        if not (
+            a0 > tol * cert.scale_of(ev.lhs_l, ev.rhs_l0)
+            and b0 > tol * cert.scale_of(ev.lhs_r, ev.rhs_r0)
+        ):
+            return None
+        denom = max(abs(ev.slope_l), abs(ev.slope_r), 1e-300)
+        points = _halvings(min(10.0 * (abs(a0) + abs(b0)) / denom, DELTA2_CAP))
+    lo, hi = window
+    return next((d for d in points if lo <= d <= hi and ev.feasible(d, tol)), None)
 
 
 def _guided_candidates(p, scan_points):
@@ -494,14 +522,19 @@ def search_feasible(
     certified outcome of this search, not an error.  Raises CriterionError
     when the discriminant is negative or zero up to rounding (within
     STRICT_TOL of its larger term), as on single-shock data, where both fan
-    speeds coincide, and NumericError when the discriminant overflows.
-    Raises DomainError for ``scan_points`` below 1 or ``grid`` below 2, where
-    nothing or a single point would be searched, for ``grid`` above
-    GRID_MAX, whose grid would not fit in memory or time, for
-    a ``tol_strict`` that is not finite and positive, where no point could
-    pass and the empty result would certify nothing, for a ``rho1_below``
-    that is not an int or a float or is NaN, and for data with rho- > rho+,
-    whose density window is empty: rotate_180 them first.
+    speeds coincide.  Raises NumericError when the discriminant or, before
+    the grid stage, the density ratio rho+/rho- overflows, and when v12,
+    delta1 or an entropy row computed at some rho1 is inf or NaN.  Each
+    rho1 decides its left entropy row first (``_delta2_window``), so a right
+    row that would overflow at a rho1 the left row already refuses is never
+    computed and cannot raise.  Raises DomainError for ``scan_points`` below
+    1 or ``grid`` below 2, where nothing or a single point would be
+    searched, for ``grid`` above GRID_MAX, whose grid would not fit in
+    memory or time, for a ``tol_strict`` that is not finite and positive,
+    where no point could pass and the empty result would certify nothing,
+    for a ``rho1_below`` that is not an int or a float or is NaN, and for
+    data with rho- > rho+, whose density window is empty: rotate_180 them
+    first.
     """
     scan_points = require_count("scan_points", scan_points, 1)
     grid = require_count("grid", grid, 2, GRID_MAX)
@@ -522,18 +555,25 @@ def search_feasible(
         if rho1 == previous or not rho1 < rho1_below:
             continue
         previous = rho1
-        found = _feasible_delta2(_ReducedEvaluator(t, rho1), tol_strict)
-        if found is not None:
-            return rho1, found
+        # most windows are empty: no rows are built and no point is drawn
+        window = _delta2_window(t, rho1, tol_strict)
+        if window is not None:
+            found = _first_feasible(t, rho1, window, tol_strict)
+            if found is not None:
+                return rho1, found
     delta2_grid = _delta2_grid(grid)
     ratio = rr / rl
+    if not math.isfinite(ratio):
+        raise NumericError(f"arithmetic overflow: the density ratio {rr!r}/{rl!r}")
     for i in range(grid):
         rho1 = rl * ratio ** ((i + 0.5) / grid)
         if not rho1 < rho1_below:
             return None
-        found = _first_feasible(_ReducedEvaluator(t, rho1), delta2_grid, tol_strict)
-        if found is not None:
-            return rho1, found
+        window = _delta2_window(t, rho1, tol_strict)
+        if window is not None:
+            found = _first_feasible(t, rho1, window, tol_strict, delta2_grid)
+            if found is not None:
+                return rho1, found
     return None
 
 

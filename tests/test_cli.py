@@ -308,6 +308,19 @@ class TestModes:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric failure: arithmetic overflow")
 
+    def test_density_ratio_overflow_is_a_numeric_failure(self, tmp_path, capsys):
+        # rho+/rho- is inf: the search reported a certified empty result
+        # (exit 2) without evaluating a point
+        doc = {
+            "law": {"K": 1e-200, "gamma": 1.4},
+            "left": {"rho": 1e-150, "v1": 0.0, "v2": 0.0},
+            "right": {"rho": 1e159, "v1": 0.0, "v2": 5.6e-68},
+        }
+        path = write_doc(tmp_path, doc)
+        assert main(["--mode", "subsolution", "--input", path]) == STATUS_NUMERIC
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["numeric failure: arithmetic overflow: the density ratio 1e+159/1e-150"]
+
 
 class TestValidation:
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 from collections import Counter
@@ -19,6 +20,7 @@ from eulerfan import (
     discriminant,
     extract_deltas,
     lift_to_full,
+    rarefaction_integral,
     reduced_from,
     reduced_residuals,
     rotate_180,
@@ -35,11 +37,11 @@ from eulerfan.subsolution import (
     DELTA2_CAP,
     GRID_MAX,
     SEARCH_DELTA_FLOOR,
-    _feasible_delta2,
+    _delta2_window,
     _first_feasible,
     _guided_candidates,
     _ProblemTerms,
-    _ReducedEvaluator,
+    _ReducedRows,
 )
 from generators import random_case5, random_case6_one_shock
 
@@ -332,9 +334,35 @@ class TestNumericFailure:
         # margins are not, so the search must not report "nothing found"
         p = RiemannProblem(GasLaw(1.0, 500.0), State(1, 0, 0), State(4, 0, -1.5))
         with pytest.raises(NumericError, match="overflow at rho1="):
-            _ReducedEvaluator(_ProblemTerms(p), 1.5)
+            _delta2_window(_ProblemTerms(p), 1.5, STRICT_TOL)
         with pytest.raises(NumericError):
             search_feasible(p)
+
+    @pytest.mark.parametrize(
+        "v12, d1", [(math.inf, -1.0), (math.nan, -1.0), (-1.0, -math.inf), (-1.0, math.nan)]
+    )
+    def test_overflowing_terms_below_the_floor(self, monkeypatch, v12, d1):
+        # an inf or NaN v12 or delta1 makes the left row's terms inf or NaN,
+        # so the kernel raises even where delta1 alone would refuse rho1
+        monkeypatch.setattr(subsolution, "_v12", lambda t, d, rho1: v12)
+        monkeypatch.setattr(subsolution, "_delta1", lambda t, d, rho1, p1: d1)
+        with pytest.raises(NumericError, match="overflow at rho1="):
+            _delta2_window(_ProblemTerms(CASE5), 2.0, STRICT_TOL)
+
+    def test_density_ratio_overflow(self):
+        # rho+/rho- is inf: the first grid rho1 was inf, so the grid stage
+        # returned a certified empty result without evaluating a point
+        law = GasLaw(1e-200, 1.4)
+
+        def problem(rl, rr):
+            v2 = 1.5 * rarefaction_integral(law, rl, rr)
+            return RiemannProblem(law, State(rl, 0, 0), State(rr, 0, v2))
+
+        with pytest.raises(NumericError, match="arithmetic overflow: the density ratio"):
+            search_feasible(problem(1e-150, 1e159))
+        # the neighbouring data have a finite ratio and fail at a grid point
+        with pytest.raises(NumericError, match="arithmetic overflow: delta1"):
+            search_feasible(problem(1e-149, 1e158))
 
     def test_velocity_jump_overflow(self):
         # (vl2 - vr2)**2 = 1e320 in the discriminant
@@ -587,17 +615,24 @@ def reference_search(p, *, scan_points=64, grid=128, tol_strict=STRICT_TOL, rho1
     for rho1 in list(_guided_candidates(p, scan_points)):
         if rho1 >= rho1_below:
             continue
-        found = reference_halving(_ReducedEvaluator(t, rho1), tol_strict)
+        found = reference_halving(_ReducedRows(t, rho1), tol_strict)
         if found is not None:
             return rho1, found
     rho1_grid, delta2_grid = scan_grids(p, grid)
     for rho1 in rho1_grid:
         if rho1 >= rho1_below:
             continue
-        found = reference_grid(_ReducedEvaluator(t, rho1), delta2_grid, tol_strict)
+        found = reference_grid(_ReducedRows(t, rho1), delta2_grid, tol_strict)
         if found is not None:
             return rho1, found
     return None
+
+
+def search_step(t, rho1, points=None):
+    """search_feasible at one rho1: the kernel's window, then the walk of
+    ``points`` (the guided schedule when None) only if it is open."""
+    window = subsolution._delta2_window(t, rho1, STRICT_TOL)
+    return None if window is None else _first_feasible(t, rho1, window, STRICT_TOL, points)
 
 
 def schedule_searches(build, problems, monkeypatch):
@@ -663,15 +698,13 @@ class TestSearchMatchesReference:
         for p in problems:
             t = _ProblemTerms(p)
             for rho1 in list(_guided_candidates(p, 64)):
-                ev = _ReducedEvaluator(t, rho1)
-                found = _feasible_delta2(ev, STRICT_TOL)
-                assert found == reference_halving(ev, STRICT_TOL), (p, rho1)
+                found = search_step(t, rho1)
+                assert found == reference_halving(_ReducedRows(t, rho1), STRICT_TOL), (p, rho1)
                 hits += found is not None
             rho1_grid, delta2_grid = scan_grids(p, 128)
             for rho1 in rho1_grid[::4]:
-                ev = _ReducedEvaluator(t, rho1)
-                found = _first_feasible(ev, delta2_grid, STRICT_TOL)
-                assert found == reference_grid(ev, delta2_grid, STRICT_TOL), (p, rho1)
+                found = search_step(t, rho1, delta2_grid)
+                assert found == reference_grid(_ReducedRows(t, rho1), delta2_grid, STRICT_TOL), (p, rho1)
                 hits += found is not None
         assert hits > 0
 
@@ -738,12 +771,12 @@ class TestBoundedSearch:
             evaluated.append([])
             return search_feasible(p, **opts)
 
-        def evaluator(t, rho1):
+        def window(t, rho1, tol):
             evaluated[-1].append(rho1)
-            return _ReducedEvaluator(t, rho1)
+            return _delta2_window(t, rho1, tol)
 
         monkeypatch.setattr(wedge, "search_feasible", search)
-        monkeypatch.setattr(subsolution, "_ReducedEvaluator", evaluator)
+        monkeypatch.setattr(subsolution, "_delta2_window", window)
         misses = 0
         for p in problems:
             start = len(evaluated)
@@ -795,20 +828,34 @@ class StubEvaluator:
         self.feasible_at = feasible_at
         self.calls = []
 
-    def delta2_window(self, tol):
-        return self.window
-
     def feasible(self, delta2, tol):
         self.calls.append(delta2)
         return delta2 in self.feasible_at
 
 
+def stub_walk(monkeypatch, ev, points):
+    """search_step at one grid rho1, with the stub ev standing in for the
+    kernel's window and for the rows; the rows must be built only for an
+    open window."""
+    built = []
+
+    def rows(t, rho1):
+        built.append(rho1)
+        return ev
+
+    with monkeypatch.context() as m:
+        m.setattr(subsolution, "_delta2_window", lambda t, rho1, tol: ev.window)
+        m.setattr(subsolution, "_ReducedRows", rows)
+        found = search_step(None, 2.0, points)
+    assert built == ([] if ev.window is None else [2.0])
+    return found
+
+
 def filtered_walk(ev, points, tol):
     """Every point in order, the predicate only inside [lo, hi]."""
-    window = ev.delta2_window(tol)
-    if window is None:
+    if ev.window is None:
         return None
-    lo, hi = window
+    lo, hi = ev.window
     return next((d for d in points if lo <= d <= hi and ev.feasible(d, tol)), None)
 
 
@@ -836,24 +883,24 @@ class TestFirstFeasibleWalk:
     @pytest.mark.parametrize(
         "feasible_at", [set(), {6.0}, {2.0, 8.0}, set(ASCENDING)], ids=["none", "one", "ends", "all"]
     )
-    def test_matches_filtered_walk(self, order, window, feasible_at):
+    def test_matches_filtered_walk(self, order, window, feasible_at, monkeypatch):
         points = ASCENDING if order == "ascending" else ASCENDING[::-1]
         ev, ref = StubEvaluator(window, feasible_at), StubEvaluator(window, feasible_at)
-        assert _first_feasible(ev, points, STRICT_TOL) == filtered_walk(ref, points, STRICT_TOL)
+        assert stub_walk(monkeypatch, ev, points) == filtered_walk(ref, points, STRICT_TOL)
         assert ev.calls == ref.calls
 
     @pytest.mark.parametrize("window", [(2.0, 1.5), (8.0, 10.0), (0.5, 0.5), (1.0, 3.0)])
     @pytest.mark.parametrize("feasible_at", [set(), {3.0}], ids=["none", "one"])
-    def test_one_point(self, window, feasible_at):
+    def test_one_point(self, window, feasible_at, monkeypatch):
         ev, ref = StubEvaluator(window, feasible_at), StubEvaluator(window, feasible_at)
-        assert _first_feasible(ev, (3.0,), STRICT_TOL) == filtered_walk(ref, (3.0,), STRICT_TOL)
+        assert stub_walk(monkeypatch, ev, (3.0,)) == filtered_walk(ref, (3.0,), STRICT_TOL)
         assert ev.calls == ref.calls
 
-    def test_no_points(self):
-        assert _first_feasible(StubEvaluator((1.0, 2.0), {1.0}), (), STRICT_TOL) is None
+    def test_no_points(self, monkeypatch):
+        assert stub_walk(monkeypatch, StubEvaluator((1.0, 2.0), {1.0}), ()) is None
 
     @pytest.mark.parametrize("window", [None, (2.0, 8.0)])
-    def test_lazy_points_drawn_only_for_an_open_window(self, window):
+    def test_lazy_points_drawn_only_for_an_open_window(self, window, monkeypatch):
         drawn = []
 
         def points():
@@ -862,16 +909,16 @@ class TestFirstFeasibleWalk:
                 yield d
 
         ev, ref = StubEvaluator(window, {6.0}), StubEvaluator(window, {6.0})
-        assert _first_feasible(ev, points(), STRICT_TOL) == filtered_walk(ref, ASCENDING, STRICT_TOL)
+        assert stub_walk(monkeypatch, ev, points()) == filtered_walk(ref, ASCENDING, STRICT_TOL)
         assert ev.calls == ref.calls
         assert drawn == ([] if window is None else list(ASCENDING[:6]))
 
 
 def reference_window(ev, tol):
-    """delta2_window written with scale_of, max and min: each row's one bound
-    c + k*d > 0 widened by eta*(|rhs0| + |lhs| + 1) in c and eta*|s| in k,
-    rows too large to bound left out, None once a row empties the
-    interval."""
+    """_delta2_window written with scale_of, max and min, on both rows of
+    ev, a _ReducedRows: each row's one bound c + k*d > 0 widened by
+    eta*(|rhs0| + |lhs| + 1) in c and eta*|s| in k, rows too large to bound
+    left out, None once a row empties the interval."""
     if not ev.window_ok or ev.d1 < SEARCH_DELTA_FLOOR:
         return None
     eta = subsolution._WINDOW_ETA * (1.0 + tol)
@@ -903,13 +950,26 @@ EDGE_VALUES = (0.0, -0.0, 1.0, -1.0, 3.5, -0.25, 5e-324, -5e-324, 1e-300, 1e300,
 
 
 def hand_made(rows):
-    """An evaluator inside the density window, with delta1 = 1 and the
-    (lhs, rhs0, slope) entropy rows ``rows`` (left, right)."""
-    ev = object.__new__(_ReducedEvaluator)
+    """Rows inside the density window, with delta1 = 1 and the (lhs, rhs0,
+    slope) entropy rows ``rows`` (left, right)."""
+    ev = object.__new__(_ReducedRows)
     ev.rl, ev.rr, ev.rho1 = 1.0, 4.0, 2.0
     ev.window_ok, ev.d1 = True, 1.0
     (ev.lhs_l, ev.rhs_l0, ev.slope_l), (ev.lhs_r, ev.rhs_r0, ev.slope_r) = rows
     return ev
+
+
+def kernel_window(ev, tol):
+    """_delta2_window at ev's rho1, with delta1 and both rows read from ev,
+    a _ReducedRows: the kernel on hand-made coefficients, which its own
+    helpers would refuse when they are not finite."""
+    saved = subsolution._left_row, subsolution._right_row
+    subsolution._left_row = lambda t, rho1: (None, None, None, ev.d1, ev.lhs_l, ev.rhs_l0, ev.slope_l)
+    subsolution._right_row = lambda *terms: (ev.lhs_r, ev.rhs_r0, ev.slope_r)
+    try:
+        return _delta2_window(ev, ev.rho1, tol)
+    finally:
+        subsolution._left_row, subsolution._right_row = saved
 
 
 class TestDelta2Window:
@@ -925,9 +985,8 @@ class TestDelta2Window:
             t = _ProblemTerms(p)
             rho1_grid, _ = scan_grids(p, 64)
             for rho1 in rho1_grid + list(_guided_candidates(p, 64)):
-                ev = _ReducedEvaluator(t, rho1)
-                got = ev.delta2_window(tol)
-                assert repr(got) == repr(reference_window(ev, tol)), (p, rho1)
+                got = _delta2_window(t, rho1, tol)
+                assert repr(got) == repr(reference_window(_ReducedRows(t, rho1), tol)), (p, rho1)
                 kinds["none" if got is None else "open" if got[0] <= got[1] else "empty"] += 1
         assert kinds["none"] and kinds["open"] and not kinds["empty"]
 
@@ -938,19 +997,19 @@ class TestDelta2Window:
         for _ in range(3000):
             v = [float(x) for x in rng.choice(values, 6)]
             ev = hand_made((v[:3], v[3:]))
-            assert repr(ev.delta2_window(tol)) == repr(reference_window(ev, tol))
+            assert repr(kernel_window(ev, tol)) == repr(reference_window(ev, tol))
 
     @pytest.mark.parametrize("slope", [0.0, -0.0, math.nan])
     def test_zero_and_nan_slopes(self, slope):
         ev = hand_made(((1.0, 2.0, slope), (1.0, 3.0, -1.0)))
-        assert repr(ev.delta2_window(STRICT_TOL)) == repr(reference_window(ev, STRICT_TOL))
+        assert repr(kernel_window(ev, STRICT_TOL)) == repr(reference_window(ev, STRICT_TOL))
         ev.rhs_l0 = 1.0  # base margin 0: a zero slope fails every delta2
-        assert repr(ev.delta2_window(STRICT_TOL)) == repr(reference_window(ev, STRICT_TOL))
+        assert repr(kernel_window(ev, STRICT_TOL)) == repr(reference_window(ev, STRICT_TOL))
 
 
 def entropy_rows_pass(ev, delta2, tol):
     """Both entropy rows strict at ``tol``: the part of ``feasible`` that
-    delta2_window bounds (the other rows do not depend on delta2 or only
+    _delta2_window bounds (the other rows do not depend on delta2 or only
     through its floor)."""
     return all(margin > tol * scale for _, margin, scale in ev.rows(delta2)[-2:])
 
@@ -967,7 +1026,7 @@ def near(x, n=4):
 def exact_ends(ev, tol):
     """-c/k of the six unwidened bounds c + k*d > 0 that make up the exact
     predicate, tol*max(1, |lhs|) and +-tol*rhs per row: where the float
-    predicate changes its answer, though delta2_window bounds only the
+    predicate changes its answer, though _delta2_window bounds only the
     first of them."""
     ends = []
     for lhs, rhs0, s in ((ev.lhs_l, ev.rhs_l0, ev.slope_l), (ev.lhs_r, ev.rhs_r0, ev.slope_r)):
@@ -983,12 +1042,12 @@ def exact_ends(ev, tol):
 
 
 def passes_outside(cases, tol):
-    """(passing points, passing points outside delta2_window) over the
-    probe points >= 0 of each (evaluator, probes) case and the floats next
-    to both ends of its window."""
+    """(passing points, passing points outside _delta2_window) over the
+    probe points >= 0 of each (hand-made rows, probes) case and the floats
+    next to both ends of its window."""
     passed = outside = 0
     for ev, probes in cases:
-        window = ev.delta2_window(tol)
+        window = kernel_window(ev, tol)
         if window is not None:
             probes = probes + [math.nextafter(window[0], -math.inf), math.nextafter(window[1], math.inf)]
         for d in probes:
@@ -1005,7 +1064,7 @@ WINDOW_TOLS = [STRICT_TOL, 1e-9, 1e-6, 0.5, 1.0, 2.0]
 
 
 def cancelling_case(rng):
-    """A hand-made evaluator with one row whose terms cancel near a random
+    """Hand-made rows, one of them whose terms cancel near a random
     d0 (rhs0 + s*d0 ~ lhs, or rhs0 ~ -s*d0), or are unrelated, and probe
     points next to d0 and to every end of the exact window."""
     lhs = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 6))
@@ -1021,7 +1080,7 @@ def cancelling_case(rng):
 
 
 class TestWindowBoundsThePredicate:
-    """Outside delta2_window the float predicate fails: at the floats next to
+    """Outside _delta2_window the float predicate fails: at the floats next to
     its ends, next to the ends of the exact-arithmetic window, and at every
     point the search walks."""
 
@@ -1069,10 +1128,10 @@ class TestWindowBoundsThePredicate:
             t = _ProblemTerms(p)
             rho1_grid, delta2_grid = scan_grids(p, 128)
             for rho1 in list(_guided_candidates(p, 64)) + rho1_grid[::2]:
-                ev = _ReducedEvaluator(t, rho1)
+                ev = _ReducedRows(t, rho1)
                 if not ev.window_ok:
                     continue
-                window = ev.delta2_window(STRICT_TOL)
+                window = _delta2_window(t, rho1, STRICT_TOL)
                 for d in halving_steps(ev) + delta2_grid:
                     if ev.feasible(d, STRICT_TOL):
                         hits += 1
@@ -1095,10 +1154,10 @@ def test_search_work_per_rho1(monkeypatch):
 
         return wrapper
 
-    for name in ("pressure", "internal_energy", "_ReducedEvaluator"):
+    for name in ("pressure", "internal_energy", "_delta2_window"):
         monkeypatch.setattr(subsolution, name, counted(name, getattr(subsolution, name)))
     assert subsolution.search_feasible(miss) is None
-    rho1_evaluated = calls["_ReducedEvaluator"]
+    rho1_evaluated = calls["_delta2_window"]
     assert rho1_evaluated > 128
     assert calls["pressure"] <= rho1_evaluated + 2
     assert calls["internal_energy"] <= rho1_evaluated + 2
@@ -1111,17 +1170,22 @@ def test_predicate_runs_only_inside_open_windows(monkeypatch):
     seen = perturbed_problems(wedge.build_sr, [random_case5(rng)[0] for _ in range(3)], monkeypatch)
     miss = next(p for p in seen if search_feasible(p) is None)
     hit = next(p for p in seen if search_feasible(p) is not None)
-    calls, outside = [], []
-    feasible = _ReducedEvaluator.feasible
+    calls, outside, last = [], [], {}
+    feasible = _ReducedRows.feasible
+
+    def window(t, rho1, tol):
+        last["rho1"], last["window"] = rho1, _delta2_window(t, rho1, tol)
+        return last["window"]
 
     def counted(ev, delta2, tol):
         calls.append(delta2)
-        window = ev.delta2_window(tol)
-        if window is None or not window[0] <= delta2 <= window[1]:
+        window = last["window"]
+        if ev.rho1 != last["rho1"] or window is None or not window[0] <= delta2 <= window[1]:
             outside.append(delta2)
         return feasible(ev, delta2, tol)
 
-    monkeypatch.setattr(_ReducedEvaluator, "feasible", counted)
+    monkeypatch.setattr(subsolution, "_delta2_window", window)
+    monkeypatch.setattr(_ReducedRows, "feasible", counted)
     assert search_feasible(miss) is None
     assert calls == []
     assert search_feasible(hit) is not None
@@ -1135,7 +1199,7 @@ def test_schedules_run_the_predicate_only_where_it_passes(monkeypatch):
     rng = np.random.default_rng(601)
     problems = [random_case5(rng)[0] for _ in range(20)]
     calls, hits = [], []
-    feasible = _ReducedEvaluator.feasible
+    feasible = _ReducedRows.feasible
 
     def counted_feasible(ev, delta2, tol):
         calls.append(delta2)
@@ -1146,9 +1210,71 @@ def test_schedules_run_the_predicate_only_where_it_passes(monkeypatch):
         hits.append(found is not None)
         return found
 
-    monkeypatch.setattr(_ReducedEvaluator, "feasible", counted_feasible)
+    monkeypatch.setattr(_ReducedRows, "feasible", counted_feasible)
     monkeypatch.setattr(wedge, "search_feasible", counted_search)
     for p in problems:
         wedge.build_sr(p)
     assert len(hits) > len(problems)  # some schedules miss before they hit
     assert len(calls) == sum(hits) == len(problems)
+
+
+def schedule_kernel_calls(monkeypatch):
+    """(t, rho1, tol, window) of every kernel call that build_sr and build_s
+    make on the first 20 problems of the seed-601 and seed-602 batches, and
+    the number of right rows the kernel computed."""
+    calls, right = [], [0]
+    inside = [False]
+    kernel, right_row = subsolution._delta2_window, subsolution._right_row
+
+    def window(t, rho1, tol):
+        inside[0] = True
+        try:
+            calls.append((t, rho1, tol, kernel(t, rho1, tol)))
+        finally:
+            inside[0] = False
+        return calls[-1][3]
+
+    def counted_right_row(*terms):
+        right[0] += inside[0]
+        return right_row(*terms)
+
+    with monkeypatch.context() as m:
+        m.setattr(subsolution, "_delta2_window", window)
+        m.setattr(subsolution, "_right_row", counted_right_row)
+        rng = np.random.default_rng(601)
+        for _ in range(20):
+            wedge.build_sr(random_case5(rng)[0])
+        rng = np.random.default_rng(602)
+        for _ in range(20):
+            wedge.build_s(random_case6_one_shock(rng))
+    return calls, right[0]
+
+
+def test_kernel_matches_the_two_row_window(monkeypatch):
+    """At every rho1 the schedules evaluate, the kernel, which stops after
+    a left row that empties the window, gives the window of both rows."""
+    calls, _ = schedule_kernel_calls(monkeypatch)
+    kinds = Counter()
+    for t, rho1, tol, got in calls:
+        assert repr(got) == repr(reference_window(_ReducedRows(t, rho1), tol)), (rho1, tol)
+        kinds[got is None] += 1
+    assert kinds[True] and kinds[False]
+
+
+def test_right_row_only_where_the_left_row_leaves_a_window(monkeypatch):
+    """The kernel computes the right row at exactly the rho1 whose left row,
+    on its own, leaves a delta2 window open."""
+    calls, right = schedule_kernel_calls(monkeypatch)
+    left_open = computed = 0
+    for t, rho1, tol, _ in calls:
+        ev = _ReducedRows(t, rho1)
+        if not ev.window_ok or ev.d1 < SEARCH_DELTA_FLOOR:
+            continue
+        computed += 1
+        left_only = copy.copy(ev)
+        left_only.lhs_r, left_only.rhs_r0, left_only.slope_r = PASSING_ROW
+        left_open += reference_window(left_only, tol) is not None
+    assert right == left_open
+    # the left row refuses many rho1 on its own: computing both rows at
+    # every rho1 would give more right rows
+    assert 0 < left_open < computed

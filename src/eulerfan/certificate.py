@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import DomainError
+
 EQUATION = "equation-residual"
 STRICT = "strict-inequality-margin"
 NONSTRICT = "nonstrict-inequality-margin"
@@ -32,7 +34,7 @@ def entry_passes(kind: str, value: float, tolerance: float) -> bool:
         return value > tolerance
     if kind == NONSTRICT:
         return value >= -tolerance
-    raise ValueError(f"unknown certificate entry kind {kind!r}")
+    raise DomainError(f"unknown certificate entry kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -93,11 +95,45 @@ class Certificate:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "Certificate":
-        entries = tuple(
-            CertEntry(
-                e["label"], e["kind"], e["value"], e["tolerance"], e["passed"]
+    def from_dict(d) -> "Certificate":
+        """The certificate that to_dict wrote as ``d``, each verdict
+        recomputed from its entry's kind, value and tolerance.  DomainError
+        if ``d`` lacks a field or holds one of another type, names an
+        unknown kind, or records a verdict, an entry's or the overall one,
+        that its numbers do not give."""
+        _check_fields("certificate", d, _CERTIFICATE_FIELDS)
+        entries = []
+        for i, e in enumerate(d["entries"]):
+            where = f"certificate entry {i}"
+            _check_fields(where, e, _ENTRY_FIELDS)
+            entry = make_entry(e["label"], e["kind"], e["value"], e["tolerance"])
+            if entry.passed is not e["passed"]:
+                raise DomainError(
+                    f"{where} ({entry.label!r}): recorded passed={e['passed']!r}, "
+                    f"but value {entry.value!r} and tolerance {entry.tolerance!r} give {entry.passed!r}"
+                )
+            entries.append(entry)
+        certificate = Certificate(tuple(entries))
+        if certificate.overall is not d["overall"]:
+            raise DomainError(
+                f"certificate: recorded overall={d['overall']!r}, but its entries give {certificate.overall!r}"
             )
-            for e in d["entries"]
-        )
-        return Certificate(entries)
+        return certificate
+
+
+# The fields of a certificate and of each entry, with the exact type each
+# holds as JSON data.
+_CERTIFICATE_FIELDS = {"entries": list, "overall": bool}
+_ENTRY_FIELDS = {"label": str, "kind": str, "value": float, "tolerance": float, "passed": bool}
+
+
+def _check_fields(where: str, d, fields: dict) -> None:
+    """DomainError unless ``d`` is a dict holding each of ``fields`` with
+    its type."""
+    if type(d) is not dict:
+        raise DomainError(f"{where}: expected an object, got {type(d).__name__}")
+    for name, kind in fields.items():
+        if name not in d:
+            raise DomainError(f"{where}: missing field {name!r}")
+        if type(d[name]) is not kind:
+            raise DomainError(f"{where}: field {name!r} must be {kind.__name__}, got {d[name]!r:.40}")

@@ -9,6 +9,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import oracles
 from .certificate import Certificate
@@ -101,11 +102,58 @@ problem_dict = construction_dict = result_dict
 
 
 def dumps(obj) -> str:
-    try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:  # for these acyclic documents: an inf or NaN
-        raise NumericError(f"non-finite number in the output: {exc}") from exc
-    return text + "\n"
+    """The artifact text of ``obj``: the bytes of ``json.dumps(obj, indent=2,
+    sort_keys=True, allow_nan=False) + "\\n"``, written here because json's
+    indented path runs its pure-Python encoder.
+
+    Values of the exact types dict, list, tuple, str, float, int, bool and
+    None are written, and keys must be str instances; any other value, a
+    subclass of one of these types included, is a TypeError.  An inf or NaN
+    at any depth is a NumericError."""
+    out: list[str] = []
+    _write(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, newline: str, emit) -> None:
+    """Emit ``x``, whose nested lines start with ``newline`` (a newline and
+    the current indent).  Floats come first: they are most of the leaves."""
+    t = type(x)
+    if t is float:
+        if not -math.inf < x < math.inf:
+            raise NumericError(f"non-finite number in the output: {x!r}")
+        emit(repr(x))
+    elif t is dict:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            emit(sep)
+            emit(_escape(key))  # a TypeError for a key that is not a str
+            emit(": ")
+            _write(x[key], inner, emit)
+            sep = "," + inner
+        emit(newline + "}" if x else "{}")
+    elif t is str:
+        emit(_escape(x))
+    elif t is list or t is tuple:
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in x:
+            emit(sep)
+            _write(value, inner, emit)
+            sep = "," + inner
+        emit(newline + "]" if x else "[]")
+    elif x is True:
+        emit("true")
+    elif x is False:
+        emit("false")
+    elif x is None:
+        emit("null")
+    elif t is int:
+        emit(repr(x))
+    else:
+        raise TypeError(f"{t.__name__} is not an artifact type")
 
 
 def certificate_to_json(c: Certificate) -> str:
@@ -217,6 +265,17 @@ def parse_problem(doc: dict) -> RiemannProblem:
     return RiemannProblem(law, left, right)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object of the input, or SpecError if it repeats a key: json
+    itself would keep the last value without a word."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SpecError("<input>", f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_input(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -224,9 +283,11 @@ def load_input(path: str):
     except OSError as exc:
         raise SpecError("<input>", str(exc)) from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SpecError("<input>", f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except SpecError:
+        raise
     except ValueError as exc:
         # an integer literal longer than the interpreter's int digit limit
         raise SpecError("<input>", str(exc)) from exc

@@ -10,10 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerfan import (
+    CaseId,
     Certificate,
     CriterionError,
+    DomainError,
     EulerFanError,
     FanSubsolution,
     GasLaw,
@@ -39,12 +43,14 @@ from eulerfan.cli import (
     SpecError,
     check_document,
     dumps,
+    load_input,
     main,
     parse_problem,
     problem_dict,
     result_dict,
     run,
 )
+from eulerfan.certificate import strict
 from eulerfan.subsolution import GRID_MAX
 from eulerfan.wedge import build_s
 from generators import random_case5, random_case6_one_shock
@@ -62,6 +68,12 @@ NO_SUBSOLUTION_DOC = {
     "left": {"rho": 1.0, "v1": 0.0, "v2": 0.0},
     "right": {"rho": 4.0, "v1": 0.0, "v2": 1.0},
 }
+
+
+# The members of a valid S1R3 document, as JSON text.
+LAW = '"law": {"K": 1.0, "gamma": 1.4}'
+LEFT = '"left": {"rho": 1.0, "v1": 0.0, "v2": 0.0}'
+RIGHT = '"right": {"rho": 4.0, "v1": 0.0, "v2": -1.0}'
 
 
 def write_doc(tmp_path, doc, name="problem.json"):
@@ -480,6 +492,31 @@ class TestValidation:
         assert main(["--mode", "classify"]) == STATUS_INPUT
 
     @pytest.mark.parametrize(
+        "members, key",
+        [
+            (['"law": {"K": 1.0, "gamma": 0.5, "gamma": 1.4}', LEFT, RIGHT], "gamma"),
+            (['"law": {"K": 1.0, "gamma": 1.4, "gamma": 0.5}', LEFT, RIGHT], "gamma"),
+            ([LAW, LEFT, '"left": {"rho": 2.0, "v1": 0.0, "v2": 0.0}', RIGHT], "left"),
+        ],
+        ids=["invalid-value-first", "invalid-value-last", "section"],
+    )
+    def test_repeated_key(self, tmp_path, capsys, members, key):
+        # json.loads kept the last value: the first document classified as
+        # S1R3 and exited 0, the second exited 1, the third lost a section
+        path = tmp_path / "problem.json"
+        path.write_text("{" + ", ".join(members) + "}")
+        with pytest.raises(SpecError, match=f"repeated key '{key}'"):
+            load_input(str(path))
+        assert main(["--mode", "classify", "--input", str(path)]) == STATUS_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"input error at <input>: repeated key '{key}'"]
+
+    def test_a_key_may_recur_in_different_objects(self, tmp_path):
+        path = write_doc(tmp_path, CASE6_DOC)
+        assert load_input(path) == CASE6_DOC
+
+    @pytest.mark.parametrize(
         "argv, doc",
         [
             (["--mode", "lemmas", "--samples", "0"], None),
@@ -685,6 +722,180 @@ class TestArtifactData:
 
         assert set(types(data)) <= {dict, list, str, float, int, bool, type(None)}
         assert data["right_wave"]["case"] == "SingleS"
+
+
+def reference_dumps(x):
+    """The artifact bytes as json.dumps writes them."""
+    return json.dumps(x, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# Strings with every character class an escape treats apart: quotes,
+# backslashes, control characters, non-ASCII and lone surrogates.
+json_text = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600"]),
+        st.integers(0xD800, 0xDFFF).map(chr),
+    )
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(2**64) - 1, 10**30]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, sys.float_info.max]),
+    json_text,
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_text, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestWriter:
+    """dumps writes the bytes of json.dumps with the artifact options."""
+
+    @settings(deadline=None)
+    @given(json_documents)
+    def test_matches_json_dumps(self, doc):
+        assert dumps(doc) == reference_dumps(doc)
+
+    @pytest.mark.parametrize("doc", [{}, [], (), "", {"a": []}, [{}, ()], {"z": {"y": {}}}])
+    def test_empty_containers(self, doc):
+        assert dumps(doc) == reference_dumps(doc)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "place",
+        [lambda v: v, lambda v: {"a": v}, lambda v: [1.0, v], lambda v: (v,),
+         lambda v: {"a": [{"b": (0.5, v)}]}],
+        ids=["top", "in-dict", "in-list", "in-tuple", "deep"],
+    )
+    def test_non_finite_is_a_numeric_error(self, value, place):
+        with pytest.raises(NumericError, match="non-finite"):
+            dumps(place(value))
+
+    class FloatSubclass(float):
+        pass
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{1.0}, object(), np.float64(1.5), FloatSubclass(0.5), CaseId.S1R3, {1: 2.0},
+         {"a": [{None: 0}]}, [{"b": {1.0}}]],
+        ids=["set", "object", "numpy-float", "float-subclass", "str-enum", "int-key",
+             "nested-none-key", "nested-set"],
+    )
+    def test_other_types_are_a_type_error(self, doc):
+        # json.dumps wrote float and str subclasses and coerced int, float,
+        # bool and None keys; no artifact holds one
+        with pytest.raises(TypeError):
+            dumps(doc)
+
+
+class TestCertificateFromJson:
+    """A loaded certificate recomputes its verdicts and checks its fields."""
+
+    @staticmethod
+    def failing():
+        return Certificate((strict("margin", -1.0, 1e-9), strict("other", 2.0, 1e-9)))
+
+    def test_failing_certificate_loads_as_failing(self):
+        cert = self.failing()
+        restored = certificate_from_json(certificate_to_json(cert))
+        assert restored == cert and not restored.overall
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda d: d["entries"][0].update(passed=True), "recorded passed=True"),
+            (lambda d: d["entries"][1].update(passed=False), "recorded passed=False"),
+            (lambda d: d.update(overall=True), "recorded overall=True"),
+        ],
+        ids=["failing-entry-marked-passed", "passing-entry-marked-failed", "overall"],
+    )
+    def test_recorded_verdict_must_agree(self, edit, match):
+        # the first case loaded with overall == True
+        d = self.failing().to_dict()
+        edit(d)
+        with pytest.raises(DomainError, match=match):
+            certificate_from_json(json.dumps(d))
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda d: d["entries"][0].update(kind="bogus"), "unknown certificate entry kind 'bogus'"),
+            *[(lambda d, k=k: d["entries"][0].pop(k), f"missing field '{k}'")
+              for k in ("label", "kind", "value", "tolerance", "passed")],
+            (lambda d: d.pop("entries"), "missing field 'entries'"),
+            (lambda d: d.pop("overall"), "missing field 'overall'"),
+            (lambda d: d["entries"][0].update(value="-1.0"), "field 'value' must be float"),
+            (lambda d: d["entries"][0].update(tolerance=None), "field 'tolerance' must be float"),
+            (lambda d: d["entries"][0].update(passed=0), "field 'passed' must be bool"),
+            (lambda d: d["entries"][0].update(label=7), "field 'label' must be str"),
+            (lambda d: d.update(entries={}), "field 'entries' must be list"),
+            (lambda d: d.update(overall="false"), "field 'overall' must be bool"),
+            (lambda d: d["entries"].append([]), "certificate entry 2: expected an object"),
+        ],
+        ids=["unknown-kind", "no-label", "no-kind", "no-value", "no-tolerance", "no-passed",
+             "no-entries", "no-overall", "value-str", "tolerance-null", "passed-int",
+             "label-int", "entries-object", "overall-str", "entry-list"],
+    )
+    def test_malformed_certificate_is_a_domain_error(self, edit, match):
+        # an unknown kind loaded silently, a missing field was a KeyError
+        d = self.failing().to_dict()
+        edit(d)
+        with pytest.raises(DomainError, match=match):
+            certificate_from_json(json.dumps(d))
+
+    @pytest.mark.parametrize("text", ["[]", "null", "1.5"])
+    def test_document_not_an_object(self, text):
+        # a top-level list was a TypeError
+        with pytest.raises(DomainError, match="certificate: expected an object"):
+            certificate_from_json(text)
+
+
+# One run of every mode, each certificate artifact kind included, and a
+# standard certificate failed by a tight --tol-eq.
+ARTIFACT_RUNS = [
+    (["--mode", "classify"], CASE6_DOC),
+    (["--mode", "standard"], CASE6_DOC),
+    (["--mode", "standard", "--tol-eq", "1e-30"], SUBSOLUTION_DOC),
+    (["--mode", "subsolution"], SUBSOLUTION_DOC),
+    (["--mode", "subsolution"], NO_SUBSOLUTION_DOC),
+    (["--mode", "wedge"], CASE6_DOC),
+    (["--mode", "wedge"], SUBSOLUTION_DOC),
+    (["--mode", "lemmas", "--samples", "300"], None),
+]
+
+
+def test_artifacts_round_trip(tmp_path):
+    certificates = 0
+    for i, (argv, doc) in enumerate(ARTIFACT_RUNS):
+        out = tmp_path / str(i)
+        flags = ["--input", write_doc(tmp_path, doc)] if doc else []
+        assert main([*argv, *flags, "--out", str(out)]) in (STATUS_OK, STATUS_NOT_FOUND, STATUS_NUMERIC)
+        for path in sorted(out.glob("*.json")):
+            text = path.read_text(encoding="utf-8")
+            data = json.loads(text)
+            assert dumps(data) == text, path.name
+            if path.name.endswith("_certificate.json"):
+                found = {"": data}
+            elif path.name == "wedge_certificates.json":
+                found = data
+            else:
+                continue
+            for recorded in found.values():
+                # every number bit for bit, and each recomputed verdict
+                assert Certificate.from_dict(recorded).to_dict() == recorded
+                certificates += 1
+    # standard x2, reduced, full, and four per wedge run
+    assert certificates == 12
 
 
 # Runs in a fresh interpreter, so no other test has imported numpy there.

@@ -161,7 +161,8 @@ def certificate_to_json(c: Certificate) -> str:
 
 
 def certificate_from_json(text: str) -> Certificate:
-    return Certificate.from_dict(json.loads(text))
+    """The certificate of ``text``; DomainError for text or data it refuses."""
+    return Certificate.from_dict(decode_json(text))
 
 
 def emit_geometry(w: WedgeConstruction) -> str:
@@ -188,19 +189,17 @@ def emit_geometry(w: WedgeConstruction) -> str:
 _NUMBER, _POSITIVE, _INTEGER = "number", "positive", "integer"
 _STATE = {"rho": (_POSITIVE, None), "v1": (_NUMBER, None), "v2": (_NUMBER, None)}
 
-# The keys of an input document: each section with the rule of each of its
-# fields, and the top-level numbers seed and samples with theirs.  Every
-# mode checks the whole document against this table, so a misspelled name
-# or a bad value is an input error instead of a silent default, whichever
-# fields the mode reads, and one document serves every mode.
+# The sections of an input document, each with the rule of each of its
+# fields.  Every mode checks the whole document against this table, so a
+# misspelled name or a bad value is an input error instead of a silent
+# default, whichever fields the mode reads, and one document serves every
+# mode.
 _SCHEMA = {
     "law": {"K": (_POSITIVE, None), "gamma": (_NUMBER, 1.0)},
     "left": _STATE,
     "right": _STATE,
     "search": {"scan_points": (_INTEGER, 1), "grid": (_INTEGER, 2, GRID_MAX)},
     "perturbation": {"initial": (_POSITIVE, None), "max_halvings": (_INTEGER, 0)},
-    "seed": (_INTEGER, 0),
-    "samples": (_INTEGER, 1),
 }
 
 
@@ -237,9 +236,6 @@ def check_document(doc) -> dict:
         if name not in _SCHEMA:
             raise SpecError(name, "unknown section")
         rules = _SCHEMA[name]
-        if isinstance(rules, tuple):
-            checked[name] = _check_field(name, section, rules)
-            continue
         if not isinstance(section, dict):
             raise SpecError(name, f"expected an object, got {section!r}")
         checked[name] = {}
@@ -276,22 +272,30 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+def decode_json(text: str):
+    """The JSON value of ``text``, the one reader of input documents and
+    certificates.  SpecError at ``<input>`` for text that is not JSON, an
+    object that repeats a key, an integer literal longer than the
+    interpreter's int digit limit, or nesting too deep to decode."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except SpecError:
+        raise
+    except json.JSONDecodeError as exc:
+        raise SpecError("<input>", f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise SpecError("<input>", str(exc)) from exc
+
+
 def load_input(path: str):
+    """decode_json of the file at ``path``; SpecError at ``<input>`` also
+    for a file that cannot be read as UTF-8 text."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError("<input>", str(exc)) from exc
-    try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise SpecError("<input>", f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except SpecError:
-        raise
-    except ValueError as exc:
-        # an integer literal longer than the interpreter's int digit limit
-        raise SpecError("<input>", str(exc)) from exc
-    return doc
+    return decode_json(text)
 
 
 # ---------------------------------------------------------------------------
@@ -426,37 +430,30 @@ def run(
     mode: str,
     doc: dict,
     *,
-    tol_eq: float | None = None,
-    tol_strict: float | None = None,
-    seed: int | None = None,
-    samples: int | None = None,
+    tol_eq: float = EQUATION_TOL,
+    tol_strict: float = STRICT_TOL,
+    seed: int = oracles.DEFAULT_SEED,
+    samples: int = oracles.DEFAULT_SAMPLES,
 ) -> RunResult:
     """Execute one CLI mode on a parsed input document.
 
     Every mode checks the whole document against _SCHEMA, and every flag
-    value given, before it runs, so a bad key or value is an input error
-    whether or not the mode reads it.  A tolerance left as None takes the
-    library default; a seed or sample count given here takes precedence
-    over the document's field."""
+    value, before it runs, so a bad key or value is an input error whether
+    or not the mode reads it."""
     if mode not in MODES:
         raise SpecError("--mode", f"unknown mode {mode!r}")
     doc = check_document(doc)
     tol_eq, tol_strict, seed, samples = (
-        value if value is None else _check_field(flag, value, rule)
+        _check_field(flag, value, rule)
         for flag, value, rule in (
             ("--tol-eq", tol_eq, (_POSITIVE, None)),
             ("--tol-strict", tol_strict, (_POSITIVE, None)),
-            ("--seed", seed, _SCHEMA["seed"]),
-            ("--samples", samples, _SCHEMA["samples"]),
+            ("--seed", seed, (_INTEGER, 0)),
+            ("--samples", samples, (_INTEGER, 1)),
         )
     )
     if mode == "lemmas":
-        return _run_lemmas(
-            doc.get("seed", oracles.DEFAULT_SEED) if seed is None else seed,
-            doc.get("samples", 10000) if samples is None else samples,
-        )
-    tol_eq = EQUATION_TOL if tol_eq is None else tol_eq
-    tol_strict = STRICT_TOL if tol_strict is None else tol_strict
+        return _run_lemmas(seed, samples)
     p = parse_problem(doc)
     if mode == "classify":
         return _run_classify(p)
@@ -485,10 +482,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--input", help="path to a JSON problem description")
     parser.add_argument("--mode", required=True, choices=MODES)
-    parser.add_argument("--tol-eq", type=float, default=None, help="equation residual tolerance (relative)")
-    parser.add_argument("--tol-strict", type=float, default=None, help="strict margin tolerance (relative)")
-    parser.add_argument("--seed", type=int, default=None, help="sample seed (lemmas mode)")
-    parser.add_argument("--samples", type=int, default=None, help="sample count (lemmas mode)")
+    parser.add_argument("--tol-eq", type=float, default=EQUATION_TOL, help="equation residual tolerance (relative)")
+    parser.add_argument("--tol-strict", type=float, default=STRICT_TOL, help="strict margin tolerance (relative)")
+    parser.add_argument("--seed", type=int, default=oracles.DEFAULT_SEED, help="sample seed (lemmas mode)")
+    parser.add_argument("--samples", type=int, default=oracles.DEFAULT_SAMPLES, help="sample count (lemmas mode)")
     parser.add_argument("--out", default=None, help="directory for output artifacts")
     args = parser.parse_args(argv)
 

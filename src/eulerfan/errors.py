@@ -1,7 +1,7 @@
-"""Exception types shared across the toolkit, and the checks of the integer
+"""Exception types shared across the toolkit, the checks of the integer
 sizes (sample counts, seeds, search and schedule lengths), the numbers and
 the finite positive numbers (tolerances, fractions, times, law constants)
-that public functions take."""
+that public functions take, and the one checked square of a velocity."""
 
 import math
 import operator
@@ -97,3 +97,11 @@ def require_positive(name: str, value) -> float:
     if not 0.0 < number < math.inf:
         raise DomainError(f"{name} must be a finite positive number, got {value!r:.40}")
     return number
+
+
+def squared(x: float) -> float:
+    """``x**2``, or NumericError when it overflows (above about 1e154)."""
+    try:
+        return x**2
+    except OverflowError:
+        raise NumericError("arithmetic overflow: a squared velocity") from None

@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 
 from .eos import GasLaw
-from .errors import DomainError, require_count
+from .errors import DomainError, NumericError, require_count
 from .subsolution import admissibility_bracket
 from .wavecurves import rarefaction_integral, shock_bracket
 
 DEFAULT_SEED = 1729
+DEFAULT_SAMPLES = 10000
 
 F_GAMMAS = (1.1, 1.4, 5.0 / 3.0, 2.0, 3.0)
 
@@ -39,15 +40,22 @@ def lemma2_f(z: float, gamma: float) -> float:
     Auxiliary function of the squared jump comparison: vanishes with its
     derivative at z = 1 and is positive for z > 1.  Defined for gamma > 1
     only; the gamma = 1 comparison is log(z) < sqrt(z) - 1/sqrt(z).
+    NumericError when a power or the result overflows.
     """
     if not z > 0.0:
         raise DomainError("needs z > 0")
     if not gamma > 1.0:
         raise DomainError("the auxiliary function needs gamma > 1")
     g = gamma
-    return (z - 1.0) * (z**g - 1.0) - 4.0 * g / (g - 1.0) ** 2 * (
-        z**g - 2.0 * z ** ((g + 1.0) / 2.0) + z
-    )
+    try:
+        value = (z - 1.0) * (z**g - 1.0) - 4.0 * g / (g - 1.0) ** 2 * (
+            z**g - 2.0 * z ** ((g + 1.0) / 2.0) + z
+        )
+        if -math.inf < value < math.inf:
+            return value
+    except OverflowError:
+        pass
+    raise NumericError(f"arithmetic overflow: the auxiliary function at z={z!r}, gamma={gamma!r}")
 
 
 def lemma3_gaps(law: GasLaw, rho_lo: float, rho_mid: float, rho_hi: float) -> float:
@@ -77,7 +85,7 @@ def _inputs(name: str, law: GasLaw, lo: float, mid: float, hi: float) -> dict:
     return base | {"rho_lo": lo, "rho_mid": mid, "rho_hi": hi}
 
 
-def run_suite(n_samples: int = 10000, seed: int = DEFAULT_SEED) -> dict:
+def run_suite(n_samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> dict:
     """Evaluate all three inequality gaps on seeded random samples, plus the
     auxiliary-function grid and the gamma = 1 branch.
 

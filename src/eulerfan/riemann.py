@@ -11,7 +11,7 @@ from enum import Enum
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import GasLaw, internal_energy, pressure
-from .errors import BracketError, DomainError, InvariantError, NumericError, require_positive, to_float
+from .errors import BracketError, DomainError, InvariantError, NumericError, require_positive, squared, to_float
 from .wavecurves import (
     State,
     lambda1,
@@ -291,54 +291,56 @@ def solve_standard(p: RiemannProblem) -> StandardSolution:
 
     Middle densities come from bisection on the strictly monotone case
     equation; rarefaction edges are characteristic speeds of their endpoint
-    states and shock speeds come from the mass jump relation.
+    states and shock speeds come from the mass jump relation.  Raises
+    NumericError when a wave speed or the middle velocity overflows; the
+    vacuum's middle velocity is undefined, and NaN.
     """
     case = classify(p)
     law = p.law
     ul, ur = p.left, p.right
     rl, rr = ul.rho, ur.rho
     v1 = ul.v1
+    middle = None
 
     if case == CaseId.CONSTANT:
         return StandardSolution(case, None, ())
 
     if case == CaseId.SINGLE_R:
-        wave = _wave(law, 1 if rl > rr else 3, RAREFACTION, ul, ur)
-        return StandardSolution(case, None, (wave,))
-
-    if case == CaseId.SINGLE_S:
-        wave = _wave(law, 1 if rl < rr else 3, SHOCK, ul, ur)
-        return StandardSolution(case, None, (wave,))
-
-    if case == CaseId.R1R3_VACUUM:
+        waves = (_wave(law, 1 if rl > rr else 3, RAREFACTION, ul, ur),)
+    elif case == CaseId.SINGLE_S:
+        waves = (_wave(law, 1 if rl < rr else 3, SHOCK, ul, ur),)
+    elif case == CaseId.R1R3_VACUUM:
         tail1 = ul.v2 + rarefaction_integral(law, 0.0, rl)
         head3 = ur.v2 - rarefaction_integral(law, 0.0, rr)
         middle = State(0.0, v1, math.nan)  # velocity undefined across the vacuum
         w1 = Wave(1, RAREFACTION, (lambda1(law, ul), tail1))
         w3 = Wave(3, RAREFACTION, (head3, lambda3(law, ur)))
-        return StandardSolution(case, middle, (w1, w3))
+        waves = (w1, w3)
+    else:
+        k1, k3 = WAVE_KINDS[case]
+        rho_m = _solve_middle_density(p, case)
+        sign, change = _velocity_change(k1, law, rl)
+        middle = State(rho_m, v1, ul.v2 + sign * change(rho_m))
+        waves = (_wave(law, 1, k1, ul, middle), _wave(law, 3, k3, middle, ur))
 
-    k1, k3 = WAVE_KINDS[case]
-    rho_m = _solve_middle_density(p, case)
-    sign, change = _velocity_change(k1, law, rl)
-    um = State(rho_m, v1, ul.v2 + sign * change(rho_m))
-    return StandardSolution(case, um, (_wave(law, 1, k1, ul, um), _wave(law, 3, k3, um, ur)))
+    # 0 * x is 0 for finite x and NaN for inf or NaN: one test for them all
+    check = 0.0 * middle.v2 if middle is not None and middle.rho > 0.0 else 0.0
+    for wave in waves:
+        for speed in wave.speeds:
+            check += 0.0 * speed
+    if check != check:
+        raise NumericError(f"arithmetic overflow: a speed or the middle velocity of the {case.value} solution")
+    return StandardSolution(case, middle, waves)
 
 
 def _energy_density(law: GasLaw, s: State) -> float:
-    try:
-        kinetic = 0.5 * s.rho * (s.v1**2 + s.v2**2)
-    except OverflowError:
-        raise NumericError("arithmetic overflow: a squared velocity") from None
+    kinetic = 0.5 * s.rho * (squared(s.v1) + squared(s.v2))
     return s.rho * internal_energy(law, s.rho) + kinetic
 
 
 def _shock_entries(law, ul, ur, sigma, prefix, tol_eq, tol_strict):
     pl, pr = pressure(law, ul.rho), pressure(law, ur.rho)
-    try:
-        ql, qr = ul.v2**2, ur.v2**2
-    except OverflowError:
-        raise NumericError("arithmetic overflow: a squared normal velocity") from None
+    ql, qr = squared(ul.v2), squared(ur.v2)
     entries = [
         cert.equation(
             prefix + ".mass",

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import GasLaw, internal_energy, pressure
-from .errors import CriterionError, DomainError, InvariantError, NumericError, is_number, require_count, require_positive
+from .errors import (
+    CriterionError, DomainError, InvariantError, NumericError, is_number, require_count, require_positive, squared,
+)
 from .riemann import EQUATION_TOL, STRICT_TOL, CaseId, RiemannProblem, classify, solve_standard
 from .wavecurves import shock_bracket
 
@@ -92,10 +94,7 @@ class _ProblemTerms:
         self.right_flux = self.rr * self.vr2
         self.jump = self.rr * (self.vl2 - self.vr2)
         t1 = self.gap * (self.pl - self.pr)
-        try:
-            t2 = self.rr * self.rl * (self.vl2 - self.vr2) ** 2
-        except OverflowError:
-            raise NumericError("arithmetic overflow: the squared velocity jump") from None
+        t2 = self.rr * self.rl * squared(self.vl2 - self.vr2)
         self.disc = t1 - t2
         if not math.isfinite(self.disc):
             raise NumericError("arithmetic overflow: the discriminant")
@@ -208,11 +207,8 @@ def reduced_residuals(
     rl, vl2 = p.left.rho, p.left.v2
     rr, vr2 = p.right.rho, p.right.v2
     pl, p1, pr = pressure(law, rl), pressure(law, r.rho1), pressure(law, rr)
-    try:
-        flux1 = r.rho1 * (r.v12**2 + r.delta1)
-        vl2_sq, vr2_sq = vl2**2, vr2**2
-    except OverflowError:
-        raise NumericError("arithmetic overflow: a squared normal velocity") from None
+    flux1 = r.rho1 * (squared(r.v12) + r.delta1)
+    vl2_sq, vr2_sq = squared(vl2), squared(vr2)
     return (
         ("mass-left", r.mu0 * (rl - r.rho1), rl * vl2 - r.rho1 * r.v12),
         (
@@ -231,10 +227,10 @@ def reduced_residuals(
 
 def admissibility_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
     """p(a) + p(b) - 2ab (eps(a) - eps(b))/(a - b); strictly positive for any
-    two distinct densities."""
+    two distinct densities.  NumericError when it overflows."""
     if rho_a == rho_b:
         raise DomainError("needs two distinct densities")
-    return _bracket(
+    bracket = _bracket(
         rho_a,
         rho_b,
         pressure(law, rho_a),
@@ -242,6 +238,9 @@ def admissibility_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
         internal_energy(law, rho_a),
         internal_energy(law, rho_b),
     )
+    if not -math.inf < bracket < math.inf:
+        raise NumericError(f"arithmetic overflow: the admissibility bracket of {rho_a!r} and {rho_b!r}")
+    return bracket
 
 
 def _left_row(t: _ProblemTerms, rho1: float):
@@ -588,11 +587,9 @@ def lift_to_full(p: RiemannProblem, r: ReducedSubsolution) -> FanSubsolution:
     if not (r.delta1 > 0.0 and r.delta2 > 0.0):
         raise InvariantError("the lift needs positive delta1 and delta2")
     w1 = p.left.v1
-    try:
-        c1 = w1**2 + r.v12**2 + r.delta1 + r.delta2
-        u11 = 0.5 * c1 - r.v12**2 - r.delta1
-    except OverflowError:
-        raise NumericError("arithmetic overflow: a squared wedge velocity") from None
+    v12_sq = squared(r.v12)
+    c1 = squared(w1) + v12_sq + r.delta1 + r.delta2
+    u11 = 0.5 * c1 - v12_sq - r.delta1
     u12 = w1 * r.v12
     return FanSubsolution(
         rho1=r.rho1,
@@ -608,12 +605,9 @@ def lift_to_full(p: RiemannProblem, r: ReducedSubsolution) -> FanSubsolution:
 
 def extract_deltas(f: FanSubsolution) -> tuple[float, float]:
     """Recover (delta1, delta2) from the full unknowns; inverse of the lift."""
-    try:
-        d1 = 0.5 * f.c1 - f.v12**2 - f.u11
-        d2 = f.c1 - f.v11**2 - f.v12**2 - d1
-    except OverflowError:
-        raise NumericError("arithmetic overflow: a squared wedge velocity") from None
-    return d1, d2
+    v12_sq = squared(f.v12)
+    d1 = 0.5 * f.c1 - v12_sq - f.u11
+    return d1, f.c1 - squared(f.v11) - v12_sq - d1
 
 
 def verify_full(
@@ -641,12 +635,9 @@ def verify_full(
         internal_energy(law, r1),
         internal_energy(law, rr),
     )
-    try:
-        w1_sq, w2_sq = w1**2, w2**2
-        vl1_sq, vl2_sq, vr1_sq, vr2_sq = vl1**2, vl2**2, vr1**2, vr2**2
-        cross_sq = (f.u12 - w1 * w2) ** 2
-    except OverflowError:
-        raise NumericError("arithmetic overflow: a squared velocity") from None
+    w1_sq, w2_sq = squared(w1), squared(w2)
+    vl1_sq, vl2_sq, vr1_sq, vr2_sq = squared(vl1), squared(vl2), squared(vr1), squared(vr2)
+    cross_sq = squared(f.u12 - w1 * w2)
     half_c = 0.5 * f.c1
     entries = [
         cert.strict("speed-order", f.mu1 - f.mu0, tol_strict, f.mu0, f.mu1),

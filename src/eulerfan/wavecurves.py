@@ -144,7 +144,11 @@ def lambda3(law: GasLaw, s: State) -> float:
 
 
 def pure_shock_speed(left: State, right: State) -> float:
-    """Interface speed forced by conservation of mass across a single jump."""
+    """Interface speed forced by conservation of mass across a single jump;
+    NumericError when it overflows."""
     if left.rho == right.rho:
         raise DegenerateShockError("equal densities leave the shock speed undetermined")
-    return (left.rho * left.v2 - right.rho * right.v2) / (left.rho - right.rho)
+    speed = (left.rho * left.v2 - right.rho * right.v2) / (left.rho - right.rho)
+    if not -math.inf < speed < math.inf:
+        raise NumericError(f"arithmetic overflow: the shock speed between densities {left.rho!r} and {right.rho!r}")
+    return speed

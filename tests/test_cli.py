@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eulerfan import (
@@ -42,6 +42,7 @@ from eulerfan.cli import (
     certificate_to_json,
     SpecError,
     check_document,
+    decode_json,
     dumps,
     load_input,
     main,
@@ -408,13 +409,13 @@ class TestValidation:
         "mode, doc, flags, field",
         [
             ("classify", dict(CASE6_DOC, search={"grid": 0}), [], "search.grid"),
-            ("standard", dict(CASE6_DOC, seed="abc"), [], "seed"),
+            ("standard", dict(CASE6_DOC, search={"scan_points": "abc"}), [], "search.scan_points"),
             ("lemmas", {"law": {"K": -1}}, [], "law.K"),
             ("subsolution", dict(SUBSOLUTION_DOC, perturbation={"max_halvings": -5}), [],
              "perturbation.max_halvings"),
             ("classify", CASE6_DOC, ["--samples", "0"], "--samples"),
         ],
-        ids=["classify-grid", "standard-seed", "lemmas-law", "subsolution-max-halvings",
+        ids=["classify-grid", "standard-scan-points", "lemmas-law", "subsolution-max-halvings",
              "classify-samples-flag"],
     )
     def test_bad_value_in_an_unread_field(self, tmp_path, capsys, mode, doc, flags, field):
@@ -442,12 +443,20 @@ class TestValidation:
             SUBSOLUTION_DOC,
             search={"scan_points": 64, "grid": 128},
             perturbation={"initial": 0.5, "max_halvings": 40},
-            seed=7,
-            samples=300,
         )
         path = write_doc(tmp_path, doc)
-        for mode in ("classify", "standard", "subsolution", "wedge", "lemmas"):
+        for mode in ("classify", "standard", "subsolution", "wedge"):
             assert main(["--mode", mode, "--input", path]) == STATUS_OK, mode
+        assert main(["--mode", "lemmas", "--input", path, "--seed", "7", "--samples", "300"]) == STATUS_OK
+
+    @pytest.mark.parametrize("key, value", [("seed", 7), ("samples", 300)])
+    def test_seed_and_samples_are_flags_only(self, tmp_path, capsys, key, value):
+        # lemmas mode read them from the document too, below the flags
+        path = write_doc(tmp_path, {key: value})
+        assert main(["--mode", "lemmas", "--input", path]) == STATUS_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"input error at {key}: unknown section"]
 
     @pytest.mark.parametrize("name", ["tol_eq", "tol_strict"])
     @pytest.mark.parametrize("value", [True, "1e-9", 10**400], ids=["True", "string", "huge-int"])
@@ -456,6 +465,11 @@ class TestValidation:
         # string and an OverflowError for an int beyond the floats
         with pytest.raises(SpecError, match="--tol-"):
             run("standard", CASE6_DOC, **{name: value})
+
+    def test_run_rejects_an_unknown_mode(self):
+        # main's argparse choices guard it; run checks on its own
+        with pytest.raises(SpecError, match="--mode: unknown mode 'bogus'"):
+            run("bogus", {})
 
     @pytest.mark.parametrize("mode", ["classify", "lemmas"])
     def test_run_rejects_a_document_that_is_not_an_object(self, mode):
@@ -491,6 +505,20 @@ class TestValidation:
     def test_missing_input(self):
         assert main(["--mode", "classify"]) == STATUS_INPUT
 
+    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 200_000], ids=["not-utf-8", "nested-too-deep"])
+    def test_undecodable_input(self, tmp_path, capsys, data):
+        # a UnicodeDecodeError from the read, and a RecursionError from
+        # json.loads, each ended in a traceback
+        path = tmp_path / "problem.json"
+        path.write_bytes(data)
+        assert main(["--mode", "classify", "--input", str(path)]) == STATUS_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error at <input>:")
+        with pytest.raises(DomainError):
+            certificate_from_json(data.decode("utf-8", "replace"))
+
     @pytest.mark.parametrize(
         "members, key",
         [
@@ -522,15 +550,15 @@ class TestValidation:
             (["--mode", "lemmas", "--samples", "0"], None),
             (["--mode", "lemmas", "--samples", "-3"], None),
             (["--mode", "lemmas", "--seed", "-1"], None),
-            (["--mode", "lemmas"], {"samples": "abc"}),
-            (["--mode", "lemmas"], {"seed": 1.5}),
+            (["--mode", "wedge"], dict(CASE6_DOC, perturbation={"max_halvings": "abc"})),
+            (["--mode", "lemmas"], {"perturbation": {"max_halvings": 1.5}}),
             (["--mode", "subsolution"], dict(CASE6_DOC, search={"scan_points": 2.5})),
             (["--mode", "subsolution"], dict(CASE6_DOC, search={"grid": 7.9})),
             (["--mode", "subsolution"], dict(CASE6_DOC, search={"grid": True})),
             (["--mode", "wedge"], dict(CASE6_DOC, perturbation={"max_halvings": -1})),
         ],
-        ids=["samples-0", "samples-negative", "seed-negative", "samples-string",
-             "seed-fraction", "scan-points-fraction", "grid-fraction", "grid-bool",
+        ids=["samples-0", "samples-negative", "seed-negative", "max-halvings-string",
+             "max-halvings-fraction", "scan-points-fraction", "grid-fraction", "grid-bool",
              "max-halvings-negative"],
     )
     def test_bad_integer_field(self, tmp_path, capsys, argv, doc):
@@ -570,12 +598,14 @@ class TestValidation:
         assert err.value.code == 0
         assert "usage:" in capsys.readouterr().out
 
-    def test_integral_float_is_an_integer(self, tmp_path):
-        path = write_doc(tmp_path, {"samples": 300.0, "seed": 7.0})
-        out = tmp_path / "out"
-        assert main(["--mode", "lemmas", "--input", path, "--out", str(out)]) == STATUS_OK
-        report = json.loads((out / "lemma_report.json").read_text())
-        assert (report["samples"], report["seed"]) == (300, 7)
+    def test_integral_float_is_an_integer(self):
+        sizes = {"search": {"scan_points": 8, "grid": 16}, "perturbation": {"max_halvings": 3}}
+        floats = {"search": {"scan_points": 8.0, "grid": 16.0}, "perturbation": {"max_halvings": 3.0}}
+        checked = check_document(floats)
+        assert checked == sizes
+        assert all(type(v) is int for section in checked.values() for v in section.values())
+        for mode in ("subsolution", "wedge"):
+            assert run(mode, dict(SUBSOLUTION_DOC, **floats)) == run(mode, dict(SUBSOLUTION_DOC, **sizes))
 
 
 @pytest.mark.parametrize("positive", [True, False], ids=["rounded-up", "rounded-down"])
@@ -630,6 +660,64 @@ def test_no_traceback_at_any_scale():
             except Exception as exc:
                 pytest.fail(f"{mode} on {doc}: {exc!r}")
             assert isinstance(result, RunResult)
+
+
+SIZED_DOC = dict(SUBSOLUTION_DOC, search={"scan_points": 8, "grid": 8}, perturbation={"max_halvings": 3})
+
+# SIZED_DOC as (key, value) pairs, each section's value a list of pairs
+# too, so that any one member can be written twice.
+DOC_PAIRS = [(name, list(section.items())) for name, section in SIZED_DOC.items()]
+
+
+def _object_text(pairs):
+    members = (f"{json.dumps(k)}: {_object_text(v) if isinstance(v, list) else json.dumps(v)}" for k, v in pairs)
+    return "{" + ", ".join(members) + "}"
+
+
+def _repeated_key_texts():
+    """The valid document's text with one member, a section or one of its
+    fields, written twice in a row."""
+    texts = []
+    for i, (name, fields) in enumerate(DOC_PAIRS):
+        texts.append(_object_text(DOC_PAIRS[: i + 1] + DOC_PAIRS[i:]))
+        for j in range(len(fields)):
+            section = (name, fields[: j + 1] + fields[j:])
+            texts.append(_object_text(DOC_PAIRS[:i] + [section] + DOC_PAIRS[i + 1 :]))
+    return texts
+
+
+VALID_TEXT = _object_text(DOC_PAIRS).encode()
+
+input_bytes = st.one_of(
+    st.binary(max_size=300),
+    st.integers(0, len(VALID_TEXT) - 1).map(lambda i: VALID_TEXT[:i] + VALID_TEXT[i + 1 :]),
+    st.sampled_from(_repeated_key_texts()).map(str.encode),
+    st.integers(1, 200_000).map(lambda n: b"[" * n),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=input_bytes)
+def test_no_traceback_on_any_input_bytes(tmp_path, data):
+    # undecodable bytes and deep nesting ended in a traceback
+    path = tmp_path / "problem.json"
+    path.write_bytes(data)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        status = main(["--mode", "classify", "--input", str(path)])
+    assert status in (STATUS_OK, STATUS_INPUT, STATUS_NOT_FOUND, STATUS_NUMERIC)
+    try:
+        certificate_from_json(data.decode("utf-8", "replace"))
+    except DomainError:
+        pass
+
+
+def test_every_repeated_key_is_refused():
+    assert decode_json(VALID_TEXT.decode()) == SIZED_DOC
+    texts = _repeated_key_texts()
+    assert len(texts) == 16  # five sections and eleven fields
+    for text in texts:
+        with pytest.raises(SpecError, match="repeated key"):
+            decode_json(text)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -852,6 +940,22 @@ class TestCertificateFromJson:
         edit(d)
         with pytest.raises(DomainError, match=match):
             certificate_from_json(json.dumps(d))
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("{", "line 1 column 2"),
+            ("1" * 5000, "digits"),
+            ('{"entries": [], "overall": false, "overall": true}', "repeated key 'overall'"),
+            ("[" * 200_000, "recursion"),
+        ],
+        ids=["not-json", "long-integer", "repeated-key", "nested-too-deep"],
+    )
+    def test_unreadable_text_is_a_domain_error(self, text, match):
+        # a JSONDecodeError, a bare ValueError, a certificate that kept the
+        # last "overall", and a RecursionError
+        with pytest.raises(DomainError, match=match):
+            certificate_from_json(text)
 
     @pytest.mark.parametrize("text", ["[]", "null", "1.5"])
     def test_document_not_an_object(self, text):

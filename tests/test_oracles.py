@@ -7,6 +7,7 @@ import pytest
 from eulerfan import (
     DomainError,
     GasLaw,
+    NumericError,
     admissibility_bracket,
     lemma2_f,
     lemma2_gap,
@@ -35,6 +36,11 @@ class TestLemma1:
     def test_equal_densities_rejected(self):
         with pytest.raises(DomainError):
             admissibility_bracket(LAW_LOG, 2.0, 2.0)
+
+    def test_overflow_is_a_numeric_error(self):
+        # 2ab overflows: the bracket was -inf, where Lemma 1 gives about +1e200
+        with pytest.raises(NumericError, match="arithmetic overflow: the admissibility bracket"):
+            admissibility_bracket(GasLaw(1e-100, 1.0), 1e10, 1e300)
 
 
 class TestLemma2:
@@ -83,6 +89,12 @@ class TestLemma2AuxiliaryFunction:
     def test_isothermal_rejected(self):
         with pytest.raises(DomainError):
             lemma2_f(2.0, 1.0)
+
+    @pytest.mark.parametrize("z, gamma", [(1e10, 50.0), (1e100, 3.0)], ids=["power", "product"])
+    def test_overflow_is_a_numeric_error(self, z, gamma):
+        # z**g overflowed with a bare OverflowError; (z-1)(z**g-1) gave inf
+        with pytest.raises(NumericError, match="arithmetic overflow: the auxiliary function"):
+            lemma2_f(z, gamma)
 
 
 class TestLemma3:

@@ -153,6 +153,12 @@ def test_velocity_overflow_in_verify_standard(p):
         verify_standard(p, s)
 
 
+def test_zero_density_is_a_domain_error():
+    # State takes rho = 0 for the solver's vacuum; a problem does not
+    with pytest.raises(DomainError, match="positive density"):
+        make(LAW_SQ, 0.0, 0.0, 1.0, 0.0)
+
+
 class TestRotation:
     def test_involution(self):
         p = make(LAW_SQ, 1.0, 0.3, 2.0, -0.7, v1=0.4)
@@ -236,6 +242,21 @@ class TestSolveStandard:
                 s = solve_standard(p)
                 speeds = [v for w in s.waves for v in (w.leftmost, w.rightmost)]
                 assert speeds == sorted(speeds), (case, speeds)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            # the 1-shock's mass flux rho*v2 overflows: its speed was inf
+            make(GasLaw(1.0, 1.4), 1.0, 1e300, 1e100, 1e300),
+            # the middle velocity overflows, and with it two rarefaction edges
+            make(GasLaw(7.407301696940875e-109, 1.0), 7.4056223220101e52, -9.695943015803278e20,
+                 2.2499499601139898e-246, 3.274457939566829e230),
+        ],
+        ids=["shock-speed", "middle-velocity"],
+    )
+    def test_overflowing_speed_is_a_numeric_error(self, p):
+        with pytest.raises(NumericError, match="arithmetic overflow"):
+            solve_standard(p)
 
     def test_isothermal_huge_jump_reports_bracket(self):
         with pytest.raises(BracketError) as err:

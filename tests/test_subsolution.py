@@ -32,6 +32,7 @@ from eulerfan import (
 )
 from eulerfan import subsolution, wedge
 from eulerfan.certificate import scale_of
+from eulerfan.errors import squared
 from eulerfan.riemann import STRICT_TOL
 from eulerfan.subsolution import (
     DELTA2_CAP,
@@ -426,6 +427,15 @@ class TestNumericFailure:
             verify_full(p, f)
         with pytest.raises(NumericError, match="arithmetic overflow"):
             extract_deltas(dataclasses.replace(f, v11=1e160))
+
+    def test_checked_square(self):
+        # one rule for every velocity square: x**2 with its bits and type,
+        # or NumericError
+        for x in (3.0, -1.3e154, 7, 0.1):
+            assert squared(x) == x**2 and type(squared(x)) is type(x**2)
+        for x in (1e155, -1e155):
+            with pytest.raises(NumericError, match="arithmetic overflow: a squared velocity"):
+                squared(x)
 
     def test_wedge_velocity_overflow(self):
         r = dataclasses.replace(reduced_from(CASE5, *search_feasible(CASE5)), v12=1e160)

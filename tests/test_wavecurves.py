@@ -174,6 +174,11 @@ class TestSpeeds:
         assert pure_shock_speed(State(4, 0, 0), State(1, 0, 3)) == -1.0
         assert pure_shock_speed(State(5, 0, 1.25), State(2, 0, 1.25)) == 1.25
 
+    def test_pure_shock_speed_overflow(self):
+        # rho*v2 overflows: the speed was inf
+        with pytest.raises(NumericError, match="arithmetic overflow: the shock speed"):
+            pure_shock_speed(State(1e200, 0, 1e200), State(1, 0, 0))
+
     def test_degenerate_shock_rejected(self):
         with pytest.raises(DegenerateShockError):
             pure_shock_speed(State(1, 0, 0), State(1, 0, 2))

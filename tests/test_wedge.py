@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from collections import Counter
@@ -25,6 +26,7 @@ from eulerfan import (
     verify_full,
     verify_standard,
 )
+from eulerfan.certificate import Certificate, strict
 from generators import random_case5, random_case6_one_shock
 
 LAW_LOG = GasLaw(1.0, 1.0)
@@ -162,6 +164,50 @@ class TestScheduleSizes:
         with pytest.raises(ConstructionError) as err:
             build(p, max_halvings=1200, initial_fraction=1.0)
         assert [a["s"] for a in err.value.attempts] == [0.5**k for k in range(1075)]
+
+
+class TestAttemptFailures:
+    """The failure reasons of an attempt that passed the left piece: the
+    tier-1 suite reached none of them before."""
+
+    @staticmethod
+    def failures(p, **options):
+        with pytest.raises(ConstructionError) as err:
+            build_sr(p, max_halvings=0, **options)
+        return [a["failure"] for a in err.value.attempts]
+
+    def test_right_problem_misclassified(self):
+        # s = 1 puts u2 on the right state, so the right piece is Constant
+        rng = np.random.default_rng(601)
+        p = [random_case5(rng)[0] for _ in range(5)][-1]
+        with pytest.raises(ConstructionError) as err:
+            build_sr(p, initial_fraction=1.0, max_halvings=0)
+        assert err.value.attempts == [
+            {"s": 1.0, "rho2": 3.7535411706396453, "failure": "right-problem-misclassified"}
+        ]
+
+    def test_right_problem_not_a_single_3_wave(self, monkeypatch):
+        def as_1_wave(p):
+            s = solve_standard(p)
+            return dataclasses.replace(s, waves=(dataclasses.replace(s.waves[0], family=1),))
+
+        monkeypatch.setattr(eulerfan.wedge, "solve_standard", as_1_wave)
+        assert self.failures(CASE5) == ["right-problem-not-a-single-3-wave"]
+
+    def test_right_wave_verification_failed(self, monkeypatch):
+        failing = Certificate((strict("forced", -1.0, 1e-12),))
+        monkeypatch.setattr(eulerfan.wedge, "verify_standard", lambda p, s: failing)
+        assert self.failures(CASE5) == ["right-wave-verification-failed"]
+
+    def test_nonpositive_glue_margin(self, monkeypatch):
+        # the paper's gluing inequality mu1 < mu2, with mu2 moved far left
+        def moved_left(p):
+            s = solve_standard(p)
+            return dataclasses.replace(s, waves=(dataclasses.replace(s.waves[0], speeds=(-1e300, 0.0)),))
+
+        monkeypatch.setattr(eulerfan.wedge, "solve_standard", moved_left)
+        monkeypatch.setattr(eulerfan.wedge, "verify_standard", lambda p, s: Certificate(()))
+        assert self.failures(CASE5) == ["nonpositive-glue-margin"]
 
 
 class TestBuildS:

@@ -14,7 +14,8 @@ from json.encoder import encode_basestring_ascii as _escape
 from . import oracles
 from .certificate import Certificate
 from .eos import GasLaw
-from .errors import ConstructionError, DomainError, EulerFanError, NumericError, is_number, to_float
+from .errors import ConstructionError, DomainError, EulerFanError, NumericError
+from .errors import require_count, require_finite, require_positive
 from .riemann import (
     EQUATION_TOL,
     RAREFACTION,
@@ -183,11 +184,8 @@ def emit_geometry(w: WedgeConstruction) -> str:
 # input parsing
 
 
-# The rules a value can follow: a finite number of at least an optional
-# minimum, a finite positive number, or an integral number (7 or 7.0) of at
-# least a minimum and at most an optional maximum, the rule's third item.
-_NUMBER, _POSITIVE, _INTEGER = "number", "positive", "integer"
-_STATE = {"rho": (_POSITIVE, None), "v1": (_NUMBER, None), "v2": (_NUMBER, None)}
+# The rule of each value: the errors check that decides it, with its bounds.
+_STATE = {"rho": (require_positive,), "v1": (require_finite,), "v2": (require_finite,)}
 
 # The sections of an input document, each with the rule of each of its
 # fields.  Every mode checks the whole document against this table, so a
@@ -195,34 +193,25 @@ _STATE = {"rho": (_POSITIVE, None), "v1": (_NUMBER, None), "v2": (_NUMBER, None)
 # default, whichever fields the mode reads, and one document serves every
 # mode.
 _SCHEMA = {
-    "law": {"K": (_POSITIVE, None), "gamma": (_NUMBER, 1.0)},
+    "law": {"K": (require_positive,), "gamma": (require_finite, 1.0)},
     "left": _STATE,
     "right": _STATE,
-    "search": {"scan_points": (_INTEGER, 1), "grid": (_INTEGER, 2, GRID_MAX)},
-    "perturbation": {"initial": (_POSITIVE, None), "max_halvings": (_INTEGER, 0)},
+    "search": {"scan_points": (require_count, 1), "grid": (require_count, 2, GRID_MAX)},
+    "perturbation": {"initial": (require_positive,), "max_halvings": (require_count, 0)},
 }
 
 
 def _check_field(fieldname: str, value, rule):
-    """``value`` under ``rule``, as a float (an int for an integer rule), or
-    SpecError naming ``fieldname``."""
-    kind, minimum, *maximum = rule
-    if kind == _INTEGER:
-        if not is_number(value) or isinstance(value, float) and not value.is_integer():
-            raise SpecError(fieldname, f"expected an integer, got {value!r}")
-    elif not is_number(value):
-        raise SpecError(fieldname, f"expected a number, got {value!r}")
-    else:
-        value = to_float(value)  # NaN for an integer beyond the floats
-        if not math.isfinite(value):
-            raise SpecError(fieldname, "must be finite")
-        if kind == _POSITIVE and not value > 0.0:
-            raise SpecError(fieldname, f"must be positive, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise SpecError(fieldname, f"must be >= {minimum}, got {value!r}")
-    if maximum and value > maximum[0]:
-        raise SpecError(fieldname, f"must be <= {maximum[0]}, got {value!r}")
-    return int(value) if kind == _INTEGER else value
+    """What the rule's check returns for ``value``, or SpecError naming
+    ``fieldname``.  JSON may write a count as an integral float such as 7.0,
+    so a count rule takes one as its int."""
+    check, *bounds = rule
+    if check is require_count and type(value) is float and value.is_integer():
+        value = int(value)
+    try:
+        return check(fieldname, value, *bounds)
+    except DomainError as exc:
+        raise SpecError(fieldname, str(exc).removeprefix(fieldname + " ")) from None
 
 
 def check_document(doc) -> dict:
@@ -387,7 +376,7 @@ def _run_wedge(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
     tols = {"tol_eq": tol_eq, "tol_strict": tol_strict}
     tilde, sub = construction.problem_tilde, construction.sub
     certificates = {
-        "glue": verify_construction(working, construction, **tols),
+        "glue": verify_construction(working, construction, tol_strict=tol_strict),
         "subsolution_full": verify_full(tilde, sub, **tols),
         "subsolution_reduced": check_reduced(tilde, sub.rho1, extract_deltas(sub)[1], tol_strict=tol_strict),
         "right_wave": verify_standard(construction.problem_wedge, construction.right_wave, **tols),
@@ -446,10 +435,10 @@ def run(
     tol_eq, tol_strict, seed, samples = (
         _check_field(flag, value, rule)
         for flag, value, rule in (
-            ("--tol-eq", tol_eq, (_POSITIVE, None)),
-            ("--tol-strict", tol_strict, (_POSITIVE, None)),
-            ("--seed", seed, (_INTEGER, 0)),
-            ("--samples", samples, (_INTEGER, 1)),
+            ("--tol-eq", tol_eq, (require_positive,)),
+            ("--tol-strict", tol_strict, (require_positive,)),
+            ("--seed", seed, (require_count, 0)),
+            ("--samples", samples, (require_count, 1)),
         )
     )
     if mode == "lemmas":

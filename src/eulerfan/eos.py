@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NumericError, require_positive
+from .errors import DomainError, NumericError, require_finite, require_positive
 
 # Below this distance from 1, gamma is treated as exactly 1 so that the
 # internal energy uses the logarithmic branch instead of the catastrophically
@@ -25,8 +25,7 @@ class GasLaw:
 
     def __post_init__(self):
         require_positive("pressure constant K", self.K)
-        if not require_positive("adiabatic exponent gamma", self.gamma) >= 1.0:
-            raise DomainError(f"adiabatic exponent gamma must be >= 1, got {self.gamma!r}")
+        require_finite("adiabatic exponent gamma", self.gamma, 1.0)
         # ``isothermal``: computed once per law and read by every kernel call.
         # A plain attribute, not a field, so asdict, == and hash ignore it;
         # not a cached_property, whose write to __dict__ would slow every

@@ -1,7 +1,7 @@
-"""Exception types shared across the toolkit, the checks of the integer
-sizes (sample counts, seeds, search and schedule lengths), the numbers and
-the finite positive numbers (tolerances, fractions, times, law constants)
-that public functions take, and the one checked square of a velocity."""
+"""Exception types shared across the toolkit, the checks of the integers
+(sizes, seeds), the finite numbers (velocities, gamma) and the finite
+positive numbers (tolerances, fractions, times, law constants) that public
+functions take, and the one checked square of a velocity."""
 
 import math
 import operator
@@ -96,6 +96,17 @@ def require_positive(name: str, value) -> float:
     number = to_float(value)
     if not 0.0 < number < math.inf:
         raise DomainError(f"{name} must be a finite positive number, got {value!r:.40}")
+    return number
+
+
+def require_finite(name: str, value, minimum: float = -math.inf) -> float:
+    """``value`` as a float, or DomainError unless it is an int or a float
+    (not a bool) that is finite, fits a float, and is at least ``minimum``."""
+    number = to_float(value)
+    if not -math.inf < number < math.inf:
+        raise DomainError(f"{name} must be a finite number, got {value!r:.40}")
+    if number < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value!r:.40}")
     return number
 
 

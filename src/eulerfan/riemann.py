@@ -11,7 +11,7 @@ from enum import Enum
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import GasLaw, internal_energy, pressure
-from .errors import BracketError, DomainError, InvariantError, NumericError, require_positive, squared, to_float
+from .errors import BracketError, DomainError, InvariantError, NumericError, require_finite, require_positive, squared
 from .wavecurves import (
     State,
     lambda1,
@@ -104,16 +104,19 @@ class RiemannProblem:
             raise DomainError("a Riemann problem takes a GasLaw and two States")
         if self.left.rho <= 0.0 or self.right.rho <= 0.0:
             raise DomainError("initial states need positive density")
-        for s in (self.left, self.right):
-            if not (math.isfinite(to_float(s.v1)) and math.isfinite(to_float(s.v2))):
-                raise DomainError("initial states need finite velocities")
+        for v in (self.left.v1, self.left.v2, self.right.v1, self.right.v2):
+            require_finite("initial velocity", v)
         if self.left.v1 != self.right.v1:
             raise DomainError("tangential velocities must agree on both sides")
 
     @property
     def dv(self) -> float:
-        """Normal velocity jump v+2 - v-2, the classification coordinate."""
-        return self.right.v2 - self.left.v2
+        """Normal velocity jump v+2 - v-2, the classification coordinate;
+        NumericError when it overflows."""
+        dv = self.right.v2 - self.left.v2
+        if -math.inf < dv < math.inf:
+            return dv
+        raise NumericError(f"arithmetic overflow: the velocity jump {self.right.v2!r} - {self.left.v2!r}")
 
 
 @dataclass(frozen=True)
@@ -421,28 +424,17 @@ def verify_standard(
                 "middle-density-equation",
                 cert.EQUATION,
                 residual,
-                MIDDLE_EQUATION_TOL * cert.scale_of(p.dv),
+                MIDDLE_EQUATION_TOL * cert.scale_of(dv),
             )
         )
 
     if s.case == CaseId.R1R3_VACUUM:
         w1, w3 = s.waves
-        entries.append(
-            cert.equation(
-                "rarefaction1.vacuum-curve",
-                w1.speeds[1] - p.left.v2,
-                rarefaction_integral(law, 0.0, p.left.rho),
-                tol_eq,
-            )
-        )
-        entries.append(
-            cert.equation(
-                "rarefaction3.vacuum-curve",
-                p.right.v2 - w3.speeds[0],
-                rarefaction_integral(law, 0.0, p.right.rho),
-                tol_eq,
-            )
-        )
+        for prefix, gap, rho in (
+            ("rarefaction1", w1.speeds[1] - p.left.v2, p.left.rho),
+            ("rarefaction3", p.right.v2 - w3.speeds[0], p.right.rho),
+        ):
+            entries.append(cert.equation(prefix + ".vacuum-curve", gap, rarefaction_integral(law, 0.0, rho), tol_eq))
         for wave, prefix in ((w1, "rarefaction1"), (w3, "rarefaction3")):
             head, tail = wave.speeds
             entries.append(
@@ -462,15 +454,7 @@ def verify_standard(
                     _rarefaction_entries(law, ul, ur, wave, prefix, tol_eq, tol_strict)
                 )
 
-    for i in range(len(s.waves) - 1):
-        gap = s.waves[i + 1].leftmost - s.waves[i].rightmost
-        entries.append(
-            cert.nonstrict(
-                f"wave-order.{i}",
-                gap,
-                tol_strict,
-                s.waves[i].rightmost,
-                s.waves[i + 1].leftmost,
-            )
-        )
+    for i, (a, b) in enumerate(zip(s.waves, s.waves[1:])):
+        gap = b.leftmost - a.rightmost
+        entries.append(cert.nonstrict(f"wave-order.{i}", gap, tol_strict, a.rightmost, b.leftmost))
     return Certificate(tuple(entries))

@@ -150,5 +150,8 @@ def pure_shock_speed(left: State, right: State) -> float:
         raise DegenerateShockError("equal densities leave the shock speed undetermined")
     speed = (left.rho * left.v2 - right.rho * right.v2) / (left.rho - right.rho)
     if not -math.inf < speed < math.inf:
+        # the mass fluxes overflowed, perhaps not the speed; finite speeds keep their bits
+        speed = left.v2 + (left.v2 - right.v2) * (right.rho / (left.rho - right.rho))
+    if not -math.inf < speed < math.inf:
         raise NumericError(f"arithmetic overflow: the shock speed between densities {left.rho!r} and {right.rho!r}")
     return speed

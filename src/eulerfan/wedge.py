@@ -12,7 +12,6 @@ from .certificate import Certificate
 from .eos import pressure
 from .errors import ConstructionError, DomainError, NumericError, require_count, require_positive
 from .riemann import (
-    EQUATION_TOL,
     RAREFACTION,
     STRICT_TOL,
     CaseId,
@@ -33,6 +32,9 @@ from .wavecurves import State, rarefaction_integral, shock_bracket
 
 # Relative tolerance for the wave-curve membership of the auxiliary state.
 CURVE_TOL = 1e-11
+
+# What a construction passes on to search_feasible besides its bound and tolerance
+_SEARCH_SIZES = frozenset(search_feasible.__kwdefaults__) - {"rho1_below", "tol_strict"}
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class WedgeConstruction:
     perturbation: float
 
 
-def _attempt(p, u2, s, rho_ref, right_case, search_opts):
+def _attempt(p, u2, s, rho_ref, right_case, tol_strict, search_opts):
     """The construction with auxiliary state u2, or a failure reason string.
 
     The left piece (left data to u2) needs a fan subsolution with rho1 below
@@ -68,12 +70,12 @@ def _attempt(p, u2, s, rho_ref, right_case, search_opts):
     tilde = RiemannProblem(law, p.left, u2)
     if classify(tilde) is not CaseId.S1R3:
         return "perturbed-problem-not-shock-rarefaction"
-    found = search_feasible(tilde, rho1_below=rho_ref, **search_opts)
+    found = search_feasible(tilde, rho1_below=rho_ref, tol_strict=tol_strict, **search_opts)
     if found is None:
         return "no-feasible-pair"
     rho1, delta2 = found
     sub = lift_to_full(tilde, reduced_from(tilde, rho1, delta2))
-    if not verify_full(tilde, sub).overall:
+    if not verify_full(tilde, sub, tol_strict=tol_strict).overall:
         return "full-verification-failed"
     wedge_problem = RiemannProblem(law, u2, p.right)
     if classify(wedge_problem) is not right_case:
@@ -82,7 +84,7 @@ def _attempt(p, u2, s, rho_ref, right_case, search_opts):
     right_wave = solve_standard(wedge_problem)
     if right_wave.waves[0].family != 3:
         return "right-problem-not-a-single-3-wave"
-    if not verify_standard(wedge_problem, right_wave).overall:
+    if not verify_standard(wedge_problem, right_wave, tol_strict=tol_strict).overall:
         return "right-wave-verification-failed"
     mu2 = right_wave.waves[0].leftmost
     glue = mu2 - sub.mu1
@@ -91,7 +93,7 @@ def _attempt(p, u2, s, rho_ref, right_case, search_opts):
     return WedgeConstruction(u2, tilde, wedge_problem, sub, right_wave, mu2, glue, s)
 
 
-def _construct(p, rho_ref, place, right_case, initial_fraction, max_halvings, search_opts):
+def _construct(p, rho_ref, place, right_case, initial_fraction, max_halvings, tol_strict, search_opts):
     """The perturbation schedule shared by both constructions.
 
     ``place(s)`` gives (rho2, u2) for the fraction s, or (rho2, reason) when
@@ -99,15 +101,19 @@ def _construct(p, rho_ref, place, right_case, initial_fraction, max_halvings, se
     attempt log becomes the ConstructionError once the schedule is spent.
     It also ends before s underflows to 0.0, which would repeat one attempt,
     so at most about 2,100 are made.  Raises DomainError for a negative
-    ``max_halvings`` or an ``initial_fraction`` that is not a finite
-    positive number.
+    ``max_halvings``, an ``initial_fraction`` or ``tol_strict`` that is not
+    a finite positive number, or a search option that is not a search size.
     """
     max_halvings = require_count("max_halvings", max_halvings, 0)
     s = require_positive("initial_fraction", initial_fraction)
+    tol_strict = require_positive("tol_strict", tol_strict)
+    unknown = set(search_opts) - _SEARCH_SIZES
+    if unknown:
+        raise DomainError(f"a construction passes on only {sorted(_SEARCH_SIZES)}, not {sorted(unknown)}")
     attempts = []
     for _ in range(max_halvings + 1):
         rho2, u2 = place(s)
-        outcome = u2 if isinstance(u2, str) else _attempt(p, u2, s, rho_ref, right_case, search_opts)
+        outcome = u2 if isinstance(u2, str) else _attempt(p, u2, s, rho_ref, right_case, tol_strict, search_opts)
         if isinstance(outcome, WedgeConstruction):
             return outcome
         attempts.append({"s": s, "rho2": rho2, "failure": outcome})
@@ -122,6 +128,7 @@ def build_sr(
     *,
     initial_fraction: float = 0.5,
     max_halvings: int = 40,
+    tol_strict: float = STRICT_TOL,
     **search_opts,
 ) -> WedgeConstruction:
     """Auxiliary-state construction for 1-shock / 3-rarefaction data.
@@ -132,7 +139,8 @@ def build_sr(
     times) until the left piece admits a fan subsolution with rho1 below the
     middle density; existence for small enough s is guaranteed, but no usable
     radius is, so the schedule shrinks geometrically to machine scale.
-    Attempts at successive s values are strictly sequential.
+    Attempts at successive s values are strictly sequential; each searches
+    and certifies at ``tol_strict``, and ``search_opts`` are search sizes.
 
     Rotated input: for 1-rarefaction / 3-shock data the caller applies
     rotate_180 first.
@@ -150,7 +158,7 @@ def build_sr(
         rho2 = rho_m + s * (rr - rho_m)
         return rho2, State(rho2, p.left.v1, vr2 - rarefaction_integral(law, rho2, rr))
 
-    return _construct(p, rho_m, place, CaseId.SINGLE_R, initial_fraction, max_halvings, search_opts)
+    return _construct(p, rho_m, place, CaseId.SINGLE_R, initial_fraction, max_halvings, tol_strict, search_opts)
 
 
 def build_s(
@@ -158,6 +166,7 @@ def build_s(
     *,
     initial_fraction: float = 0.5,
     max_halvings: int = 40,
+    tol_strict: float = STRICT_TOL,
     **search_opts,
 ) -> WedgeConstruction:
     """Auxiliary-state construction for single 1-shock data.
@@ -166,7 +175,8 @@ def build_s(
     rho2 = (1 + s) * rho+, subject to the side condition that the auxiliary
     shock is weaker than the rarefaction integral between the data densities;
     s halves whenever that condition or the subsolution search fails.  The
-    shrink is observable in the returned ``perturbation``.
+    shrink is observable in the returned ``perturbation``.  The options are
+    those of build_sr.
 
     Rotated input: 3-shock data (rho- > rho+) is the caller's job to rotate.
     """
@@ -185,22 +195,21 @@ def build_s(
             return rho2, "aux-shock-not-weaker"
         return rho2, State(rho2, p.left.v1, vr2 + jump)
 
-    return _construct(p, rr, place, CaseId.SINGLE_S, initial_fraction, max_halvings, search_opts)
+    return _construct(p, rr, place, CaseId.SINGLE_S, initial_fraction, max_halvings, tol_strict, search_opts)
 
 
 def verify_construction(
     p: RiemannProblem,
     w: WedgeConstruction,
     *,
-    tol_eq: float = EQUATION_TOL,
     tol_strict: float = STRICT_TOL,
 ) -> Certificate:
     """Glue-level certificate for a construction built from problem ``p``:
     speed ordering mu0 < mu1 < mu2, the wedge density below its reference,
     wave-curve membership of the auxiliary state, and the chain bounding mu1
-    from above through the wedge's positive normal-stress excess.  Raises
-    DomainError for a tolerance that is not finite and positive."""
-    tol_eq = require_positive("tol_eq", tol_eq)
+    from above through the wedge's positive normal-stress excess (curve
+    entries at CURVE_TOL).  Raises DomainError for a ``tol_strict`` that is
+    not finite and positive."""
     tol_strict = require_positive("tol_strict", tol_strict)
     law = w.problem_tilde.law
     is_rarefaction = w.right_wave.waves[0].kind == RAREFACTION

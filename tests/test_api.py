@@ -1,6 +1,7 @@
 """The public surface: every export resolves, every argument that must be a
 finite positive number is checked the same way, by errors.require_positive,
-and the problem types take only numbers."""
+every finite number by errors.require_finite, and the problem types take
+only numbers."""
 
 import json
 import math
@@ -24,7 +25,7 @@ from eulerfan import (
     verify_standard,
 )
 from eulerfan.cli import problem_dict
-from eulerfan.errors import require_positive
+from eulerfan.errors import require_finite, require_positive
 
 LAW_LOG = GasLaw(1.0, 1.0)
 
@@ -57,6 +58,25 @@ def test_require_positive_returns_a_float(value):
     assert type(number) is float and number == value
 
 
+# NOT_POSITIVE less its last two, -1 and 0, which are finite, and a value
+# below the minimum
+NOT_FINITE = NOT_POSITIVE[:-2] + [0.5]
+NOT_FINITE_IDS = NOT_POSITIVE_IDS[:-2] + ["below-minimum"]
+
+
+@pytest.mark.parametrize("value", NOT_FINITE, ids=NOT_FINITE_IDS)
+def test_require_finite_rejects(value):
+    with pytest.raises(DomainError, match="^x must be"):
+        require_finite("x", value, 1.0)
+
+
+@pytest.mark.parametrize("value", [-1, 0, -0.0, -1.7976931348623157e308, -(2**1023), 1.5])
+def test_require_finite_returns_a_float(value):
+    # the minimum itself is allowed
+    for number in (require_finite("x", value), require_finite("x", value, value)):
+        assert type(number) is float and number == value
+
+
 @not_positive
 def test_check_reduced_tolerance_rejected(value):
     # at tol_strict=-1.0 the negative delta2 below was marked as passing
@@ -80,7 +100,9 @@ def test_verify_standard_tolerance_rejected(name, value):
         verify_standard(CASE5, solve_standard(CASE5), **{name: value})
 
 
-@both_tolerances
+# the glue certificate's equations use CURVE_TOL, so tol_strict is its one
+# tolerance: a tol_eq was checked there and never read
+@pytest.mark.parametrize("name", ["tol_strict"])
 @not_positive
 def test_verify_construction_tolerance_rejected(name, value):
     w = build_s(CASE6)

@@ -218,6 +218,26 @@ class TestModes:
         ]
         assert not out.exists()
 
+    def test_wedge_attempts_use_the_strict_tolerance(self, tmp_path, capsys):
+        # seed-601 draw 6: the attempts were decided at 1e-12, and the
+        # construction they returned failed its full certificate at 1e-6
+        rng = np.random.default_rng(601)
+        for _ in range(7):
+            p, _ = random_case5(rng)
+        path = write_doc(tmp_path, problem_dict(p))
+        assert main(["--mode", "wedge", "--input", path, "--tol-strict", "1e-6"]) == STATUS_OK
+        assert "certificates: PASS" in capsys.readouterr().out
+
+    def test_overflowing_velocity_jump(self, tmp_path, capsys):
+        # dv = inf was classified as Constant, and exited 0
+        doc = dict(CASE6_DOC, left={"rho": 1.0, "v1": 0.0, "v2": -1e308},
+                   right={"rho": 1.0, "v1": 0.0, "v2": 1e308})
+        path = write_doc(tmp_path, doc)
+        assert main(["--mode", "classify", "--input", path]) == STATUS_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: arithmetic overflow: the velocity jump")
+
     def test_lemmas_mode(self, tmp_path):
         out = tmp_path / "out"
         status = main(["--mode", "lemmas", "--samples", "300", "--seed", "7", "--out", str(out)])

@@ -136,6 +136,26 @@ def test_bracket_beyond_the_floats_is_a_numeric_error(op, p):
         op(p)
 
 
+# dv = 1e308 - (-1e308) overflows to inf, which lay in the Constant band
+JUMP_OVERFLOW = make(GasLaw(1.0, 1.4), 1.0, -1e308, 1.0, 1e308)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        classify,
+        near_boundaries,
+        lambda p: middle_equation(p, CaseId.S1S3),
+        lambda p: verify_standard(p, riemann.StandardSolution(CaseId.CONSTANT, None, ())),
+    ],
+    ids=["classify", "near-boundaries", "middle-equation", "verify-standard"],
+)
+def test_velocity_jump_overflow_is_a_numeric_error(op):
+    # classify answered Constant, and verify_standard passed
+    with pytest.raises(NumericError, match="arithmetic overflow: the velocity jump"):
+        op(JUMP_OVERFLOW)
+
+
 @pytest.mark.parametrize(
     "p",
     [
@@ -246,17 +266,22 @@ class TestSolveStandard:
     @pytest.mark.parametrize(
         "p",
         [
-            # the 1-shock's mass flux rho*v2 overflows: its speed was inf
-            make(GasLaw(1.0, 1.4), 1.0, 1e300, 1e100, 1e300),
             # the middle velocity overflows, and with it two rarefaction edges
             make(GasLaw(7.407301696940875e-109, 1.0), 7.4056223220101e52, -9.695943015803278e20,
                  2.2499499601139898e-246, 3.274457939566829e230),
         ],
-        ids=["shock-speed", "middle-velocity"],
+        ids=["middle-velocity"],
     )
     def test_overflowing_speed_is_a_numeric_error(self, p):
         with pytest.raises(NumericError, match="arithmetic overflow"):
             solve_standard(p)
+
+    def test_shock_speed_beyond_the_mass_fluxes(self):
+        # the 1-shock's mass flux rho*v2 overflows, but not its speed: it was
+        # inf, then a NumericError
+        s = solve_standard(make(GasLaw(1.0, 1.4), 1.0, 1e300, 1e100, 1e300))
+        assert s.case is CaseId.S1R3
+        assert s.waves[0].speeds == (1e300,)
 
     def test_isothermal_huge_jump_reports_bracket(self):
         with pytest.raises(BracketError) as err:

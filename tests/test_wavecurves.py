@@ -175,9 +175,21 @@ class TestSpeeds:
         assert pure_shock_speed(State(5, 0, 1.25), State(2, 0, 1.25)) == 1.25
 
     def test_pure_shock_speed_overflow(self):
-        # rho*v2 overflows: the speed was inf
+        # the speed itself, -2e308, is beyond the floats
         with pytest.raises(NumericError, match="arithmetic overflow: the shock speed"):
-            pure_shock_speed(State(1e200, 0, 1e200), State(1, 0, 0))
+            pure_shock_speed(State(1, 0, 1e308), State(1.5, 0, 0))
+
+    @pytest.mark.parametrize(
+        "left, right, speed",
+        [
+            (State(1e200, 0, 1e200), State(1, 0, 0), 1e200),
+            (State(1, 0, 1e300), State(1e100, 0, 1e300), 1e300),
+        ],
+        ids=["large-density-and-velocity", "equal-velocities"],
+    )
+    def test_pure_shock_speed_beyond_the_mass_fluxes(self, left, right, speed):
+        # rho*v2 overflows, but the speed fits a float: each raised NumericError
+        assert pure_shock_speed(left, right) == speed
 
     def test_degenerate_shock_rejected(self):
         with pytest.raises(DegenerateShockError):

@@ -151,6 +151,32 @@ class TestScheduleSizes:
         with pytest.raises(DomainError, match="tol_strict"):
             build(p, tol_strict=tol)
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"rho1_below": 2.0}, {"bogus": 1}, {"max_halvings": 0, "initial_fraction": 100.0, "bogus": 1}],
+        ids=["bound-set-by-the-construction", "unknown", "unknown-on-a-failing-schedule"],
+    )
+    def test_only_search_sizes_pass_through(self, build, p, options):
+        # a bare TypeError from the call, a bare TypeError from the search,
+        # and a ConstructionError that ignored the unknown name
+        with pytest.raises(DomainError, match="a construction passes on only"):
+            build(p, **options)
+
+    def test_attempts_use_the_strict_tolerance(self, build, p, monkeypatch):
+        seen = []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                seen.append((fn.__name__, kwargs.get("tol_strict")))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("search_feasible", "verify_full", "verify_standard"):
+            monkeypatch.setattr(eulerfan.wedge, name, recording(getattr(eulerfan.wedge, name)))
+        build(p, tol_strict=1e-9)
+        assert seen == [("search_feasible", 1e-9), ("verify_full", 1e-9), ("verify_standard", 1e-9)]
+
     def test_zero_halvings_is_one_attempt(self, build, p, monkeypatch):
         monkeypatch.setattr(eulerfan.wedge, "search_feasible", lambda p, **kw: None)
         with pytest.raises(ConstructionError) as err:
@@ -164,6 +190,28 @@ class TestScheduleSizes:
         with pytest.raises(ConstructionError) as err:
             build(p, max_halvings=1200, initial_fraction=1.0)
         assert [a["s"] for a in err.value.attempts] == [0.5**k for k in range(1075)]
+
+
+@pytest.mark.parametrize(
+    "build, seed, draw",
+    [(build_sr, 601, lambda rng: random_case5(rng)[0]), (build_s, 602, random_case6_one_shock)],
+    ids=["build_sr", "build_s"],
+)
+def test_constructions_pass_at_their_own_tolerance(build, seed, draw):
+    # the attempts were decided at the default 1e-12: at 1e-6, 14 of the
+    # first 100 seed-601 constructions failed their full certificate
+    rng = np.random.default_rng(seed)
+    built = 0
+    for _ in range(30):
+        p = draw(rng)
+        try:
+            w = build(p, tol_strict=1e-6)
+        except ConstructionError:
+            continue
+        built += 1
+        assert verify_full(w.problem_tilde, w.sub, tol_strict=1e-6).overall
+        assert verify_standard(w.problem_wedge, w.right_wave, tol_strict=1e-6).overall
+    assert built >= 25
 
 
 class TestAttemptFailures:
@@ -196,7 +244,7 @@ class TestAttemptFailures:
 
     def test_right_wave_verification_failed(self, monkeypatch):
         failing = Certificate((strict("forced", -1.0, 1e-12),))
-        monkeypatch.setattr(eulerfan.wedge, "verify_standard", lambda p, s: failing)
+        monkeypatch.setattr(eulerfan.wedge, "verify_standard", lambda p, s, **tols: failing)
         assert self.failures(CASE5) == ["right-wave-verification-failed"]
 
     def test_nonpositive_glue_margin(self, monkeypatch):
@@ -206,7 +254,7 @@ class TestAttemptFailures:
             return dataclasses.replace(s, waves=(dataclasses.replace(s.waves[0], speeds=(-1e300, 0.0)),))
 
         monkeypatch.setattr(eulerfan.wedge, "solve_standard", moved_left)
-        monkeypatch.setattr(eulerfan.wedge, "verify_standard", lambda p, s: Certificate(()))
+        monkeypatch.setattr(eulerfan.wedge, "verify_standard", lambda p, s, **tols: Certificate(()))
         assert self.failures(CASE5) == ["nonpositive-glue-margin"]
 
 

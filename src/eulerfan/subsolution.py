@@ -15,7 +15,9 @@ from .eos import GasLaw, internal_energy, pressure
 from .errors import (
     CriterionError, DomainError, InvariantError, NumericError, is_number, require_count, require_positive, squared,
 )
-from .riemann import EQUATION_TOL, STRICT_TOL, CaseId, RiemannProblem, classify, solve_standard
+from .riemann import EQUATION_TOL, STRICT_TOL, CaseId, RiemannProblem, _solve_middle_density, classify
+# not called here: the benchmark's tracer rebinds this module's solve_standard
+from .riemann import solve_standard  # noqa: F401
 from .wavecurves import shock_bracket
 
 # delta2 is scanned over at most this magnitude; the admissibility conditions
@@ -76,18 +78,27 @@ class FanSubsolution:
 
 class _ProblemTerms:
     """The terms of the star formulas that depend only on the problem: the
-    data, p and eps at both data densities, and the discriminant with its
-    clamped value, each computed once so that a search pays only the
-    rho1-dependent part per candidate."""
+    data, the law constants, p and eps at both data densities, and the
+    discriminant with its clamped value, each computed once so that a
+    search pays only the rho1-dependent part per candidate (_closed_forms).
+
+    ``clamped`` is the discriminant clamped to zero inside its roundoff
+    band, or None below the band.  The search refuses a discriminant inside
+    the band before it evaluates any rho1, so the clamp serves direct
+    closed-form calls on the single-shock locus, whose discriminant is zero
+    up to roundoff: there a small negative rounding error must not kill the
+    square roots."""
 
     def __init__(self, p: RiemannProblem):
         law = p.law
         self.law = law
+        # read by _closed_forms for p and eps at rho1, as eos reads them
+        self.K, self.gamma, self.gm1, self.isothermal = law.K, law.gamma, law.gamma - 1.0, law.isothermal
         self.rl, self.vl2 = p.left.rho, p.left.v2
         self.rr, self.vr2 = p.right.rho, p.right.v2
         self.pl, self.pr = pressure(law, self.rl), pressure(law, self.rr)
         self.el, self.er = internal_energy(law, self.rl), internal_energy(law, self.rr)
-        # the rho1-free factors of _v12 and _delta1, each the same float as
+        # the rho1-free factors of v12 and delta1, each the same float as
         # the subexpression it stands for
         self.gap = self.rl - self.rr
         self.left_flux = -self.rl * self.vl2
@@ -102,23 +113,7 @@ class _ProblemTerms:
         # single-shock data t1 and t2 agree to a few ulps.  The band scales
         # with the terms, so small-scale data keeps a genuine sign.
         self.disc_noise = STRICT_TOL * max(abs(t1), abs(t2))
-        self._clamped = None if self.disc < -self.disc_noise else max(self.disc, 0.0)
-
-    def clamped_disc(self) -> float:
-        """Discriminant clamped to zero inside its roundoff band, computed
-        once with the other terms; CriterionError below the band.
-
-        The search refuses a discriminant inside the band before it
-        evaluates any rho1, so the clamp serves direct closed-form calls on
-        the single-shock locus, whose discriminant is zero up to roundoff:
-        there a small negative rounding error must not kill the square
-        roots.
-        """
-        if self._clamped is None:
-            raise CriterionError(
-                f"negative discriminant {self.disc!r}: no fan subsolution can exist"
-            )
-        return self._clamped
+        self.clamped = None if self.disc < -self.disc_noise else max(self.disc, 0.0)
 
 
 def discriminant(p: RiemannProblem) -> float:
@@ -132,35 +127,51 @@ def discriminant(p: RiemannProblem) -> float:
     return _ProblemTerms(p).disc
 
 
-def _star_terms(p: RiemannProblem, rho1: float) -> tuple[_ProblemTerms, float]:
-    """The problem terms and the clamped discriminant, for rho1 strictly
-    inside the density window."""
+def _star_terms(p: RiemannProblem, rho1: float) -> _ProblemTerms:
+    """The problem terms, for rho1 strictly inside the density window."""
     if not (p.left.rho < rho1 < p.right.rho):
         raise DomainError(
             f"rho1 must lie strictly between the data densities, got {rho1!r}"
         )
-    t = _ProblemTerms(p)
-    return t, t.clamped_disc()
+    return _ProblemTerms(p)
 
 
-def _v12(t: _ProblemTerms, d: float, rho1: float) -> float:
+def _closed_forms(t: _ProblemTerms, rho1: float) -> tuple[float, float, float, float]:
+    """(p1, e1, v12, d1): p, eps, the wedge normal velocity v12 and the
+    normal-stress excess delta1 at rho1 inside the density window, the one
+    copy of that arithmetic, in one frame.
+
+    p and eps are eos's expressions with the law constants held by ``t``;
+    where one overflows, eos is called and raises its own NumericError
+    (rho1 inside the window is finite and positive, so eos's density test
+    holds).  CriterionError when the discriminant is below its band, and
+    NumericError when a divisor underflows or delta1 overflows in a power.
+    An inf or NaN v12 or delta1 is returned, for the caller to refuse.
+    """
+    d = t.clamped
+    if d is None:
+        raise CriterionError(f"negative discriminant {t.disc!r}: no fan subsolution can exist")
+    try:
+        p1 = t.K * rho1**t.gamma
+        e1 = t.K * math.log(rho1) if t.isothermal else t.K * rho1**t.gm1 / t.gm1
+    except OverflowError:
+        p1 = e1 = math.inf
+    if not (p1 < math.inf and abs(e1) < math.inf):
+        p1, e1 = pressure(t.law, rho1), internal_energy(t.law, rho1)
     rl, rr = t.rl, t.rr
     root = math.sqrt(d * (rho1 - rl) * (rr - rho1))
     try:
-        return (t.left_flux * (rr - rho1) - t.right_flux * (rho1 - rl) + root) / (rho1 * t.gap)
+        v12 = (t.left_flux * (rr - rho1) - t.right_flux * (rho1 - rl) + root) / (rho1 * t.gap)
     except ZeroDivisionError:
         raise NumericError(f"arithmetic underflow: the v12 divisor at rho1={rho1!r}") from None
-
-
-def _delta1(t: _ProblemTerms, d: float, rho1: float, p1: float) -> float:
-    rl, rr = t.rl, t.rr
     term = t.jump + math.sqrt(d * (rr - rho1) / (rho1 - rl))
     try:
-        return -(p1 - t.pl) / rho1 + rl * (rho1 - rl) / (rho1**2 * t.gap**2) * term**2
+        d1 = -(p1 - t.pl) / rho1 + rl * (rho1 - rl) / (rho1**2 * t.gap**2) * term**2
     except OverflowError:
         raise NumericError(f"arithmetic overflow: delta1 at rho1={rho1!r}") from None
     except ZeroDivisionError:
         raise NumericError(f"arithmetic underflow: the delta1 divisor at rho1={rho1!r}") from None
+    return p1, e1, v12, d1
 
 
 def _bracket(rho_a: float, rho_b: float, p_a: float, p_b: float, e_a: float, e_b: float) -> float:
@@ -169,8 +180,9 @@ def _bracket(rho_a: float, rho_b: float, p_a: float, p_b: float, e_a: float, e_b
 
 def v12_star(p: RiemannProblem, rho1: float) -> float:
     """Wedge normal velocity forced by the mass jump at the left interface;
-    NumericError when it overflows."""
-    v12 = _v12(*_star_terms(p, rho1), rho1)
+    NumericError when it overflows, or when delta1, computed with it,
+    overflows in a power or underflows in a divisor."""
+    v12 = _closed_forms(_star_terms(p, rho1), rho1)[2]
     if not math.isfinite(v12):
         raise NumericError(f"arithmetic overflow: v12 at rho1={rho1!r}")
     return v12
@@ -186,13 +198,12 @@ def reduced_from(p: RiemannProblem, rho1: float, delta2: float) -> ReducedSubsol
     forced by the momentum jump on the left.  Raises NumericError when one
     of these overflows.
     """
-    t, d = _star_terms(p, rho1)
-    rl, rr = t.rl, t.rr
+    t = _star_terms(p, rho1)
+    _, _, v12, delta1 = _closed_forms(t, rho1)
+    d, rl, rr = t.clamped, t.rl, t.rr
     base = (rl * t.vl2 - rr * t.vr2) / (rl - rr)
-    v12 = _v12(t, d, rho1)
     mu0 = base + math.sqrt(d * (rr - rho1) / (rho1 - rl)) / (rl - rr)
     mu1 = base - math.sqrt(d * (rho1 - rl) / (rr - rho1)) / (rl - rr)
-    delta1 = _delta1(t, d, rho1, pressure(p.law, rho1))
     # as in the entropy rows: 0 * x is NaN exactly for an inf or NaN x
     if not math.isfinite(0.0 * v12 + 0.0 * mu0 + 0.0 * mu1 + 0.0 * delta1):
         raise NumericError(f"arithmetic overflow: the closed forms at rho1={rho1!r}")
@@ -244,19 +255,16 @@ def admissibility_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
 
 
 def _left_row(t: _ProblemTerms, rho1: float):
-    """(p1, e1, v12, d1, lhs, rhs0, s): p, eps, v12 and delta1 at rho1
-    inside the density window, the terms both entropy rows share, and the
-    left entropy row, whose margin at delta2 is rhs0 + s*delta2 - lhs.  Only
-    p and eps at rho1 and the two square roots are evaluated here; the rest
-    comes from ``t``.
+    """(p1, e1, v12, d1, lhs, rhs0, s): the closed forms at rho1 inside the
+    density window (_closed_forms), which both entropy rows share, and the
+    left entropy row, whose margin at delta2 is rhs0 + s*delta2 - lhs.  Per
+    rho1 this makes two calls, _closed_forms and _bracket; every rho1-free
+    term comes from ``t``.
 
     NumericError when a row term is inf or NaN, as the margin would then be
     meaningless, not negative; an inf or NaN v12 or delta1 makes one.
     """
-    d = t.clamped_disc()
-    p1, e1 = pressure(t.law, rho1), internal_energy(t.law, rho1)
-    v12 = _v12(t, d, rho1)
-    d1 = _delta1(t, d, rho1, p1)
+    p1, e1, v12, d1 = _closed_forms(t, rho1)
     rl, vl2 = t.rl, t.vl2
     coupling = rl * rho1 * (v12 - vl2) / (rl - rho1)
     lhs = (v12 - vl2) * _bracket(rl, rho1, t.pl, p1, t.el, e1)
@@ -466,10 +474,12 @@ def _guided_candidates(p, scan_points):
     the left density or the middle density of the standard solution,
     whichever end the left normal velocity selects.  At most ``scan_points``
     of them, drawn lazily, up to the first step ``gap * 0.5**k`` that
-    underflows to 0.0 (by k = 1075): every later one would equal that one."""
+    underflows to 0.0 (by k = 1075): every later one would equal that one.
+    The middle density comes from the S1R3 bisection alone, the bits of
+    ``solve_standard(p).middle.rho`` without its waves."""
     if classify(p) is not CaseId.S1R3:
         return
-    rho_m = solve_standard(p).middle.rho
+    rho_m = _solve_middle_density(p, CaseId.S1R3)
     jump = shock_bracket(p.law, p.left.rho, rho_m)
     threshold = rho_m * jump / (2.0 * (rho_m - p.left.rho))
     gap = rho_m - p.left.rho

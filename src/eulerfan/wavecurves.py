@@ -56,8 +56,12 @@ def rarefaction_integral(law: GasLaw, rho_a: float, rho_b: float) -> float:
 def rarefaction_integral_to(law: GasLaw, rho_b: float):
     """rho_a -> rarefaction_integral(law, rho_a, rho_b), bit for bit, with
     the terms at the fixed upper endpoint rho_b (its sound speed and
-    2/(gamma-1)) computed once.  Only a density ratio that underflows to 0
-    raises NumericError here; rarefaction_integral checks its one result
+    2/(gamma-1)) and the law constants K*gamma and gamma-1 computed once.
+    For gamma > 1 the sound speed at rho_a is sound_speed's product, with
+    its factors in pressure_derivative's order, evaluated inline; an
+    overflowing one is handed to sound_speed, which raises its own
+    NumericError.  Only a density ratio that underflows to 0 raises
+    NumericError here otherwise; rarefaction_integral checks its one result
     for overflow."""
     if not 0.0 <= rho_b < math.inf:
         raise DomainError(_NONNEGATIVE)
@@ -82,13 +86,22 @@ def rarefaction_integral_to(law: GasLaw, rho_b: float):
     # gamma > 1: the sound speed has the finite vacuum limit 0
     factor = 2.0 / (law.gamma - 1.0)
     speed_b = sound_speed(law, rho_b) if rho_b > 0.0 else 0.0
+    # pressure_derivative's K * gamma * rho**(gamma - 1), left to right
+    k_gamma, exponent = law.K * law.gamma, law.gamma - 1.0
 
     def integral(rho_a: float) -> float:
         if not 0.0 <= rho_a < math.inf:
             raise DomainError(_NONNEGATIVE)
         if rho_a == rho_b:
             return 0.0
-        return factor * (speed_b - (sound_speed(law, rho_a) if rho_a > 0.0 else 0.0))
+        speed_a = 0.0
+        if rho_a > 0.0:
+            try:
+                c2 = k_gamma * rho_a**exponent
+            except OverflowError:
+                c2 = math.inf
+            speed_a = math.sqrt(c2) if c2 < math.inf else sound_speed(law, rho_a)
+        return factor * (speed_b - speed_a)
 
     return integral
 
@@ -111,13 +124,23 @@ def shock_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
 
 def shock_bracket_to(law: GasLaw, rho_b: float):
     """rho_a -> shock_bracket(law, rho_a, rho_b), bit for bit, with p(rho_b)
-    computed once; ``pressure`` rejects a density that is not finite and
-    positive.  Only a density product that underflows to 0 raises
-    NumericError here; shock_bracket checks its one result for overflow."""
+    computed once.  p(rho_a) is pressure's product K * rho_a**gamma,
+    evaluated inline; at a density that is not finite and positive, or
+    where the product overflows, ``pressure`` is called instead and raises
+    its own DomainError or NumericError.  Only a density product that
+    underflows to 0 raises NumericError here otherwise; shock_bracket checks
+    its one result for overflow."""
     p_b = pressure(law, rho_b)
+    k, gamma = law.K, law.gamma
 
     def bracket(rho_a: float) -> float:
-        num = (rho_a - rho_b) * (pressure(law, rho_a) - p_b)
+        try:
+            p_a = k * rho_a**gamma if 0.0 < rho_a < math.inf else math.inf
+        except OverflowError:
+            p_a = math.inf
+        if not p_a < math.inf:
+            p_a = pressure(law, rho_a)
+        num = (rho_a - rho_b) * (p_a - p_b)
         # max(num, 0.0) without the call: keeps -0.0 and NaN as max does
         try:
             return math.sqrt((0.0 if 0.0 > num else num) / (rho_a * rho_b))

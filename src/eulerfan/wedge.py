@@ -17,6 +17,7 @@ from .riemann import (
     CaseId,
     RiemannProblem,
     StandardSolution,
+    _solve_middle_density,
     classify,
     solve_standard,
     verify_standard,
@@ -209,18 +210,20 @@ def verify_construction(
     wave-curve membership of the auxiliary state, and the chain bounding mu1
     from above through the wedge's positive normal-stress excess (curve
     entries at CURVE_TOL).  Raises DomainError for a ``tol_strict`` that is
-    not finite and positive."""
+    not finite and positive, and for a construction on the rarefaction
+    curve (build_sr's) with ``p`` not 1-shock/3-rarefaction data, whose
+    middle density is its reference."""
     tol_strict = require_positive("tol_strict", tol_strict)
     law = w.problem_tilde.law
     is_rarefaction = w.right_wave.waves[0].kind == RAREFACTION
+    if is_rarefaction and classify(p) is not CaseId.S1R3:
+        raise DomainError("a construction on the rarefaction curve needs 1-shock/3-rarefaction data")
     entries = [
         cert.strict("speeds.mu0-before-mu1", w.sub.mu1 - w.sub.mu0, tol_strict, w.sub.mu0, w.sub.mu1),
         cert.strict("speeds.mu1-before-mu2", w.mu2 - w.sub.mu1, tol_strict, w.sub.mu1, w.mu2),
     ]
-    if is_rarefaction:
-        rho_ref = solve_standard(p).middle.rho
-    else:
-        rho_ref = p.right.rho
+    # solve_standard's middle density, without its waves
+    rho_ref = _solve_middle_density(p, CaseId.S1R3) if is_rarefaction else p.right.rho
     entries.append(
         cert.strict(
             "wedge-density-below-reference", rho_ref - w.sub.rho1, tol_strict, rho_ref, w.sub.rho1

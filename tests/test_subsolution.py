@@ -19,7 +19,9 @@ from eulerfan import (
     check_reduced,
     discriminant,
     extract_deltas,
+    internal_energy,
     lift_to_full,
+    pressure,
     rarefaction_integral,
     reduced_from,
     reduced_residuals,
@@ -38,13 +40,14 @@ from eulerfan.subsolution import (
     DELTA2_CAP,
     GRID_MAX,
     SEARCH_DELTA_FLOOR,
+    _closed_forms,
     _delta2_window,
     _first_feasible,
     _guided_candidates,
     _ProblemTerms,
     _ReducedRows,
 )
-from generators import random_case5, random_case6_one_shock
+from generators import GAMMAS, random_case5, random_case6_one_shock
 
 LAW_LOG = GasLaw(1.0, 1.0)
 
@@ -160,6 +163,71 @@ class TestClosedForms:
             assert r.mu0 < r.mu1
             for label, lhs, rhs in reduced_residuals(p, r):
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs)), label
+
+
+def old_v12(p, d, rho1):
+    """v12 as written before _closed_forms: the bit-parity reference."""
+    rl, vl2, rr, vr2 = p.left.rho, p.left.v2, p.right.rho, p.right.v2
+    root = math.sqrt(d * (rho1 - rl) * (rr - rho1))
+    return (-rl * vl2 * (rr - rho1) - rr * vr2 * (rho1 - rl) + root) / (rho1 * (rl - rr))
+
+
+def old_delta1(p, d, rho1):
+    """delta1 as written before _closed_forms, with eos's pressures."""
+    rl, vl2, rr, vr2 = p.left.rho, p.left.v2, p.right.rho, p.right.v2
+    term = rr * (vl2 - vr2) + math.sqrt(d * (rr - rho1) / (rho1 - rl))
+    p1, pl = pressure(p.law, rho1), pressure(p.law, rl)
+    return -(p1 - pl) / rho1 + rl * (rho1 - rl) / (rho1**2 * (rl - rr) ** 2) * term**2
+
+
+# the generators' gammas, and gamma just inside and just outside the band
+# that selects eos's logarithmic energy
+KERNEL_GAMMAS = GAMMAS + (1.0 + 1e-13, 1.0 + 2e-12)
+
+
+class TestClosedFormBits:
+    """_closed_forms computes p and eps inline and v12 and delta1 in one
+    frame: every value keeps the bits of eos and of the former formulas."""
+
+    @pytest.mark.parametrize("seed, gamma", list(enumerate(KERNEL_GAMMAS)))
+    def test_same_bits_as_eos_and_the_former_formulas(self, seed, gamma):
+        rng = np.random.default_rng(700 + seed)
+        checked = 0
+        for _ in range(40):
+            law = GasLaw(float(10.0 ** rng.uniform(-1, 1)), gamma)
+            p, _ = random_case5(rng, law=law)
+            t = _ProblemTerms(p)
+            if t.clamped is None:
+                continue
+            rl, rr = p.left.rho, p.right.rho
+            fractions = [float(u) for u in rng.uniform(0.0, 1.0, 8)] + [1e-12, 0.5, 1.0 - 1e-12]
+            for rho1 in [rl + u * (rr - rl) for u in fractions] + [math.nextafter(rl, rr)]:
+                p1, e1, v12, d1 = _closed_forms(t, rho1)
+                assert p1.hex() == pressure(law, rho1).hex(), rho1
+                assert e1.hex() == internal_energy(law, rho1).hex(), rho1
+                assert repr(v12) == repr(old_v12(p, t.clamped, rho1)), rho1
+                assert repr(d1) == repr(old_delta1(p, t.clamped, rho1)), rho1
+                checked += 1
+        assert checked > 200
+
+    @pytest.mark.parametrize(
+        "law, rho1, eos",
+        [
+            (GasLaw(1.0, 3.0), 1e200, pressure),  # rho1**3 raises OverflowError
+            (GasLaw(1e300, 1.4), 1e10, pressure),  # K * rho1**1.4 is inf
+            (GasLaw(1e306, 1.0), 1e-300, internal_energy),  # K * log(rho1) is -inf
+        ],
+        ids=["power", "product", "log-energy"],
+    )
+    def test_overflow_raises_the_eos_error(self, law, rho1, eos):
+        # rho1 lies outside the window here, so the overflow is reached
+        # directly: _closed_forms hands it to eos, which raises its own error
+        t = _ProblemTerms(RiemannProblem(law, State(1.0, 0.0, 0.0), State(2.0, 0.0, 0.0)))
+        with pytest.raises(NumericError) as expected:
+            eos(law, rho1)
+        with pytest.raises(NumericError) as got:
+            _closed_forms(t, rho1)
+        assert str(got.value) == str(expected.value)
 
 
 class TestCheckReduced:
@@ -345,8 +413,13 @@ class TestNumericFailure:
     def test_overflowing_terms_below_the_floor(self, monkeypatch, v12, d1):
         # an inf or NaN v12 or delta1 makes the left row's terms inf or NaN,
         # so the kernel raises even where delta1 alone would refuse rho1
-        monkeypatch.setattr(subsolution, "_v12", lambda t, d, rho1: v12)
-        monkeypatch.setattr(subsolution, "_delta1", lambda t, d, rho1, p1: d1)
+        closed_forms = subsolution._closed_forms
+
+        def inject(t, rho1):
+            p1, e1, _, _ = closed_forms(t, rho1)
+            return p1, e1, v12, d1
+
+        monkeypatch.setattr(subsolution, "_closed_forms", inject)
         with pytest.raises(NumericError, match="overflow at rho1="):
             _delta2_window(_ProblemTerms(CASE5), 2.0, STRICT_TOL)
 

@@ -224,7 +224,9 @@ def _old_shock_bracket(law, rho_a, rho_b):
     return math.sqrt(max(num, 0.0) / (rho_a * rho_b))
 
 
-FIXED_GAMMAS = (1.0, 1.0 + 5e-13, 1.4, 3.0, 7.0)
+# the generators' gammas, 7, and gamma inside and just outside the band
+# that selects the isothermal forms
+FIXED_GAMMAS = (1.0, 1.0 + 1e-13, 1.0 + 5e-13, 1.0 + 2e-12, 1.4, 2.0, 3.0, 7.0)
 
 
 def _same_bits(x, y):
@@ -235,7 +237,8 @@ def _same_bits(x, y):
 @pytest.mark.parametrize("gamma", FIXED_GAMMAS)
 class TestFixedEndpointForms:
     """The forms with one endpoint fixed give the two-argument kernels' bits,
-    and the kernels give the bits of their former single-function form."""
+    and the kernels give the bits of their former single-function form,
+    which calls pressure and sound_speed where the forms compute inline."""
 
     @staticmethod
     def densities(gamma, n=60):
@@ -319,6 +322,22 @@ class TestFixedEndpointForms:
                     to(law, bad)
                 with pytest.raises(DomainError, match="finite"):
                     to(law, 0.7)(bad)
+
+    def test_overflow_raises_the_eos_error(self, gamma):
+        # the forms compute p and c inline and hand an overflowing one to
+        # pressure or sound_speed, so the message is eos's own: at rho =
+        # 1e300, rho**gamma raises OverflowError for gamma well above 1 and
+        # K * rho**gamma is inf near 1
+        law = GasLaw(1e300, gamma)
+        cases = [(pressure, shock_bracket_to(law, 1.0))]
+        if gamma >= 1.4:  # nearer 1, c**2 = K*gamma*rho**(gamma-1) stays near K
+            cases.append((sound_speed, rarefaction_integral_to(law, 1.0)))
+        for eos, form in cases:
+            with pytest.raises(NumericError) as expected:
+                eos(law, 1e300)
+            with pytest.raises(NumericError) as got:
+                form(1e300)
+            assert str(got.value) == str(expected.value)
 
     def test_zero_density_rejected_by_the_shock_form(self, gamma):
         law = GasLaw(1.3, gamma)

@@ -27,7 +27,7 @@ from eulerfan import (
     verify_standard,
 )
 from eulerfan.certificate import Certificate, strict
-from generators import random_case5, random_case6_one_shock
+from generators import problem_for_case, random_case5, random_case6_one_shock
 
 LAW_LOG = GasLaw(1.0, 1.0)
 
@@ -75,6 +75,15 @@ class TestBuildSR:
         p = RiemannProblem(GasLaw(0.5, 2.0), State(1, 0, -1), State(1, 0, 1))
         with pytest.raises(DomainError):
             build_sr(p)
+
+    @pytest.mark.parametrize("case", [CaseId.CONSTANT, CaseId.SINGLE_R, CaseId.R1S3, CaseId.R1R3_VACUUM])
+    def test_verify_against_data_without_a_shock_rarefaction_middle(self, case):
+        # the certificate's reference density is the data's S1R3 middle
+        # density; Constant and SingleR data have no middle state, and
+        # raised a bare AttributeError
+        p, _ = problem_for_case(case, np.random.default_rng(19))
+        with pytest.raises(DomainError, match="1-shock/3-rarefaction"):
+            verify_construction(p, build_sr(CASE5))
 
     def test_succeeds_where_direct_search_is_empty(self):
         assert search_feasible(NO_SUBSOLUTION) is None

@@ -29,12 +29,12 @@ DELTA2_CAP = 1e8
 # tolerance, so points hugging the 1e-12 margin line are too fragile to lift.
 SEARCH_DELTA_FLOOR = 2e-6
 
-# _delta2_window widens each row's bound by _WINDOW_ETA * (1 + tol), 32 unit
+# _scan widens each entropy row's bound by _WINDOW_ETA * (1 + tol), 32 unit
 # roundoffs of a double per unit of 1 + tol, so that rounding in the
 # predicate and in the window cannot put a passing delta2 outside it.
 _WINDOW_ETA = 2.0**-48
 
-# _delta2_window leaves out a row whose coefficients, times 1 + tol, reach
+# _scan's window leaves out a row whose coefficients, times 1 + tol, reach
 # this size: its bound could overflow, and leaving it out only widens.
 _WINDOW_SIZE_CAP = 2.0**1000
 
@@ -79,8 +79,7 @@ class FanSubsolution:
 class _ProblemTerms:
     """The terms of the star formulas that depend only on the problem: the
     data, the law constants, p and eps at both data densities, and the
-    discriminant with its clamped value, each computed once so that a
-    search pays only the rho1-dependent part per candidate (_closed_forms).
+    discriminant with its clamped value, each computed once per problem.
 
     ``clamped`` is the discriminant clamped to zero inside its roundoff
     band, or None below the band.  The search refuses a discriminant inside
@@ -92,7 +91,7 @@ class _ProblemTerms:
     def __init__(self, p: RiemannProblem):
         law = p.law
         self.law = law
-        # read by _closed_forms for p and eps at rho1, as eos reads them
+        # read by _scan for p and eps at rho1, as eos reads them
         self.K, self.gamma, self.gm1, self.isothermal = law.K, law.gamma, law.gamma - 1.0, law.isothermal
         self.rl, self.vl2 = p.left.rho, p.left.v2
         self.rr, self.vr2 = p.right.rho, p.right.v2
@@ -136,53 +135,150 @@ def _star_terms(p: RiemannProblem, rho1: float) -> _ProblemTerms:
     return _ProblemTerms(p)
 
 
-def _closed_forms(t: _ProblemTerms, rho1: float) -> tuple[float, float, float, float]:
-    """(p1, e1, v12, d1): p, eps, the wedge normal velocity v12 and the
-    normal-stress excess delta1 at rho1 inside the density window, the one
-    copy of that arithmetic, in one frame.
+def _bracket(rho_a: float, rho_b: float, p_a: float, p_b: float, e_a: float, e_b: float) -> float:
+    return p_a + p_b - 2.0 * rho_a * rho_b * (e_a - e_b) / (rho_a - rho_b)
+
+
+def _scan(t: _ProblemTerms, rho1s, tol: float | None = None):
+    """The one copy of the arithmetic at a wedge density rho1, over the
+    stream ``rho1s`` in one frame: p, eps, v12 and delta1 (the closed
+    forms), the two entropy rows and the delta2 window.  The problem terms
+    are read from ``t`` once; no rho1 is drawn before it is needed.
+
+    With ``tol`` it is a search stage's kernel and yields (rho1, (lo, hi))
+    for each rho1 whose window is open, lo <= hi: the predicate
+    (``_ReducedRows.feasible``) fails at every delta2 >= 0 outside it.
+    Other rho1 yield nothing: outside the density window, delta1 below
+    SEARCH_DELTA_FLOOR (checked after the left row), or no delta2 left by
+    the rows.  The right row is computed only once the left one leaves a
+    window.  Without ``tol``, a rho1 inside the density window yields (p1,
+    e1, v12, d1), then the left and the right row as (lhs, rhs0, s), with
+    margin rhs0 + s*delta2 - lhs, each computed only once it is drawn: the
+    single-point callers draw these.
 
     p and eps are eos's expressions with the law constants held by ``t``;
     where one overflows, eos is called and raises its own NumericError
     (rho1 inside the window is finite and positive, so eos's density test
-    holds).  CriterionError when the discriminant is below its band, and
-    NumericError when a divisor underflows or delta1 overflows in a power.
-    An inf or NaN v12 or delta1 is returned, for the caller to refuse.
+    holds).  CriterionError when the discriminant is below its band;
+    NumericError when a divisor of v12 or delta1 underflows, delta1
+    overflows in a power, or a row it computes has an inf or NaN term (as
+    an inf or NaN v12 or delta1 gives), whose margin would be meaningless,
+    not negative.  A right row that is never computed cannot raise: the
+    finite left row and delta1 below the floor, or the left row's bound,
+    have then proved that the predicate fails at every delta2 of this rho1.
+
+    The window.  An entropy row with terms lhs and rhs = rhs0 + s*d passes
+    when its margin rhs - lhs exceeds tol*max(1, |lhs|, |rhs|), so only when
+    it exceeds tol*max(1, |lhs|): one affine bound c + k*d > 0 per row.
+    Leaving out the |rhs| part of the scale only widens the window.
+
+    The predicate computes rhs = fl(rhs0 + fl(d*s)) and passes when
+    fl(rhs - lhs) > fl(tol*scale) >= fl(tol*max(1, |lhs|)).  Rounding is
+    monotone, so that implies rhs - lhs > tol*max(1, |lhs|) exactly; only
+    rhs carries error.  In the standard model (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 2-3: fl(x op y) = (x op y)(1 +
+    e) + f, |e| <= u = 2**-53, |f| <= 2**-1075, f = 0 for + and -) that
+    error is at most u|rhs0| + 2u|s|d to first order in u, plus underflow.
+    Computing c, k and -c/k below loses at most another 4u(1+tol)(|rhs0| +
+    |lhs| + 1) in c and 3u|s| in k, plus 8u for underflow (d times
+    2**-1075 is at most 4u for a float d); the 1 in the c term takes every
+    absolute term.  So eta = 32u(1+tol), more than twice the totals of
+    13u(1+tol) per unit of |rhs0| + |lhs| + 1 on c and 5u per unit of |s|
+    on k, gives c' = c + eta*(|rhs0| + |lhs| + 1) and k' = k + eta*|s|
+    (both widen, as d >= 0) with every passing d inside [lo, hi] as
+    computed here.  Monotonicity holds through overflow too, and an
+    overflowing rhs makes the scale inf and the row fail.
+
+    A row with k' > 0 raises lo to -c'/k', one with k' < 0 lowers hi to
+    it, and one with k' = 0 passes every d or none.  A row whose (|rhs0|
+    + |lhs| + |s| + 1)*(1 + tol) is not below _WINDOW_SIZE_CAP could
+    overflow inside its bound and is left out, which only widens the
+    window.
     """
     d = t.clamped
     if d is None:
         raise CriterionError(f"negative discriminant {t.disc!r}: no fan subsolution can exist")
-    try:
-        p1 = t.K * rho1**t.gamma
-        e1 = t.K * math.log(rho1) if t.isothermal else t.K * rho1**t.gm1 / t.gm1
-    except OverflowError:
-        p1 = e1 = math.inf
-    if not (p1 < math.inf and abs(e1) < math.inf):
-        p1, e1 = pressure(t.law, rho1), internal_energy(t.law, rho1)
-    rl, rr = t.rl, t.rr
-    root = math.sqrt(d * (rho1 - rl) * (rr - rho1))
-    try:
-        v12 = (t.left_flux * (rr - rho1) - t.right_flux * (rho1 - rl) + root) / (rho1 * t.gap)
-    except ZeroDivisionError:
-        raise NumericError(f"arithmetic underflow: the v12 divisor at rho1={rho1!r}") from None
-    term = t.jump + math.sqrt(d * (rr - rho1) / (rho1 - rl))
-    try:
-        d1 = -(p1 - t.pl) / rho1 + rl * (rho1 - rl) / (rho1**2 * t.gap**2) * term**2
-    except OverflowError:
-        raise NumericError(f"arithmetic overflow: delta1 at rho1={rho1!r}") from None
-    except ZeroDivisionError:
-        raise NumericError(f"arithmetic underflow: the delta1 divisor at rho1={rho1!r}") from None
-    return p1, e1, v12, d1
-
-
-def _bracket(rho_a: float, rho_b: float, p_a: float, p_b: float, e_a: float, e_b: float) -> float:
-    return p_a + p_b - 2.0 * rho_a * rho_b * (e_a - e_b) / (rho_a - rho_b)
+    law, K, gamma, gm1, isothermal = t.law, t.K, t.gamma, t.gm1, t.isothermal
+    rl, vl2, pl, el = t.rl, t.vl2, t.pl, t.el
+    rr, vr2, pr, er = t.rr, t.vr2, t.pr, t.er
+    gap, left_flux, right_flux, jump = t.gap, t.left_flux, t.right_flux, t.jump
+    sqrt, log, isfinite, inf = math.sqrt, math.log, math.isfinite, math.inf
+    bounded = tol is not None
+    if bounded:
+        up, floor, size_cap = 1.0 + tol, SEARCH_DELTA_FLOOR, _WINDOW_SIZE_CAP
+        eta = _WINDOW_ETA * up
+    for rho1 in rho1s:
+        if bounded and not rl < rho1 < rr:
+            continue
+        try:
+            p1 = K * rho1**gamma
+            e1 = K * log(rho1) if isothermal else K * rho1**gm1 / gm1
+        except OverflowError:
+            p1 = e1 = inf
+        if not (p1 < inf and abs(e1) < inf):
+            p1, e1 = pressure(law, rho1), internal_energy(law, rho1)
+        root = sqrt(d * (rho1 - rl) * (rr - rho1))
+        try:
+            v12 = (left_flux * (rr - rho1) - right_flux * (rho1 - rl) + root) / (rho1 * gap)
+        except ZeroDivisionError:
+            raise NumericError(f"arithmetic underflow: the v12 divisor at rho1={rho1!r}") from None
+        term = jump + sqrt(d * (rr - rho1) / (rho1 - rl))
+        try:
+            d1 = -(p1 - pl) / rho1 + rl * (rho1 - rl) / (rho1**2 * gap**2) * term**2
+        except OverflowError:
+            raise NumericError(f"arithmetic overflow: delta1 at rho1={rho1!r}") from None
+        except ZeroDivisionError:
+            raise NumericError(f"arithmetic underflow: the delta1 divisor at rho1={rho1!r}") from None
+        if not bounded:
+            yield p1, e1, v12, d1
+        lo, hi = 0.0, inf
+        for right in (False, True):  # the right row only once the left leaves a window
+            if right:
+                coupling = rho1 * rr * (vr2 - v12) / (rho1 - rr)
+                lhs = (vr2 - v12) * _bracket(rho1, rr, p1, pr, e1, er)
+                rhs0 = -d1 * rho1 * (vr2 + v12) + d1 * coupling
+                s = coupling
+            else:
+                coupling = rl * rho1 * (v12 - vl2) / (rl - rho1)
+                lhs = (v12 - vl2) * _bracket(rl, rho1, pl, p1, el, e1)
+                rhs0 = d1 * rho1 * (v12 + vl2) - d1 * coupling
+                s = -coupling
+            # 0 * x is 0 for finite x and NaN for inf or NaN: one isfinite per row
+            if not isfinite(0.0 * lhs + 0.0 * rhs0 + 0.0 * coupling):
+                raise NumericError(f"the reduced conditions overflow at rho1={rho1!r}")
+            if not bounded:
+                yield lhs, rhs0, s
+                continue
+            if d1 < floor:
+                break
+            m, ms = abs(lhs), abs(s)
+            size = abs(rhs0) + m + 1.0
+            if not (size + ms) * up < size_cap:
+                continue
+            c = rhs0 - lhs + eta * size - tol * (m if m > 1.0 else 1.0)
+            k = s + eta * ms
+            if k > 0.0:
+                x = -c / k
+                if x > lo:
+                    lo = x
+            elif k < 0.0:
+                x = -c / k
+                if x < hi:
+                    hi = x
+            elif not c > 0.0:
+                break
+            if lo > hi:
+                break
+        else:
+            if bounded:
+                yield rho1, (lo, hi)
 
 
 def v12_star(p: RiemannProblem, rho1: float) -> float:
     """Wedge normal velocity forced by the mass jump at the left interface;
     NumericError when it overflows, or when delta1, computed with it,
     overflows in a power or underflows in a divisor."""
-    v12 = _closed_forms(_star_terms(p, rho1), rho1)[2]
+    v12 = next(_scan(_star_terms(p, rho1), (rho1,)))[2]
     if not math.isfinite(v12):
         raise NumericError(f"arithmetic overflow: v12 at rho1={rho1!r}")
     return v12
@@ -199,7 +295,7 @@ def reduced_from(p: RiemannProblem, rho1: float, delta2: float) -> ReducedSubsol
     of these overflows.
     """
     t = _star_terms(p, rho1)
-    _, _, v12, delta1 = _closed_forms(t, rho1)
+    _, _, v12, delta1 = next(_scan(t, (rho1,)))
     d, rl, rr = t.clamped, t.rl, t.rr
     base = (rl * t.vl2 - rr * t.vr2) / (rl - rr)
     mu0 = base + math.sqrt(d * (rr - rho1) / (rho1 - rl)) / (rl - rr)
@@ -254,131 +350,21 @@ def admissibility_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
     return bracket
 
 
-def _left_row(t: _ProblemTerms, rho1: float):
-    """(p1, e1, v12, d1, lhs, rhs0, s): the closed forms at rho1 inside the
-    density window (_closed_forms), which both entropy rows share, and the
-    left entropy row, whose margin at delta2 is rhs0 + s*delta2 - lhs.  Per
-    rho1 this makes two calls, _closed_forms and _bracket; every rho1-free
-    term comes from ``t``.
-
-    NumericError when a row term is inf or NaN, as the margin would then be
-    meaningless, not negative; an inf or NaN v12 or delta1 makes one.
-    """
-    p1, e1, v12, d1 = _closed_forms(t, rho1)
-    rl, vl2 = t.rl, t.vl2
-    coupling = rl * rho1 * (v12 - vl2) / (rl - rho1)
-    lhs = (v12 - vl2) * _bracket(rl, rho1, t.pl, p1, t.el, e1)
-    rhs0 = d1 * rho1 * (v12 + vl2) - d1 * coupling
-    # 0 * x is 0 for finite x and NaN for inf or NaN: one isfinite per row
-    if not math.isfinite(0.0 * lhs + 0.0 * rhs0 + 0.0 * coupling):
-        raise NumericError(f"the reduced conditions overflow at rho1={rho1!r}")
-    return p1, e1, v12, d1, lhs, rhs0, -coupling
-
-
-def _right_row(t: _ProblemTerms, rho1: float, p1: float, e1: float, v12: float, d1: float):
-    """(lhs, rhs0, s) of the right entropy row from the shared terms, with
-    _left_row's NumericError."""
-    rr, vr2 = t.rr, t.vr2
-    coupling = rho1 * rr * (vr2 - v12) / (rho1 - rr)
-    lhs = (vr2 - v12) * _bracket(rho1, rr, p1, t.pr, e1, t.er)
-    rhs0 = -d1 * rho1 * (vr2 + v12) + d1 * coupling
-    if not math.isfinite(0.0 * lhs + 0.0 * rhs0 + 0.0 * coupling):
-        raise NumericError(f"the reduced conditions overflow at rho1={rho1!r}")
-    return lhs, rhs0, coupling
-
-
-def _delta2_window(t: _ProblemTerms, rho1: float, tol: float) -> tuple[float, float] | None:
-    """Closed interval [lo, hi], as a pair with lo <= hi, outside which the
-    search's predicate (``_ReducedRows.feasible``) fails at rho1 at every
-    delta2 >= 0 in float arithmetic; None when it fails at every delta2
-    (rho1 outside the density window, delta1 below SEARCH_DELTA_FLOOR, or no
-    delta2 left by the entropy rows).  This is the search's per-rho1 kernel:
-    it computes the shared terms with the left entropy row, exits when
-    delta1 is below the floor, bounds the left row, and computes the right
-    row only when the left one leaves a window.
-
-    An entropy row with terms lhs and rhs = rhs0 + s*d passes when its
-    margin rhs - lhs exceeds tol*max(1, |lhs|, |rhs|), so only when it
-    exceeds tol*max(1, |lhs|): one affine bound c + k*d > 0 per row.
-    Leaving out the |rhs| part of the scale only widens the window.
-
-    The predicate computes rhs = fl(rhs0 + fl(d*s)) and passes when
-    fl(rhs - lhs) > fl(tol*scale) >= fl(tol*max(1, |lhs|)).  Rounding is
-    monotone, so that implies rhs - lhs > tol*max(1, |lhs|) exactly; only
-    rhs carries error.  In the standard model (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 2-3: fl(x op y) = (x op y)(1 +
-    e) + f, |e| <= u = 2**-53, |f| <= 2**-1075, f = 0 for + and -) that
-    error is at most u|rhs0| + 2u|s|d to first order in u, plus underflow.
-    Computing c, k and -c/k below loses at most another 4u(1+tol)(|rhs0| +
-    |lhs| + 1) in c and 3u|s| in k, plus 8u for underflow (d times
-    2**-1075 is at most 4u for a float d); the 1 in the c term takes every
-    absolute term.  So eta = 32u(1+tol), more than twice the totals of
-    13u(1+tol) per unit of |rhs0| + |lhs| + 1 on c and 5u per unit of |s|
-    on k, gives c' = c + eta*(|rhs0| + |lhs| + 1) and k' = k + eta*|s|
-    (both widen, as d >= 0) with every passing d inside [lo, hi] as
-    computed here.  Monotonicity holds through overflow too, and an
-    overflowing rhs makes the scale inf and the row fail.
-
-    A row with k' > 0 raises lo to -c'/k', one with k' < 0 lowers hi to
-    it, and one with k' = 0 passes every d or none.  A row whose (|rhs0|
-    + |lhs| + |s| + 1)*(1 + tol) is not below _WINDOW_SIZE_CAP could
-    overflow inside its bound and is left out, which only widens the
-    window.
-
-    Raises NumericError when a row it computes has an inf or NaN term, as
-    _left_row and _right_row do.  A right row that overflows but is never
-    computed cannot raise: finite left-row terms (and delta1 below the
-    floor, or the left row's bound) have then already proved that the
-    predicate fails at every delta2 of this rho1.
-    """
-    if not t.rl < rho1 < t.rr:
-        return None
-    p1, e1, v12, d1, lhs, rhs0, s = _left_row(t, rho1)
-    if d1 < SEARCH_DELTA_FLOOR:
-        return None
-    up = 1.0 + tol
-    eta = _WINDOW_ETA * up
-    lo, hi = 0.0, math.inf
-    for right in (False, True):  # the right row only once the left leaves a window
-        if right:
-            lhs, rhs0, s = _right_row(t, rho1, p1, e1, v12, d1)
-        m, ms = abs(lhs), abs(s)
-        size = abs(rhs0) + m + 1.0
-        if not (size + ms) * up < _WINDOW_SIZE_CAP:
-            continue
-        c = rhs0 - lhs + eta * size - tol * (m if m > 1.0 else 1.0)
-        k = s + eta * ms
-        if k > 0.0:
-            x = -c / k
-            if x > lo:
-                lo = x
-        elif k < 0.0:
-            x = -c / k
-            if x < hi:
-                hi = x
-        elif not c > 0.0:
-            return None
-        if lo > hi:
-            return None
-    return lo, hi
-
-
 class _ReducedRows:
-    """The reduced conditions at one rho1, from the kernel's helpers and so
-    with its bits: delta1 and both entropy rows, each margin affine in
-    delta2, so scanning many delta2 values costs a handful of flops each.
-    The search builds one only where ``_delta2_window`` is open.
-
-    Raises NumericError as the row helpers do."""
+    """The reduced conditions at one rho1, drawn from ``_scan`` and so with
+    the search's bits and errors: delta1 and both entropy rows, each margin
+    affine in delta2, so scanning many delta2 values costs a handful of
+    flops each.  The search builds one only at an open window."""
 
     def __init__(self, t: _ProblemTerms, rho1: float):
         self.rl, self.rr, self.rho1 = t.rl, t.rr, rho1
         self.window_ok = t.rl < rho1 < t.rr
         if not self.window_ok:
             return
-        p1, e1, v12, d1, self.lhs_l, self.rhs_l0, self.slope_l = _left_row(t, rho1)
-        self.d1 = d1
-        self.lhs_r, self.rhs_r0, self.slope_r = _right_row(t, rho1, p1, e1, v12, d1)
+        terms = _scan(t, (rho1,))
+        self.d1 = next(terms)[3]
+        self.lhs_l, self.rhs_l0, self.slope_l = next(terms)
+        self.lhs_r, self.rhs_r0, self.slope_r = next(terms)
 
     def rows(self, delta2: float):
         """(label, margin, scale) for every reduced condition at (rho1, delta2).
@@ -444,7 +430,7 @@ def _halvings(delta2: float):
 def _first_feasible(
     t: _ProblemTerms, rho1: float, window: tuple[float, float], tol: float, points=None
 ) -> float | None:
-    """The search at a rho1 whose ``_delta2_window`` is the open ``window``:
+    """The search at a rho1 whose scan yielded the open delta2 ``window``:
     the first delta2 of ``points``, in their order, at which the predicate
     holds, or None.  The predicate fails outside the window, so it runs only
     at the points inside; the answer is that of walking every point.
@@ -491,6 +477,35 @@ def _guided_candidates(p, scan_points):
             return
 
 
+def _fresh_below(rho1s, rho1_below: float):
+    """The rho1 of ``rho1s`` below ``rho1_below``, less each equal to the
+    one kept before it: the guided stage's stream."""
+    previous = None
+    for rho1 in rho1s:
+        if rho1 != previous and rho1 < rho1_below:
+            previous = rho1
+            yield rho1
+
+
+def _grid_below(rl: float, ratio: float, grid: int, rho1_below: float):
+    """The grid stage's ascending rho1, up to the first at or above ``rho1_below``."""
+    for i in range(grid):
+        rho1 = rl * ratio ** ((i + 0.5) / grid)
+        if not rho1 < rho1_below:
+            return
+        yield rho1
+
+
+def _stage(t: _ProblemTerms, rho1s, tol: float, points=None) -> tuple[float, float] | None:
+    """The first (rho1, delta2) hit of one scan of a stage's stream ``rho1s``,
+    with ``_first_feasible`` at each open window; nothing after it is drawn."""
+    for rho1, window in _scan(t, rho1s, tol):
+        found = _first_feasible(t, rho1, window, tol, points)
+        if found is not None:
+            return rho1, found
+    return None
+
+
 @functools.lru_cache(maxsize=4)
 def _delta2_grid(grid: int) -> tuple[float, ...]:
     """The grid stage's ascending delta2 points, log-spaced between
@@ -534,10 +549,11 @@ def search_feasible(
     speeds coincide.  Raises NumericError when the discriminant or, before
     the grid stage, the density ratio rho+/rho- overflows, and when v12,
     delta1 or an entropy row computed at some rho1 is inf or NaN.  Each
-    rho1 decides its left entropy row first (``_delta2_window``), so a right
-    row that would overflow at a rho1 the left row already refuses is never
-    computed and cannot raise.  Raises DomainError for ``scan_points`` below
-    1 or ``grid`` below 2, where nothing or a single point would be
+    stage walks its rho1 in one ``_scan``, which decides the left entropy
+    row first, so a right row that would overflow at a rho1 the left row
+    already refuses is never computed and cannot raise, and a stage draws
+    nothing after its first hit.  Raises DomainError for ``scan_points``
+    below 1 or ``grid`` below 2, where nothing or a single point would be
     searched, for ``grid`` above GRID_MAX, whose grid would not fit in
     memory or time, for a ``tol_strict`` that is not finite and positive,
     where no point could pass and the empty result would certify nothing,
@@ -559,31 +575,15 @@ def search_feasible(
     rl, rr = t.rl, t.rr
     if not rl < rr:
         raise DomainError("the search needs rho- < rho+; rotate the problem first")
-    previous = None
-    for rho1 in _guided_candidates(p, scan_points):
-        if rho1 == previous or not rho1 < rho1_below:
-            continue
-        previous = rho1
-        # most windows are empty: no rows are built and no point is drawn
-        window = _delta2_window(t, rho1, tol_strict)
-        if window is not None:
-            found = _first_feasible(t, rho1, window, tol_strict)
-            if found is not None:
-                return rho1, found
+    # most windows are empty: no rows are built and no delta2 is drawn there
+    found = _stage(t, _fresh_below(_guided_candidates(p, scan_points), rho1_below), tol_strict)
+    if found is not None:
+        return found
     delta2_grid = _delta2_grid(grid)
     ratio = rr / rl
     if not math.isfinite(ratio):
         raise NumericError(f"arithmetic overflow: the density ratio {rr!r}/{rl!r}")
-    for i in range(grid):
-        rho1 = rl * ratio ** ((i + 0.5) / grid)
-        if not rho1 < rho1_below:
-            return None
-        window = _delta2_window(t, rho1, tol_strict)
-        if window is not None:
-            found = _first_feasible(t, rho1, window, tol_strict, delta2_grid)
-            if found is not None:
-                return rho1, found
-    return None
+    return _stage(t, _grid_below(rl, ratio, grid, rho1_below), tol_strict, delta2_grid)
 
 
 def lift_to_full(p: RiemannProblem, r: ReducedSubsolution) -> FanSubsolution:

@@ -1,6 +1,9 @@
 import copy
 import dataclasses
+import functools
+import inspect
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -40,12 +43,13 @@ from eulerfan.subsolution import (
     DELTA2_CAP,
     GRID_MAX,
     SEARCH_DELTA_FLOOR,
-    _closed_forms,
-    _delta2_window,
+    _delta2_grid,
     _first_feasible,
     _guided_candidates,
     _ProblemTerms,
     _ReducedRows,
+    _scan,
+    _stage,
 )
 from generators import GAMMAS, random_case5, random_case6_one_shock
 
@@ -165,15 +169,66 @@ class TestClosedForms:
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs)), label
 
 
+def closed_forms(t, rho1):
+    """(p1, e1, v12, d1) at rho1: the scan's first draw, as the single-point
+    callers take it."""
+    return next(_scan(t, (rho1,)))
+
+
+def scan_window(t, rho1, tol):
+    """The delta2 window (lo, hi) that the search's scan gives rho1, or None
+    where it yields nothing."""
+    return next((window for _, window in _scan(t, (rho1,), tol)), None)
+
+
+@functools.lru_cache
+def scan_line(statement):
+    """The number of the line of _scan that holds ``statement``."""
+    lines, first = inspect.getsourcelines(_scan)
+    return first + [line.strip() for line in lines].index(statement)
+
+
+def scan_setting(t, rho1, tol, statement, values):
+    """scan_window, with the scan's locals set each time it reaches the
+    line ``statement``, as a debugger sets variables at a breakpoint: a trace
+    function updates them with ``values(right)``, ``right`` being the scan's
+    row flag there (None before the rows).  The scan's own code runs
+    throughout, on the values set from that line on; this drives its bound
+    with coefficients that its own arithmetic and row check would never
+    hand it.  Raises AssertionError when the line is never reached."""
+    target = scan_line(statement)
+    reached = []
+
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            reached.append(target)
+            frame.f_locals.update(values(frame.f_locals.get("right")))
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code is _scan.__code__ else None
+
+    saved = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        window = scan_window(t, rho1, tol)
+    finally:
+        sys.settrace(saved)
+    assert reached, statement
+    return window
+
+
 def old_v12(p, d, rho1):
-    """v12 as written before _closed_forms: the bit-parity reference."""
+    """v12 as written before the one-frame closed forms: the bit-parity
+    reference."""
     rl, vl2, rr, vr2 = p.left.rho, p.left.v2, p.right.rho, p.right.v2
     root = math.sqrt(d * (rho1 - rl) * (rr - rho1))
     return (-rl * vl2 * (rr - rho1) - rr * vr2 * (rho1 - rl) + root) / (rho1 * (rl - rr))
 
 
 def old_delta1(p, d, rho1):
-    """delta1 as written before _closed_forms, with eos's pressures."""
+    """delta1 as written before the one-frame closed forms, with eos's
+    pressures."""
     rl, vl2, rr, vr2 = p.left.rho, p.left.v2, p.right.rho, p.right.v2
     term = rr * (vl2 - vr2) + math.sqrt(d * (rr - rho1) / (rho1 - rl))
     p1, pl = pressure(p.law, rho1), pressure(p.law, rl)
@@ -186,8 +241,8 @@ KERNEL_GAMMAS = GAMMAS + (1.0 + 1e-13, 1.0 + 2e-12)
 
 
 class TestClosedFormBits:
-    """_closed_forms computes p and eps inline and v12 and delta1 in one
-    frame: every value keeps the bits of eos and of the former formulas."""
+    """The scan computes p and eps inline and v12 and delta1 in one frame:
+    every value keeps the bits of eos and of the former formulas."""
 
     @pytest.mark.parametrize("seed, gamma", list(enumerate(KERNEL_GAMMAS)))
     def test_same_bits_as_eos_and_the_former_formulas(self, seed, gamma):
@@ -202,7 +257,7 @@ class TestClosedFormBits:
             rl, rr = p.left.rho, p.right.rho
             fractions = [float(u) for u in rng.uniform(0.0, 1.0, 8)] + [1e-12, 0.5, 1.0 - 1e-12]
             for rho1 in [rl + u * (rr - rl) for u in fractions] + [math.nextafter(rl, rr)]:
-                p1, e1, v12, d1 = _closed_forms(t, rho1)
+                p1, e1, v12, d1 = closed_forms(t, rho1)
                 assert p1.hex() == pressure(law, rho1).hex(), rho1
                 assert e1.hex() == internal_energy(law, rho1).hex(), rho1
                 assert repr(v12) == repr(old_v12(p, t.clamped, rho1)), rho1
@@ -221,12 +276,12 @@ class TestClosedFormBits:
     )
     def test_overflow_raises_the_eos_error(self, law, rho1, eos):
         # rho1 lies outside the window here, so the overflow is reached
-        # directly: _closed_forms hands it to eos, which raises its own error
+        # directly: the scan hands it to eos, which raises its own error
         t = _ProblemTerms(RiemannProblem(law, State(1.0, 0.0, 0.0), State(2.0, 0.0, 0.0)))
         with pytest.raises(NumericError) as expected:
             eos(law, rho1)
         with pytest.raises(NumericError) as got:
-            _closed_forms(t, rho1)
+            closed_forms(t, rho1)
         assert str(got.value) == str(expected.value)
 
 
@@ -403,25 +458,20 @@ class TestNumericFailure:
         # margins are not, so the search must not report "nothing found"
         p = RiemannProblem(GasLaw(1.0, 500.0), State(1, 0, 0), State(4, 0, -1.5))
         with pytest.raises(NumericError, match="overflow at rho1="):
-            _delta2_window(_ProblemTerms(p), 1.5, STRICT_TOL)
+            scan_window(_ProblemTerms(p), 1.5, STRICT_TOL)
         with pytest.raises(NumericError):
             search_feasible(p)
 
     @pytest.mark.parametrize(
         "v12, d1", [(math.inf, -1.0), (math.nan, -1.0), (-1.0, -math.inf), (-1.0, math.nan)]
     )
-    def test_overflowing_terms_below_the_floor(self, monkeypatch, v12, d1):
+    def test_overflowing_terms_below_the_floor(self, v12, d1):
         # an inf or NaN v12 or delta1 makes the left row's terms inf or NaN,
-        # so the kernel raises even where delta1 alone would refuse rho1
-        closed_forms = subsolution._closed_forms
-
-        def inject(t, rho1):
-            p1, e1, _, _ = closed_forms(t, rho1)
-            return p1, e1, v12, d1
-
-        monkeypatch.setattr(subsolution, "_closed_forms", inject)
+        # so the scan raises even where delta1 alone would refuse rho1; they
+        # are set right after the closed forms, before the left row
+        values = {"v12": v12, "d1": d1}
         with pytest.raises(NumericError, match="overflow at rho1="):
-            _delta2_window(_ProblemTerms(CASE5), 2.0, STRICT_TOL)
+            scan_setting(_ProblemTerms(CASE5), 2.0, STRICT_TOL, "lo, hi = 0.0, inf", lambda right: values)
 
     def test_density_ratio_overflow(self):
         # rho+/rho- is inf: the first grid rho1 was inf, so the grid stage
@@ -712,10 +762,36 @@ def reference_search(p, *, scan_points=64, grid=128, tol_strict=STRICT_TOL, rho1
 
 
 def search_step(t, rho1, points=None):
-    """search_feasible at one rho1: the kernel's window, then the walk of
-    ``points`` (the guided schedule when None) only if it is open."""
-    window = subsolution._delta2_window(t, rho1, STRICT_TOL)
-    return None if window is None else _first_feasible(t, rho1, window, STRICT_TOL, points)
+    """search_feasible at one rho1: a search stage over the stream of rho1
+    alone, whose scan gives the window, then the walk of ``points`` (the
+    guided schedule when None) only if it is open."""
+    found = _stage(t, (rho1,), STRICT_TOL, points)
+    return None if found is None else found[1]
+
+
+def stage_scans(monkeypatch, on_draw=None, on_yield=None):
+    """Wrap the search stages' scans (those with a tolerance; the rows of
+    one rho1 are drawn without) so that ``on_draw(t, rho1, tol)`` sees every
+    rho1 a scan draws from its stream, before the scan evaluates it, and
+    ``on_yield(rho1, window)`` every open window it yields."""
+    scan = subsolution._scan
+
+    def drawn(t, rho1s, tol):
+        for rho1 in rho1s:
+            if on_draw is not None:
+                on_draw(t, rho1, tol)
+            yield rho1
+
+    def wrapped(t, rho1s, tol=None):
+        if tol is None:
+            yield from scan(t, rho1s)
+            return
+        for rho1, window in scan(t, drawn(t, rho1s, tol), tol):
+            if on_yield is not None:
+                on_yield(rho1, window)
+            yield rho1, window
+
+    monkeypatch.setattr(subsolution, "_scan", wrapped)
 
 
 def schedule_searches(build, problems, monkeypatch):
@@ -854,12 +930,8 @@ class TestBoundedSearch:
             evaluated.append([])
             return search_feasible(p, **opts)
 
-        def window(t, rho1, tol):
-            evaluated[-1].append(rho1)
-            return _delta2_window(t, rho1, tol)
-
         monkeypatch.setattr(wedge, "search_feasible", search)
-        monkeypatch.setattr(subsolution, "_delta2_window", window)
+        stage_scans(monkeypatch, on_draw=lambda t, rho1, tol: evaluated[-1].append(rho1))
         misses = 0
         for p in problems:
             start = len(evaluated)
@@ -918,7 +990,7 @@ class StubEvaluator:
 
 def stub_walk(monkeypatch, ev, points):
     """search_step at one grid rho1, with the stub ev standing in for the
-    kernel's window and for the rows; the rows must be built only for an
+    scan's window and for the rows; the rows must be built only for an
     open window."""
     built = []
 
@@ -926,8 +998,11 @@ def stub_walk(monkeypatch, ev, points):
         built.append(rho1)
         return ev
 
+    def scan(t, rho1s, tol):
+        return ((rho1, ev.window) for rho1 in rho1s if ev.window is not None)
+
     with monkeypatch.context() as m:
-        m.setattr(subsolution, "_delta2_window", lambda t, rho1, tol: ev.window)
+        m.setattr(subsolution, "_scan", scan)
         m.setattr(subsolution, "_ReducedRows", rows)
         found = search_step(None, 2.0, points)
     assert built == ([] if ev.window is None else [2.0])
@@ -998,7 +1073,7 @@ class TestFirstFeasibleWalk:
 
 
 def reference_window(ev, tol):
-    """_delta2_window written with scale_of, max and min, on both rows of
+    """The scan's window written with scale_of, max and min, on both rows of
     ev, a _ReducedRows: each row's one bound c + k*d > 0 widened by
     eta*(|rhs0| + |lhs| + 1) in c and eta*|s| in k, rows too large to bound
     left out, None once a row empties the interval."""
@@ -1042,17 +1117,22 @@ def hand_made(rows):
     return ev
 
 
+HAND_MADE_TERMS = _ProblemTerms(CASE5)
+
+
 def kernel_window(ev, tol):
-    """_delta2_window at ev's rho1, with delta1 and both rows read from ev,
-    a _ReducedRows: the kernel on hand-made coefficients, which its own
-    helpers would refuse when they are not finite."""
-    saved = subsolution._left_row, subsolution._right_row
-    subsolution._left_row = lambda t, rho1: (None, None, None, ev.d1, ev.lhs_l, ev.rhs_l0, ev.slope_l)
-    subsolution._right_row = lambda *terms: (ev.lhs_r, ev.rhs_r0, ev.slope_r)
-    try:
-        return _delta2_window(ev, ev.rho1, tol)
-    finally:
-        subsolution._left_row, subsolution._right_row = saved
+    """The scan's window at ev's rho1, with delta1 and both rows read from
+    ev, a _ReducedRows: the search's bound code on hand-made coefficients,
+    which the scan's own row check would refuse when they are not finite.
+    The scan runs on CASE5's terms, whose density window (1, 4) is ev's,
+    and takes delta1 and each row from ev at the bound's first line."""
+    rows = ((ev.lhs_l, ev.rhs_l0, ev.slope_l), (ev.lhs_r, ev.rhs_r0, ev.slope_r))
+
+    def values(right):
+        lhs, rhs0, s = rows[right]
+        return {"d1": ev.d1, "lhs": lhs, "rhs0": rhs0, "s": s}
+
+    return scan_setting(HAND_MADE_TERMS, ev.rho1, tol, "if d1 < floor:", values)
 
 
 class TestDelta2Window:
@@ -1068,7 +1148,7 @@ class TestDelta2Window:
             t = _ProblemTerms(p)
             rho1_grid, _ = scan_grids(p, 64)
             for rho1 in rho1_grid + list(_guided_candidates(p, 64)):
-                got = _delta2_window(t, rho1, tol)
+                got = scan_window(t, rho1, tol)
                 assert repr(got) == repr(reference_window(_ReducedRows(t, rho1), tol)), (p, rho1)
                 kinds["none" if got is None else "open" if got[0] <= got[1] else "empty"] += 1
         assert kinds["none"] and kinds["open"] and not kinds["empty"]
@@ -1092,7 +1172,7 @@ class TestDelta2Window:
 
 def entropy_rows_pass(ev, delta2, tol):
     """Both entropy rows strict at ``tol``: the part of ``feasible`` that
-    _delta2_window bounds (the other rows do not depend on delta2 or only
+    the scan's window bounds (the other rows do not depend on delta2 or only
     through its floor)."""
     return all(margin > tol * scale for _, margin, scale in ev.rows(delta2)[-2:])
 
@@ -1109,7 +1189,7 @@ def near(x, n=4):
 def exact_ends(ev, tol):
     """-c/k of the six unwidened bounds c + k*d > 0 that make up the exact
     predicate, tol*max(1, |lhs|) and +-tol*rhs per row: where the float
-    predicate changes its answer, though _delta2_window bounds only the
+    predicate changes its answer, though the scan's window bounds only the
     first of them."""
     ends = []
     for lhs, rhs0, s in ((ev.lhs_l, ev.rhs_l0, ev.slope_l), (ev.lhs_r, ev.rhs_r0, ev.slope_r)):
@@ -1125,7 +1205,7 @@ def exact_ends(ev, tol):
 
 
 def passes_outside(cases, tol):
-    """(passing points, passing points outside _delta2_window) over the
+    """(passing points, passing points outside the scan's window) over the
     probe points >= 0 of each (hand-made rows, probes) case and the floats
     next to both ends of its window."""
     passed = outside = 0
@@ -1163,7 +1243,7 @@ def cancelling_case(rng):
 
 
 class TestWindowBoundsThePredicate:
-    """Outside _delta2_window the float predicate fails: at the floats next to
+    """Outside the scan's window the float predicate fails: at the floats next to
     its ends, next to the ends of the exact-arithmetic window, and at every
     point the search walks."""
 
@@ -1214,7 +1294,7 @@ class TestWindowBoundsThePredicate:
                 ev = _ReducedRows(t, rho1)
                 if not ev.window_ok:
                     continue
-                window = _delta2_window(t, rho1, STRICT_TOL)
+                window = scan_window(t, rho1, STRICT_TOL)
                 for d in halving_steps(ev) + delta2_grid:
                     if ev.feasible(d, STRICT_TOL):
                         hits += 1
@@ -1237,10 +1317,11 @@ def test_search_work_per_rho1(monkeypatch):
 
         return wrapper
 
-    for name in ("pressure", "internal_energy", "_delta2_window"):
+    for name in ("pressure", "internal_energy"):
         monkeypatch.setattr(subsolution, name, counted(name, getattr(subsolution, name)))
+    stage_scans(monkeypatch, on_draw=lambda t, rho1, tol: calls.update(["rho1"]))
     assert subsolution.search_feasible(miss) is None
-    rho1_evaluated = calls["_delta2_window"]
+    rho1_evaluated = calls["rho1"]
     assert rho1_evaluated > 128
     assert calls["pressure"] <= rho1_evaluated + 2
     assert calls["internal_energy"] <= rho1_evaluated + 2
@@ -1256,9 +1337,11 @@ def test_predicate_runs_only_inside_open_windows(monkeypatch):
     calls, outside, last = [], [], {}
     feasible = _ReducedRows.feasible
 
-    def window(t, rho1, tol):
-        last["rho1"], last["window"] = rho1, _delta2_window(t, rho1, tol)
-        return last["window"]
+    def drawn(t, rho1, tol):
+        last["rho1"], last["window"] = rho1, None
+
+    def window(rho1, window):
+        last["window"] = window
 
     def counted(ev, delta2, tol):
         calls.append(delta2)
@@ -1267,7 +1350,7 @@ def test_predicate_runs_only_inside_open_windows(monkeypatch):
             outside.append(delta2)
         return feasible(ev, delta2, tol)
 
-    monkeypatch.setattr(subsolution, "_delta2_window", window)
+    stage_scans(monkeypatch, on_draw=drawn, on_yield=window)
     monkeypatch.setattr(_ReducedRows, "feasible", counted)
     assert search_feasible(miss) is None
     assert calls == []
@@ -1302,41 +1385,51 @@ def test_schedules_run_the_predicate_only_where_it_passes(monkeypatch):
 
 
 def schedule_kernel_calls(monkeypatch):
-    """(t, rho1, tol, window) of every kernel call that build_sr and build_s
-    make on the first 20 problems of the seed-601 and seed-602 batches, and
-    the number of right rows the kernel computed."""
+    """(t, rho1, tol, window) of every rho1 that the search stages' scans
+    evaluate in build_sr and build_s on the first 20 problems of the
+    seed-601 and seed-602 batches, and the number of right rows those scans
+    computed.  Each row calls _bracket once, the right row with rho1 first;
+    a scan runs only while its stage draws from it, so the rows that
+    _first_feasible builds between two draws are not counted."""
     calls, right = [], [0]
     inside = [False]
-    kernel, right_row = subsolution._delta2_window, subsolution._right_row
+    bracket = subsolution._bracket
 
-    def window(t, rho1, tol):
+    def drawn(t, rho1, tol):
+        calls.append([t, rho1, tol, None])
         inside[0] = True
-        try:
-            calls.append((t, rho1, tol, kernel(t, rho1, tol)))
-        finally:
-            inside[0] = False
-        return calls[-1][3]
 
-    def counted_right_row(*terms):
-        right[0] += inside[0]
-        return right_row(*terms)
+    def window(rho1, window):
+        assert calls[-1][1] == rho1  # the scan yields the rho1 it drew last
+        calls[-1][3] = window
+        inside[0] = False
+
+    def counted_bracket(rho_a, *rest):
+        right[0] += inside[0] and calls and rho_a == calls[-1][1]
+        return bracket(rho_a, *rest)
 
     with monkeypatch.context() as m:
-        m.setattr(subsolution, "_delta2_window", window)
-        m.setattr(subsolution, "_right_row", counted_right_row)
+        stage_scans(m, on_draw=drawn, on_yield=window)
+        m.setattr(subsolution, "_bracket", counted_bracket)
         rng = np.random.default_rng(601)
         for _ in range(20):
             wedge.build_sr(random_case5(rng)[0])
         rng = np.random.default_rng(602)
         for _ in range(20):
             wedge.build_s(random_case6_one_shock(rng))
-    return calls, right[0]
+    return [tuple(call) for call in calls], right[0]
 
 
-def test_kernel_matches_the_two_row_window(monkeypatch):
-    """At every rho1 the schedules evaluate, the kernel, which stops after
+@pytest.fixture(scope="module")
+def schedule_scans():
+    with pytest.MonkeyPatch.context() as m:
+        return schedule_kernel_calls(m)
+
+
+def test_kernel_matches_the_two_row_window(schedule_scans):
+    """At every rho1 the schedules evaluate, the scan, which stops after
     a left row that empties the window, gives the window of both rows."""
-    calls, _ = schedule_kernel_calls(monkeypatch)
+    calls, _ = schedule_scans
     kinds = Counter()
     for t, rho1, tol, got in calls:
         assert repr(got) == repr(reference_window(_ReducedRows(t, rho1), tol)), (rho1, tol)
@@ -1344,10 +1437,10 @@ def test_kernel_matches_the_two_row_window(monkeypatch):
     assert kinds[True] and kinds[False]
 
 
-def test_right_row_only_where_the_left_row_leaves_a_window(monkeypatch):
-    """The kernel computes the right row at exactly the rho1 whose left row,
+def test_right_row_only_where_the_left_row_leaves_a_window(schedule_scans):
+    """The scan computes the right row at exactly the rho1 whose left row,
     on its own, leaves a delta2 window open."""
-    calls, right = schedule_kernel_calls(monkeypatch)
+    calls, right = schedule_scans
     left_open = computed = 0
     for t, rho1, tol, _ in calls:
         ev = _ReducedRows(t, rho1)
@@ -1361,3 +1454,81 @@ def test_right_row_only_where_the_left_row_leaves_a_window(monkeypatch):
     # the left row refuses many rho1 on its own: computing both rows at
     # every rho1 would give more right rows
     assert 0 < left_open < computed
+
+
+def test_schedule_work_is_pinned(schedule_scans):
+    """The work of those schedules, counted at the per-rho1 kernel that the
+    stage scans replaced: 15,104 rho1 evaluated, 7,188 right rows computed
+    and 60 open windows.  A change that evaluates more fails here."""
+    calls, right = schedule_scans
+    assert len(calls) == 15104
+    assert right == 7188
+    assert sum(window is not None for *_, window in calls) == 60
+
+
+# CASE5 with its velocities scaled by 3e102 and K by the square of that: the
+# entropy rows now overflow at the lower third of the grid's rho1, while
+# guided candidates 4 to 8 and grid rho1 100 to 107 hold hits
+NEAR_OVERFLOW = RiemannProblem(GasLaw(9e204, 1.0), State(1, 0, 0), State(4, 0, -3e102))
+
+
+def recorded(rho1s, drawn):
+    """The stream ``rho1s``, appending each rho1 to ``drawn`` as it is drawn."""
+    for rho1 in rho1s:
+        drawn.append(rho1)
+        yield rho1
+
+
+class TestStageLaziness:
+    """A stage stops at its first hit: no rho1 after it is drawn, so one
+    whose rows overflow cannot raise; drawn first, it raises the message
+    the search has always raised for it."""
+
+    def setup_method(self):
+        self.t = _ProblemTerms(NEAR_OVERFLOW)
+        rho1_grid, self.delta2_grid = scan_grids(NEAR_OVERFLOW, 128)
+        self.hit, self.overflowing = rho1_grid[100], rho1_grid[0]
+
+    def stage(self, rho1s, drawn):
+        return _stage(self.t, recorded(rho1s, drawn), STRICT_TOL, self.delta2_grid)
+
+    def test_hit_then_overflow(self):
+        drawn = []
+        found = self.stage((self.hit, self.overflowing), drawn)
+        assert found is not None and found[0] == self.hit
+        ev = _ReducedRows(self.t, self.hit)
+        assert found[1] == reference_grid(ev, self.delta2_grid, STRICT_TOL)
+        assert drawn == [self.hit]
+
+    def test_overflow_then_hit(self):
+        drawn = []
+        message = f"the reduced conditions overflow at rho1={self.overflowing!r}"
+        with pytest.raises(NumericError) as raised:
+            self.stage((self.overflowing, self.hit), drawn)
+        assert str(raised.value) == message
+        assert drawn == [self.overflowing]
+
+    def test_search_stops_at_the_guided_hit(self):
+        # the guided stage hits, so the grid, whose first rho1 overflows,
+        # is never walked; with three guided candidates, all misses, it is
+        found = search_feasible(NEAR_OVERFLOW)
+        assert found == reference_search(NEAR_OVERFLOW)
+        assert found[0] in list(_guided_candidates(NEAR_OVERFLOW, 64))
+        message = f"the reduced conditions overflow at rho1={self.overflowing!r}"
+        with pytest.raises(NumericError) as raised:
+            search_feasible(NEAR_OVERFLOW, scan_points=3)
+        assert str(raised.value) == message
+
+    def test_delta1_overflow_message(self):
+        # the density-ratio data of TestNumericFailure: delta1 overflows in
+        # its power at the first grid rho1
+        law = GasLaw(1e-200, 1.4)
+        v2 = 1.5 * rarefaction_integral(law, 1e-149, 1e158)
+        p = RiemannProblem(law, State(1e-149, 0, 0), State(1e158, 0, v2))
+        rho1 = scan_grids(p, 128)[0][0]
+        drawn = []
+        stream = recorded((rho1, math.nextafter(rho1, math.inf)), drawn)
+        with pytest.raises(NumericError) as raised:
+            _stage(_ProblemTerms(p), stream, STRICT_TOL, _delta2_grid(128))
+        assert str(raised.value) == f"arithmetic overflow: delta1 at rho1={rho1!r}"
+        assert drawn == [rho1]

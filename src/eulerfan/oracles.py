@@ -2,8 +2,8 @@
 the constructions (Lemma 1's is ``subsolution.admissibility_bracket``), plus
 seeded sampling batches for property suites.
 
-numpy is imported by ``run_suite`` alone, so importing the package (and every
-CLI mode but ``lemmas``) does not pay for it."""
+The batches draw numpy's ``default_rng(seed).random()`` stream, reproduced
+bit for bit with the standard library, so the package needs no numpy."""
 
 from __future__ import annotations
 
@@ -19,9 +19,8 @@ DEFAULT_SAMPLES = 10000
 
 F_GAMMAS = (1.1, 1.4, 5.0 / 3.0, 2.0, 3.0)
 
-# Sample rows drawn from the generator at a time: one call per chunk instead
-# of five per sample, without holding every draw of a long suite at once.
-CHUNK_ROWS = 256
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
 
 
 def lemma2_gap(law: GasLaw, rho_minus: float, rho_plus: float) -> float:
@@ -66,13 +65,57 @@ def lemma3_gaps(law: GasLaw, rho_lo: float, rho_mid: float, rho_hi: float) -> fl
     return shock_bracket(law, rho_lo, rho_hi) - shock_bracket(law, rho_lo, rho_mid)
 
 
-def _draws(n_samples: int, seed: int):
-    """The suite's uniform doubles, five per sample, in generator order."""
-    import numpy as np
+def _pcg64_start(seed: int) -> tuple[int, int]:
+    """State and increment of numpy's ``PCG64(seed)`` for an int seed.
 
-    rng = np.random.default_rng(seed)
-    for first in range(0, n_samples, CHUNK_ROWS):
-        yield from rng.random((min(CHUNK_ROWS, n_samples - first), 5)).tolist()
+    numpy's SeedSequence hashes the seed's 32-bit words (least significant
+    first) into a pool of four and draws eight words from it; they give the
+    initial state and the stream of PCG's ``srandom`` (O'Neill 2014).
+    """
+    words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    # the hash constants are SeedSequence's INIT_A and MULT_A, its mix's
+    # MIX_MULT_L and MIX_MULT_R, then INIT_B and MULT_B
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value = (value ^ const) * (const := const * 0x931E8875 & _M32) & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    const, out = 0x8B51F9DD, []
+    for i in range(8):
+        value = (pool[i % 4] ^ const) * (const := const * 0x58F38DED & _M32) & _M32
+        out.append(value ^ value >> 16)
+    # four 64-bit words, low half first: w0:w1 seed the state, w2:w3 the stream
+    w0, w1, w2, w3 = (out[k] | out[k + 1] << 32 for k in range(0, 8, 2))
+    inc = (w2 << 64 | w3) << 1 & _M128 | 1
+    return ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _M128, inc
+
+
+def _draws(n_samples: int, seed: int):
+    """The suite's uniform doubles, five per sample, in generator order:
+    PCG64's XSL-RR output of each LCG step, its top 53 bits scaled to [0, 1)."""
+    state, inc = _pcg64_start(seed)
+    for _ in range(n_samples):
+        row = []
+        for _ in range(5):
+            state = (state * _PCG_MULT + inc) & _M128
+            x = (state >> 64 ^ state) & _M64
+            rot = state >> 122
+            row.append((((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0**-53)
+        yield row
 
 
 def _inputs(name: str, law: GasLaw, lo: float, mid: float, hi: float) -> dict:

@@ -152,7 +152,7 @@ def build_sr(
             "rotate 1-rarefaction/3-shock data first"
         )
     law = p.law
-    rho_m = solve_standard(p).middle.rho
+    rho_m = _solve_middle_density(p, CaseId.S1R3)  # solve_standard's middle density
     rr, vr2 = p.right.rho, p.right.v2
 
     def place(s):

@@ -1,10 +1,13 @@
 """The public surface: every export resolves, every argument that must be a
 finite positive number is checked the same way, by errors.require_positive,
-every finite number by errors.require_finite, and the problem types take
-only numbers."""
+every finite number by errors.require_finite, the problem types take only
+numbers, and the package imports nothing outside the standard library."""
 
+import ast
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +43,32 @@ NOT_POSITIVE_IDS = ["True", "False", "string", "None", "huge-int", "nan", "inf",
 
 not_positive = pytest.mark.parametrize("value", NOT_POSITIVE, ids=NOT_POSITIVE_IDS)
 both_tolerances = pytest.mark.parametrize("name", ["tol_eq", "tol_strict"])
+
+
+def third_party_imports(path):
+    """(line, top-level module) of each absolute import in ``path`` that
+    names neither the standard library nor the package itself."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.partition(".")[0]
+            if top != "eulerfan" and top not in sys.stdlib_module_names:
+                found.append((node.lineno, top))
+    return found
+
+
+def test_runtime_imports_only_the_standard_library():
+    # deferred imports inside functions count too: ast.walk visits them
+    sources = sorted(Path(eulerfan.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    hits = {path.name: third_party_imports(path) for path in sources}
+    assert {name: found for name, found in hits.items() if found} == {}
 
 
 def test_every_export_resolves():

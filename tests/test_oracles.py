@@ -15,6 +15,7 @@ from eulerfan import (
     run_suite,
 )
 from eulerfan.cli import dumps
+from eulerfan.oracles import DEFAULT_SEED, _draws
 
 LAW_LOG = GasLaw(1.0, 1.0)
 
@@ -150,10 +151,9 @@ class TestSuite:
             run_suite(**args)
 
     # sha256 of the lemma_report.json bytes, pinned from the scalar-draw
-    # suite that made five generator calls per sample: the chunked draws must
-    # reproduce every float.  With 256-row chunks the sizes cover less than one
-    # chunk, whole chunks and a partial last chunk; the default run is also
-    # pinned by the benchmark's golden file.
+    # suite that made five numpy generator calls per sample: the standard
+    # library copy of that stream must reproduce every float.  The default run
+    # is also pinned by the benchmark's golden file.
     @pytest.mark.parametrize(
         "seed, n_samples, digest",
         [
@@ -167,6 +167,25 @@ class TestSuite:
     def test_report_bytes_pinned(self, seed, n_samples, digest):
         text = dumps(run_suite(n_samples=n_samples, seed=seed))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # numpy's SeedSequence splits an int seed into 32-bit words and mixes
+    # them into a pool of four: seeds of 1 to 7 words, at the word edges too
+    @pytest.mark.parametrize(
+        "seed, words",
+        [(0, 1), (1, 1), (2**32 - 1, 1), (2**32, 2), (2**70 + 3, 3), (2**100 + 1, 4),
+         (10**40, 5), (2**128, 5), (10**50, 6), (2**200 + 12345, 7)],
+    )
+    def test_stream_matches_numpy(self, seed, words):
+        assert max(1, -(-seed.bit_length() // 32)) == words
+        drawn = [u for row in _draws(200, seed) for u in row]
+        assert drawn == np.random.default_rng(seed).random(1000).tolist()
+
+    def test_default_stream_matches_numpy(self):
+        # five doubles per sample, in generator order
+        rows = list(_draws(2400, DEFAULT_SEED))
+        assert all(len(row) == 5 for row in rows)
+        drawn = [u for row in rows for u in row]
+        assert drawn == np.random.default_rng(DEFAULT_SEED).random(12000).tolist()
 
     def test_uniform_mapping_matches_the_generator(self):
         # run_suite maps each drawn double u to low + (high - low) * u, which

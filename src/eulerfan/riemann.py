@@ -11,7 +11,7 @@ from enum import Enum
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import GasLaw, internal_energy, pressure
-from .errors import BracketError, DomainError, InvariantError, NumericError, require_finite, require_positive, squared
+from .errors import BracketError, DomainError, EulerFanError, InvariantError, NumericError, require_finite, require_positive, squared
 from .wavecurves import (
     State,
     lambda1,
@@ -210,35 +210,179 @@ def rotate_180(p: RiemannProblem) -> RiemannProblem:
     return RiemannProblem(p.law, new_left, new_right)
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Bisection on a bracketing interval, to width 1e-13 * (initial width).
+# Unit roundoff of a double, the u of the standard model.
+_U = 2.0**-53
+# The bisection stops at a width of at most 1e-13 of its initial width and
+# at most this fraction of its lower end.
+_RELATIVE_WIDTH = 2.0**-36
+# Regula falsi steps that estimate the root before the walk.
+_ESTIMATE_STEPS = 12
+# Coefficient of max |f| over an interval's ends in the rounding bound E.
+_ERROR_SLOPE = 22.0 * _U
 
-    The middle-state equations are strictly monotone, so bisection is
-    unconditionally safe once a sign change is bracketed.
+
+def _bisect(f, lo, hi, flo, fhi, e0):
+    """Bisection of f on [lo, hi], from flo = f(lo) and fhi = f(hi), until
+    the width is at most 1e-13 * (hi - lo) and at most 2**-36 times its
+    lower end, or the ends are adjacent floats.  A midpoint where f is 0.0
+    is returned.  BracketError when flo and fhi do not change sign, and
+    NumericError when f is not finite at an end of the last bracket: the
+    root then lies where the residual's kernels left the floats (a density
+    ratio that overflows, say), not at the sign change found.
+
+    With e0 (from _rounding_bound) the walk takes the same midpoints and
+    returns the same float, but calls f only at midpoints whose sign is not
+    proven.  _proven_span returns a and b: f > 0 at every midpoint up to a,
+    f < 0 at every midpoint from b on.  Those midpoints move lo or hi
+    without a call; the ones strictly between a and b are evaluated.
+
+    The proof.  f is the residual r(m) = (s1*g1(m) + s3*g3(m)) - dv of
+    middle_equation.  Let R be the same expression in exact arithmetic, with
+    the floats the kernels hold (the law constants, dv, a rarefaction's
+    factor and sound speed speed_b at its data density rho_b) and the exact
+    p(rho_b) = K*rho_b**gamma of a shock.  On the brackets of
+    _solve_middle_density a shock's trial density m is at or above its
+    rho_b and a rarefaction's at or below (_rounding_bound checks it), so
+    every term s*g is monotone in m and R is nonincreasing.  Let E bound
+    |r - R| on [x1, x2].  If f(x2) > 2E, then for every m in [x1, x2]:
+    f(m) >= R(m) - E >= R(x2) - E >= f(x2) - 2E > 0.  So f(m) is positive
+    and not 0.0, and the plain walk would have moved lo there as well.
+    Likewise f(x1) < -2E proves f < 0 on [x1, x2].
+
+    The bound.  The standard model (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 2-3): fl(x op y) = (x op y)(1 + d), |d| <= u
+    = 2**-53, for + - * / and sqrt.  ``**`` and math.log are assumed
+    accurate to 1 ulp, a relative error of at most 2u.  To first order in
+    u, with G the exact term:
+    - a shock: p(m) and p(rho_b) are each within 3u, so their difference
+      is within 3u*(p(m) + p(rho_b)), and the quotient under the root is
+      within 5u*G**2 + 3u*(p(m) + p(rho_b))*(m - rho_b)/(m*rho_b).  After
+      the root, |g - G| <= 9u*G + 6u*p(rho_b)/sqrt(m*rho_b*s), where s is
+      the secant slope of p from rho_b to m.  p is convex, so s >= p'(rho_b)
+      and the cancellation in p(m) - p(rho_b) costs at most 6u*c/gamma,
+      c = sqrt(p'(rho_b)).
+    - a rarefaction, gamma > 1: the sound speed at m is within 2.5u and at
+      most speed_b, so |g - G| <= 3u*factor*speed_b + 2u*|G|.
+    - a rarefaction, gamma = 1: |g - G| <= u*sqrt(K) + 3u*|G|.
+    - the sum and dv add 2u*(|G1| + |G3|) + u*|dv|.
+    So |r - R| <= u*(C + |dv| + 11*(|G1| + |G3|)), C the sum of the parts
+    that do not scale with G.  Each |G| is monotone on [x1, x2], and their
+    sum is bounded by values at its ends.  When both terms have one sign
+    (R1R3, S1S3), the sum is |R + dv|.  Otherwise it is at most
+    2L + |R| + |dv|, L the rarefaction term's largest magnitude on the
+    bracket.  |R| is largest at an end, since R is monotone, and is within
+    E of |f| there.  So E = e0 + 22u*max(|f(x1)|, |f(x2)|) with
+    e0 = 2u*(C + 12|dv| + 22L) + 2**-430 (L = 0 with one sign).  The
+    factor 2 covers the second-order terms, |f| in place of |R|, and the
+    rounding of E itself.
+
+    Ranges.  _rounding_bound gives no e0 unless every density involved is
+    within 2**+-100, each of its powers m**gamma within 2**+-450, K and
+    K*gamma within 2**+-300, and |dv| <= 2**1000.  Inside those ranges no
+    operation overflows, and only a product or quotient after a
+    cancellation can underflow; after the root, the underflows add less
+    than 2**-430.  No evaluation in [lo, hi] can raise there either.  A
+    midpoint that is not evaluated lies between lo and hi, which were
+    evaluated without raising, and so could not have raised.  Should an
+    estimate or guard raise anyway, the plain walk runs.  Where nothing is
+    proven on a side, a or b stays at its end of the bracket, and the walk
+    evaluates every midpoint on that side as before.
     """
-    flo = f(lo)
-    fhi = f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise BracketError(lo, hi)
-    target = 1e-13 * (hi - lo)
-    for _ in range(200):
+    a, b = lo, hi
+    if e0 is not None and flo > 0.0 > fhi:
+        try:
+            a, b = _proven_span(f, lo, hi, flo, fhi, e0)
+        except (EulerFanError, ArithmeticError):
+            pass
+    target, relative = 1e-13 * (hi - lo), _RELATIVE_WIDTH
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
+        if mid <= a:
+            if mid <= lo:
+                break
+            lo = mid
+        elif mid >= b:
+            if mid >= hi:
+                break
             hi = mid
-        if hi - lo <= target:
+        else:
+            if mid <= lo or mid >= hi:
+                break
+            fm = f(mid)
+            if fm == 0.0:
+                return mid
+            if (fm > 0.0) == (flo > 0.0):
+                lo, flo = mid, fm
+            else:
+                hi, fhi = mid, fm
+        width = hi - lo
+        if width <= target and width <= relative * lo:
             break
+    if not (abs(flo) < math.inf and abs(fhi) < math.inf):
+        raise NumericError("arithmetic overflow: the middle-state residual next to its root")
     return 0.5 * (lo + hi)
+
+
+def _proven_span(f, lo, hi, flo, fhi, e0):
+    """(a, b) such that f > 0 is proven on [lo, a] and f < 0 on [b, hi];
+    flo > 0 > fhi.  Regula falsi with Anderson-Bjorck weights (a variant
+    of the Illinois rule) estimates the root until |f| is within a few E
+    of 0.  Its last two points are candidates for a and b, and so are two
+    guards just below and just above the estimate, four times E over the
+    secant slope away, and twice as far again where one is not proven."""
+    slope_e = _ERROR_SLOPE
+    left_e, right_e = e0 + slope_e * flo, e0 - slope_e * fhi
+    x0, f0, x1, f1 = lo, flo, hi, fhi
+    w0, w1 = f0, f1  # the weights of the two ends
+    side = 0
+    root = None
+    for _ in range(_ESTIMATE_STEPS):
+        x = x0 + (x1 - x0) * (w0 / (w0 - w1))
+        if not x0 < x < x1:
+            break
+        fx = f(x)
+        if fx > 0.0:
+            if side > 0:
+                scale = 1.0 - fx / f0
+                w1 *= scale if scale > 0.0 else 0.5
+            x0, f0, w0, side = x, fx, fx, 1
+            if fx <= 8.0 * left_e:
+                break
+        elif fx < 0.0:
+            if side < 0:
+                scale = 1.0 - fx / f1
+                w0 *= scale if scale > 0.0 else 0.5
+            x1, f1, w1, side = x, fx, fx, -1
+            if -fx <= 8.0 * right_e:
+                break
+        else:  # 0.0
+            root = x
+            break
+    a = x0 if f0 > 2.0 * (e0 + slope_e * max(flo, f0)) else lo
+    b = x1 if f1 < -2.0 * (e0 - slope_e * min(fhi, f1)) else hi
+    slope = (f0 - f1) / (x1 - x0)
+    if not slope > 0.0:
+        return a, b
+    if root is None:
+        root = x0 + f0 / slope
+    for k in (4.0, 8.0):
+        below, above = root - k * left_e / slope, root + k * right_e / slope
+        for x in (below, above):
+            if a < x < b:
+                fx = f(x)
+                if fx > 2.0 * (e0 + slope_e * max(flo, fx)):
+                    a = x
+                elif fx < -2.0 * (e0 - slope_e * min(fhi, fx)):
+                    b = x
+        if a >= below and b <= above:
+            break
+    return a, b
 
 
 def _velocity_change(kind: str, law: GasLaw, rho: float):
@@ -264,21 +408,82 @@ def middle_equation(p: RiemannProblem, case: CaseId):
 
 
 def _solve_middle_density(p: RiemannProblem, case: CaseId) -> float:
+    """The case's middle density: _bisect on the residual of
+    middle_equation over a bracket.  Shock+rarefaction cases bracket
+    between the data densities; two shocks double the upper end from the
+    larger one until the residual is negative; two rarefactions bracket
+    [1e-14 * m, m], m the smaller density, and step the bracket down by
+    1e-14 while the residual is negative at both ends (NumericError when
+    its lower end underflows to 0.0)."""
     rl, rr = p.left.rho, p.right.rho
     f = middle_equation(p, case)
     if case == CaseId.R1R3:
-        m = min(rl, rr)
-        return _bisect(f, 1e-14 * m, m)
-    if case in (CaseId.R1S3, CaseId.S1R3):
-        return _bisect(f, min(rl, rr), max(rl, rr))
-    # two shocks: double the upper end until the sign flips
-    lo = max(rl, rr)
-    hi = 2.0 * lo
-    for _ in range(60):
-        if f(hi) < 0.0:
-            return _bisect(f, lo, hi)
-        hi *= 2.0
-    raise BracketError(lo, hi)
+        hi = min(rl, rr)
+        lo = 1e-14 * hi
+        flo, fhi = f(lo), f(hi)
+        while flo < 0.0 and fhi < 0.0:
+            # the root lies below the bracket: step it down
+            lo, hi, fhi = 1e-14 * lo, lo, flo
+            if lo == 0.0:
+                raise NumericError("arithmetic underflow: the middle density")
+            flo = f(lo)
+    elif case in (CaseId.R1S3, CaseId.S1R3):
+        lo, hi = min(rl, rr), max(rl, rr)
+        flo, fhi = f(lo), f(hi)
+    else:
+        # two shocks: double the upper end until the sign flips
+        lo = max(rl, rr)
+        hi = 2.0 * lo
+        for _ in range(60):
+            fhi = f(hi)
+            if fhi < 0.0:
+                break
+            hi *= 2.0
+        else:
+            raise BracketError(lo, hi)
+        flo = f(lo)
+    return _bisect(f, lo, hi, flo, fhi, _rounding_bound(p, case, lo, hi))
+
+
+def _rounding_bound(p: RiemannProblem, case: CaseId, lo: float, hi: float) -> float | None:
+    """e0 of the rounding bound E of the case's residual on [lo, hi] (see
+    _bisect for the proof), or None outside the ranges the proof needs or
+    where a shock's trial densities are not at or above its data density,
+    or a rarefaction's not at or below."""
+    law = p.law
+    K, gamma = law.K, law.gamma
+    rl, rr = p.left.rho, p.right.rho
+    dv = abs(p.dv)
+    # every density within 2**+-100, and each of its powers within 2**+-450
+    limit = 2.0**100 if gamma <= 4.5 else 2.0 ** (450.0 / gamma)
+    if not (
+        min(lo, rl, rr) * limit >= 1.0
+        and max(hi, rl, rr) <= limit
+        and 2.0**-300 <= K
+        and K * gamma <= 2.0**300
+        and dv <= 2.0**1000
+    ):
+        return None
+    k1, k3 = WAVE_KINDS[case]
+    scale = 12.0 * dv
+    for kind, rb in ((k1, rl), (k3, rr)):
+        if kind == SHOCK:
+            if not rb <= lo:
+                return None
+            scale += 6.0 * math.sqrt(K / gamma * rb ** (gamma - 1.0))
+            continue
+        if not hi <= rb:
+            return None
+        if law.isothermal:
+            largest = math.sqrt(K)
+            scale += largest
+            largest *= math.log(rb / lo)
+        else:
+            largest = 2.0 / (gamma - 1.0) * math.sqrt(K * gamma * rb ** (gamma - 1.0))
+            scale += 3.0 * largest
+        if k1 != k3:
+            scale += 22.0 * largest
+    return 2.0 * _U * scale + 2.0**-430
 
 
 def _wave(law: GasLaw, family: int, kind: str, a: State, b: State) -> Wave:

@@ -257,10 +257,12 @@ class TestModes:
         )
 
     def test_numeric_failure_status(self, tmp_path):
+        # two rarefactions 1e-3 below the vacuum threshold of gamma = 1.01:
+        # the middle density, about 1e-1060, lies below the floats
         doc = {
-            "law": {"K": 1.0, "gamma": 1.0},
+            "law": {"K": 1.0, "gamma": 1.01},
             "left": {"rho": 1.0, "v1": 0.0, "v2": 0.0},
-            "right": {"rho": 1.0, "v1": 0.0, "v2": 150.0},
+            "right": {"rho": 1.0, "v1": 0.0, "v2": 401.994},
         }
         path = write_doc(tmp_path, doc)
         assert main(["--mode", "standard", "--input", path]) == STATUS_NUMERIC

@@ -4,6 +4,7 @@ geometry tables out, with deterministic byte-identical artifacts."""
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -11,10 +12,9 @@ import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _escape
 
-from . import oracles
 from .certificate import Certificate
 from .eos import GasLaw
-from .errors import ConstructionError, DomainError, EulerFanError, NumericError
+from .errors import DEFAULT_SAMPLES, DEFAULT_SEED, GRID_MAX, ConstructionError, DomainError, EulerFanError, NumericError
 from .errors import require_count, require_finite, require_positive
 from .riemann import (
     EQUATION_TOL,
@@ -28,17 +28,35 @@ from .riemann import (
     solve_standard,
     verify_standard,
 )
-from .subsolution import (
-    GRID_MAX,
-    check_reduced,
-    extract_deltas,
-    lift_to_full,
-    reduced_from,
-    search_feasible,
-    verify_full,
-)
 from .wavecurves import State
-from .wedge import WedgeConstruction, build_s, build_sr, fan_geometry, verify_construction
+
+# The names this module takes from the search and the constructions, by
+# submodule.  They are bound here by _load when the first mode that calls
+# them runs, so classify and standard runs never load those submodules; a
+# name already bound, as by the benchmark's tracer, is kept.
+_DEFERRED = {
+    "subsolution": ("check_reduced", "extract_deltas", "lift_to_full", "reduced_from", "search_feasible", "verify_full"),
+    "wedge": ("build_s", "build_sr", "fan_geometry", "verify_construction"),
+}
+
+
+def _load(module: str) -> None:
+    """Import submodule ``module`` and bind its names in _DEFERRED here,
+    unless they already are."""
+    source = importlib.import_module("." + module, __package__)
+    namespace = globals()
+    for name in _DEFERRED[module]:
+        namespace.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    """A deferred name, as the mode that calls it would bind it."""
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 MODES = ("classify", "standard", "subsolution", "wedge", "lemmas")
 
@@ -166,13 +184,15 @@ def certificate_from_json(text: str) -> Certificate:
     return Certificate.from_dict(decode_json(text))
 
 
-def emit_geometry(w: WedgeConstruction) -> str:
-    """CSV table of the fan breakpoints at t = 1, one row per breakpoint.
+def emit_geometry(w) -> str:
+    """CSV table of the fan breakpoints at t = 1 of a WedgeConstruction, one
+    row per breakpoint.
 
     Breakpoints are strictly increasing; the shock line contributes a single
     breakpoint between its nondegenerate neighbours.  Other times scale
     them: see fan_geometry.
     """
+    _load("wedge")
     regions = [r for r in fan_geometry(w, 1.0) if r[1] != r[2]]
     lines = ["t,breakpoint,left_region,right_region"]
     for (label_a, _, hi), (label_b, _, _) in zip(regions, regions[1:]):
@@ -324,6 +344,7 @@ def _run_standard(p: RiemannProblem, tol_eq, tol_strict) -> RunResult:
 
 
 def _run_subsolution(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
+    _load("subsolution")
     found = search_feasible(p, tol_strict=tol_strict, **doc.get("search", {}))
     if found is None:
         return RunResult(
@@ -356,6 +377,8 @@ def _run_subsolution(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
 
 
 def _run_wedge(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
+    _load("subsolution")
+    _load("wedge")
     # S1R3 data has rho- < rho+, and so does a single 1-shock; R1S3 and
     # a single 3-shock have the opposite order, and turn into those
     rotated = p.left.rho > p.right.rho
@@ -403,6 +426,8 @@ def _run_wedge(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
 
 
 def _run_lemmas(seed, samples) -> RunResult:
+    from . import oracles  # the lemma suite, loaded by this mode only
+
     summary = oracles.run_suite(n_samples=samples, seed=seed)
     status = STATUS_OK if summary["overall"] else STATUS_NUMERIC
     return RunResult(
@@ -421,8 +446,8 @@ def run(
     *,
     tol_eq: float = EQUATION_TOL,
     tol_strict: float = STRICT_TOL,
-    seed: int = oracles.DEFAULT_SEED,
-    samples: int = oracles.DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
+    samples: int = DEFAULT_SAMPLES,
 ) -> RunResult:
     """Execute one CLI mode on a parsed input document.
 
@@ -473,8 +498,8 @@ def main(argv=None) -> int:
     parser.add_argument("--mode", required=True, choices=MODES)
     parser.add_argument("--tol-eq", type=float, default=EQUATION_TOL, help="equation residual tolerance (relative)")
     parser.add_argument("--tol-strict", type=float, default=STRICT_TOL, help="strict margin tolerance (relative)")
-    parser.add_argument("--seed", type=int, default=oracles.DEFAULT_SEED, help="sample seed (lemmas mode)")
-    parser.add_argument("--samples", type=int, default=oracles.DEFAULT_SAMPLES, help="sample count (lemmas mode)")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sample seed (lemmas mode)")
+    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="sample count (lemmas mode)")
     parser.add_argument("--out", default=None, help="directory for output artifacts")
     args = parser.parse_args(argv)
 

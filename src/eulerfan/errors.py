@@ -1,10 +1,21 @@
 """Exception types shared across the toolkit, the checks of the integers
 (sizes, seeds), the finite numbers (velocities, gamma) and the finite
 positive numbers (tolerances, fractions, times, law constants) that public
-functions take, and the one checked square of a velocity."""
+functions take, the bounds and defaults of the sizes and seeds the command
+line checks before it loads the search or the lemma suite, and the one
+checked square of a velocity."""
 
 import math
 import operator
+
+# The largest grid search_feasible takes: its grid stage holds grid delta2
+# points and, on a miss, tries grid values of rho1.  A full miss at this size
+# took under a second and 3 MiB on a 2-core host; 1e9 would need tens of GB.
+GRID_MAX = 2**16
+
+# The lemma suite's default seed and sample count (oracles.run_suite).
+DEFAULT_SEED = 1729
+DEFAULT_SAMPLES = 10000
 
 
 class EulerFanError(Exception):

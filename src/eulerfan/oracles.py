@@ -10,12 +10,9 @@ from __future__ import annotations
 import math
 
 from .eos import GasLaw
-from .errors import DomainError, NumericError, require_count
+from .errors import DEFAULT_SAMPLES, DEFAULT_SEED, DomainError, NumericError, require_count
 from .subsolution import admissibility_bracket
 from .wavecurves import rarefaction_integral, shock_bracket
-
-DEFAULT_SEED = 1729
-DEFAULT_SAMPLES = 10000
 
 F_GAMMAS = (1.1, 1.4, 5.0 / 3.0, 2.0, 3.0)
 

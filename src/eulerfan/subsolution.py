@@ -13,7 +13,8 @@ from . import certificate as cert
 from .certificate import Certificate
 from .eos import GasLaw, internal_energy, pressure
 from .errors import (
-    CriterionError, DomainError, InvariantError, NumericError, is_number, require_count, require_positive, squared,
+    GRID_MAX, CriterionError, DomainError, InvariantError, NumericError, is_number, require_count, require_positive,
+    squared,
 )
 from .riemann import EQUATION_TOL, STRICT_TOL, CaseId, RiemannProblem, _solve_middle_density, classify
 # not called here: the benchmark's tracer rebinds this module's solve_standard
@@ -37,11 +38,6 @@ _WINDOW_ETA = 2.0**-48
 # _scan's window leaves out a row whose coefficients, times 1 + tol, reach
 # this size: its bound could overflow, and leaving it out only widens.
 _WINDOW_SIZE_CAP = 2.0**1000
-
-# The largest grid search_feasible takes: its grid stage holds grid delta2
-# points and, on a miss, tries grid values of rho1.  A full miss at this size
-# took under a second and 3 MiB on a 2-core host; 1e9 would need tens of GB.
-GRID_MAX = 2**16
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """The public surface: every export resolves, every argument that must be a
 finite positive number is checked the same way, by errors.require_positive,
 every finite number by errors.require_finite, the problem types take only
-numbers, and the package imports nothing outside the standard library."""
+numbers, the package's lazy exports behave as attributes, and the package
+imports nothing outside the standard library."""
 
 import ast
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import eulerfan
+import eulerfan.cli
 from eulerfan import (
     DomainError,
     GasLaw,
@@ -45,22 +47,62 @@ not_positive = pytest.mark.parametrize("value", NOT_POSITIVE, ids=NOT_POSITIVE_I
 both_tolerances = pytest.mark.parametrize("name", ["tol_eq", "tol_strict"])
 
 
-def third_party_imports(path):
-    """(line, top-level module) of each absolute import in ``path`` that
-    names neither the standard library nor the package itself."""
+# The module-level tables of submodules that a source loads by name, the
+# package's exports and the CLI's deferred names
+LAZY_TABLES = ("_EXPORTS", "_DEFERRED")
+
+
+def imported_modules(tree):
+    """(line, module) of each module that the source ``tree`` of an eulerfan
+    file imports: by an import statement, by a string argument of
+    ``import_module`` or ``__import__``, or as a key of a lazy table.  A
+    relative name, and a table key, is resolved within the package; an
+    argument that is neither a string nor "." plus an expression (a name
+    relative to the package) gives (line, None), since no module can be read
+    from it."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        for name in names:
-            top = name.partition(".")[0]
-            if top != "eulerfan" and top not in sys.stdlib_module_names:
-                found.append((node.lineno, top))
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module if node.level == 0 else ".".join(filter(None, ["eulerfan", node.module]))
+            found.append((node.lineno, base))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in (
+            "import_module",
+            "__import__",
+        ):
+            arg = node.args[0] if node.args else None
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                name = arg.value
+                found.append((node.lineno, "eulerfan" + name if name.startswith(".") else name))
+            elif isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add) and getattr(arg.left, "value", None) == ".":
+                found.append((node.lineno, "eulerfan"))
+            else:
+                found.append((node.lineno, None))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in LAZY_TABLES:
+            if not isinstance(node.value, ast.Dict):
+                found.append((node.lineno, None))
+                continue
+            for key in node.value.keys:
+                name = key.value if isinstance(key, ast.Constant) and isinstance(key.value, str) else None
+                found.append((key.lineno, None if name is None else "eulerfan." + name))
     return found
+
+
+def third_party_imports(path):
+    """(line, module) of each import in ``path`` (see imported_modules) that
+    names neither the standard library nor a source file of the package
+    beside ``path``; None for a module that cannot be read."""
+    package = {source.stem for source in path.parent.glob("*.py")}
+    bad = []
+    for line, name in imported_modules(ast.parse(path.read_text(), str(path))):
+        top, _, sub = (name or "").partition(".")
+        if name is None or (top == "eulerfan" and sub.partition(".")[0] not in package | {""}):
+            bad.append((line, name))
+        elif top != "eulerfan" and top not in sys.stdlib_module_names:
+            bad.append((line, top))
+    return bad
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -69,10 +111,51 @@ def test_runtime_imports_only_the_standard_library():
     assert len(sources) > 1
     hits = {path.name: third_party_imports(path) for path in sources}
     assert {name: found for name, found in hits.items() if found} == {}
+    # the guard reads the lazy tables: the CLI names the constructions only there
+    cli_source = Path(eulerfan.__file__).parent / "cli.py"
+    assert "eulerfan.wedge" in {name for _, name in imported_modules(ast.parse(cli_source.read_text()))}
+
+
+# Ways to defer a numpy import that a scan of import statements alone would
+# miss: (file, text, replacement, what the guard reports)
+DEFERRED_NUMPY = {
+    "import_module": ("oracles.py", "import math\n", "import math\nimport_module('numpy')\n", "numpy"),
+    "dunder-import": ("oracles.py", "import math\n", "import math\n__import__('numpy.random')\n", "numpy"),
+    "computed-name": ("oracles.py", "import math\n", "import math\nimport_module('num' + 'py')\n", None),
+    "export-table": ("__init__.py", "_EXPORTS = {\n", "_EXPORTS = {\n    'numpy': ('ndarray',),\n", "eulerfan.numpy"),
+    "deferred-table": ("cli.py", "_DEFERRED = {\n", "_DEFERRED = {\n    'numpy': ('ndarray',),\n", "eulerfan.numpy"),
+}
+
+
+@pytest.mark.parametrize("mutation", DEFERRED_NUMPY)
+def test_a_deferred_third_party_import_is_caught(tmp_path, mutation):
+    filename, text, replacement, reported = DEFERRED_NUMPY[mutation]
+    for path in Path(eulerfan.__file__).parent.glob("*.py"):
+        source = path.read_text()
+        if path.name == filename:
+            assert text in source
+            source = source.replace(text, replacement, 1)
+        (tmp_path / path.name).write_text(source)
+    assert [name for _, name in third_party_imports(tmp_path / filename)] == [reported]
 
 
 def test_every_export_resolves():
     assert [name for name in eulerfan.__all__ if not hasattr(eulerfan, name)] == []
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace = {}
+    exec("from eulerfan import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(eulerfan.__all__)
+    assert len(set(eulerfan.__all__)) == len(eulerfan.__all__)
+    assert set(eulerfan.__all__) <= set(dir(eulerfan))
+
+
+@pytest.mark.parametrize("module", [eulerfan, eulerfan.cli], ids=["eulerfan", "eulerfan.cli"])
+def test_an_unknown_name_is_an_attribute_error(module):
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name
+    assert not hasattr(module, "no_such_name")
 
 
 @not_positive

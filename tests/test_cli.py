@@ -51,6 +51,7 @@ from eulerfan.cli import (
     result_dict,
     run,
 )
+from eulerfan import cli, oracles
 from eulerfan.certificate import strict
 from eulerfan.subsolution import GRID_MAX
 from eulerfan.wedge import build_s
@@ -1043,19 +1044,101 @@ print(status, loaded())
 """
 
 
-def test_numpy_stays_off_the_import_path(tmp_path):
+def run_fresh(script, *args):
+    """``script`` run by a fresh interpreter that imports eulerfan from this
+    checkout's sources, with its exit status checked."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = tmp_path / "out"
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_GUARD, str(out)],
+        [sys.executable, "-c", script, *args],
         env=env,
         capture_output=True,
         text=True,
         check=False,
     )
     assert done.returncode == 0, done.stderr
+    return done
+
+
+def test_numpy_stays_off_the_import_path(tmp_path):
+    out = tmp_path / "out"
+    done = run_fresh(IMPORT_GUARD, str(out))
     # the lemmas mode runs too, and loads no numpy
     assert done.stdout.split()[-2:] == [str(STATUS_OK), "False"]
     report = json.loads((out / "lemma_report.json").read_text())
     assert report["seed"] == 7 and report["samples"] == 300 and report["overall"]
+
+
+# Runs cli.main on each argument list of argv[1] (JSON) in a fresh
+# interpreter, and prints the eulerfan submodules loaded after `import
+# eulerfan`, then the status and the submodules loaded after each run.
+LOAD_PROBE = """
+import contextlib, io, json, sys
+loaded = lambda: sorted(name for name in sys.modules if name.startswith("eulerfan."))
+import eulerfan
+seen = [loaded()]
+import eulerfan.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        seen.append([eulerfan.cli.main(argv), loaded()])
+print(json.dumps(seen))
+"""
+
+# What `import eulerfan.cli` loads; classify, standard and input errors load
+# nothing more
+CLI_CORE = ["eulerfan." + name for name in ("certificate", "cli", "eos", "errors", "riemann", "wavecurves")]
+
+
+def probe_loads(*argvs):
+    return json.loads(run_fresh(LOAD_PROBE, json.dumps(argvs)).stdout)
+
+
+def test_cheap_modes_load_neither_the_search_nor_the_suite(tmp_path):
+    path, bad = write_doc(tmp_path, CASE6_DOC), write_doc(tmp_path, dict(CASE6_DOC, serach={}), "bad.json")
+    seen = probe_loads(
+        ["--mode", "classify", "--input", path],
+        ["--mode", "standard", "--input", path],
+        ["--mode", "wedge", "--input", bad],
+        ["--mode", "subsolution"],
+        ["--mode", "lemmas", "--samples", "0"],
+    )
+    assert seen == [[], *([status, CLI_CORE] for status in (STATUS_OK, STATUS_OK, 1, 1, 1))]
+
+
+# The submodules each other mode loads beyond CLI_CORE: the lemma suite
+# uses the search's admissibility bracket, and neither the search nor the
+# suite needs the constructions
+MODE_LOADS = {"subsolution": ["subsolution"], "wedge": ["subsolution", "wedge"], "lemmas": ["oracles", "subsolution"]}
+
+
+@pytest.mark.parametrize("mode", MODE_LOADS)
+def test_each_mode_loads_only_what_it_runs(tmp_path, mode):
+    argv = ["--mode", mode, "--input", write_doc(tmp_path, SUBSOLUTION_DOC), "--samples", "100"]
+    loads = sorted(CLI_CORE + ["eulerfan." + name for name in MODE_LOADS[mode]])
+    assert probe_loads(argv)[-1] == [STATUS_OK, loads]
+
+
+def test_modes_call_the_names_bound_on_the_cli(monkeypatch):
+    # the benchmark's tracer rebinds these names on eulerfan.cli (and
+    # run_suite on oracles), before or after a mode first binds them, and
+    # times whatever the mode then calls
+    for name in ("search_feasible", "build_sr", "verify_full"):
+        monkeypatch.delitem(vars(cli), name, raising=False)
+    calls = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((cli, "search_feasible"), (cli, "build_sr"), (oracles, "run_suite")):
+        counting(owner, name)
+    for mode in ("subsolution", "wedge", "lemmas"):
+        assert run(mode, SUBSOLUTION_DOC, samples=100).status == STATUS_OK
+    assert calls == ["search_feasible", "build_sr", "run_suite"]
+    # the mode bound the name that was not rebound
+    assert "verify_full" in vars(cli)

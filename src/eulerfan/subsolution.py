@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat, takewhile
 
 from . import certificate as cert
 from .certificate import Certificate
@@ -109,6 +111,9 @@ class _ProblemTerms:
         # with the terms, so small-scale data keeps a genuine sign.
         self.disc_noise = STRICT_TOL * max(abs(t1), abs(t2))
         self.clamped = None if self.disc < -self.disc_noise else max(self.disc, 0.0)
+        # (rho1, delta1, left row, right row) at the last open window that a
+        # search scan yielded, for _ReducedRows at that rho1
+        self.opened = None
 
 
 def discriminant(p: RiemannProblem) -> float:
@@ -131,26 +136,28 @@ def _star_terms(p: RiemannProblem, rho1: float) -> _ProblemTerms:
     return _ProblemTerms(p)
 
 
-def _bracket(rho_a: float, rho_b: float, p_a: float, p_b: float, e_a: float, e_b: float) -> float:
-    return p_a + p_b - 2.0 * rho_a * rho_b * (e_a - e_b) / (rho_a - rho_b)
-
-
 def _scan(t: _ProblemTerms, rho1s, tol: float | None = None):
     """The one copy of the arithmetic at a wedge density rho1, over the
     stream ``rho1s`` in one frame: p, eps, v12 and delta1 (the closed
     forms), the two entropy rows and the delta2 window.  The problem terms
-    are read from ``t`` once; no rho1 is drawn before it is needed.
+    are read from ``t`` once; no rho1 is drawn before it is needed.  Each
+    rho1 runs as straight-line code: the two rows are written out, each
+    difference of rho1 or v12 with the data is taken once, and a magnitude
+    is a conditional negation, which the window's decisions cannot tell
+    from abs (only the sign of a zero differs, and a NaN fails either way).
 
     With ``tol`` it is a search stage's kernel and yields (rho1, (lo, hi))
     for each rho1 whose window is open, lo <= hi: the predicate
     (``_ReducedRows.feasible``) fails at every delta2 >= 0 outside it.
-    Other rho1 yield nothing: outside the density window, delta1 below
-    SEARCH_DELTA_FLOOR (checked after the left row), or no delta2 left by
-    the rows.  The right row is computed only once the left one leaves a
-    window.  Without ``tol``, a rho1 inside the density window yields (p1,
-    e1, v12, d1), then the left and the right row as (lhs, rhs0, s), with
-    margin rhs0 + s*delta2 - lhs, each computed only once it is drawn: the
-    single-point callers draw these.
+    Before it yields, it keeps rho1, delta1 and both rows in ``t.opened``,
+    where ``_ReducedRows`` at that rho1 takes them.  Other rho1 yield
+    nothing: outside the density window, delta1 below SEARCH_DELTA_FLOOR
+    (checked after the left row), or no delta2 left by the rows.  The right
+    row is computed only once the left one leaves a window.  Without
+    ``tol``, a rho1 inside the density window yields (p1, e1, v12, d1),
+    then the left and the right row as (lhs, rhs0, s), with margin rhs0 +
+    s*delta2 - lhs, each computed only once it is drawn: the single-point
+    callers draw these.
 
     p and eps are eos's expressions with the law constants held by ``t``;
     where one overflows, eos is called and raises its own NumericError
@@ -198,6 +205,7 @@ def _scan(t: _ProblemTerms, rho1s, tol: float | None = None):
     rl, vl2, pl, el = t.rl, t.vl2, t.pl, t.el
     rr, vr2, pr, er = t.rr, t.vr2, t.pr, t.er
     gap, left_flux, right_flux, jump = t.gap, t.left_flux, t.right_flux, t.jump
+    two_rl = 2.0 * rl
     sqrt, log, isfinite, inf = math.sqrt, math.log, math.isfinite, math.inf
     bounded = tol is not None
     if bounded:
@@ -211,48 +219,74 @@ def _scan(t: _ProblemTerms, rho1s, tol: float | None = None):
             e1 = K * log(rho1) if isothermal else K * rho1**gm1 / gm1
         except OverflowError:
             p1 = e1 = inf
-        if not (p1 < inf and abs(e1) < inf):
+        if not (p1 < inf and -inf < e1 < inf):
             p1, e1 = pressure(law, rho1), internal_energy(law, rho1)
-        root = sqrt(d * (rho1 - rl) * (rr - rho1))
+        from_l, to_r, to_l = rho1 - rl, rr - rho1, rl - rho1
+        root = sqrt(d * from_l * to_r)
         try:
-            v12 = (left_flux * (rr - rho1) - right_flux * (rho1 - rl) + root) / (rho1 * gap)
+            v12 = (left_flux * to_r - right_flux * from_l + root) / (rho1 * gap)
         except ZeroDivisionError:
             raise NumericError(f"arithmetic underflow: the v12 divisor at rho1={rho1!r}") from None
-        term = jump + sqrt(d * (rr - rho1) / (rho1 - rl))
+        term = jump + sqrt(d * to_r / from_l)
         try:
-            d1 = -(p1 - pl) / rho1 + rl * (rho1 - rl) / (rho1**2 * gap**2) * term**2
+            d1 = -(p1 - pl) / rho1 + rl * from_l / (rho1**2 * gap**2) * term**2
         except OverflowError:
             raise NumericError(f"arithmetic overflow: delta1 at rho1={rho1!r}") from None
         except ZeroDivisionError:
             raise NumericError(f"arithmetic underflow: the delta1 divisor at rho1={rho1!r}") from None
         if not bounded:
             yield p1, e1, v12, d1
-        lo, hi = 0.0, inf
-        for right in (False, True):  # the right row only once the left leaves a window
-            if right:
-                coupling = rho1 * rr * (vr2 - v12) / (rho1 - rr)
-                lhs = (vr2 - v12) * _bracket(rho1, rr, p1, pr, e1, er)
-                rhs0 = -d1 * rho1 * (vr2 + v12) + d1 * coupling
-                s = coupling
-            else:
-                coupling = rl * rho1 * (v12 - vl2) / (rl - rho1)
-                lhs = (v12 - vl2) * _bracket(rl, rho1, pl, p1, el, e1)
-                rhs0 = d1 * rho1 * (v12 + vl2) - d1 * coupling
-                s = -coupling
-            # 0 * x is 0 for finite x and NaN for inf or NaN: one isfinite per row
-            if not isfinite(0.0 * lhs + 0.0 * rhs0 + 0.0 * coupling):
-                raise NumericError(f"the reduced conditions overflow at rho1={rho1!r}")
-            if not bounded:
-                yield lhs, rhs0, s
-                continue
-            if d1 < floor:
-                break
-            m, ms = abs(lhs), abs(s)
-            size = abs(rhs0) + m + 1.0
-            if not (size + ms) * up < size_cap:
-                continue
-            c = rhs0 - lhs + eta * size - tol * (m if m > 1.0 else 1.0)
-            k = s + eta * ms
+        # the left row
+        dv_l = v12 - vl2
+        coupling_l = rl * rho1 * dv_l / to_l
+        lhs_l = dv_l * (pl + p1 - two_rl * rho1 * (el - e1) / to_l)
+        rhs_l0 = d1 * rho1 * (v12 + vl2) - d1 * coupling_l
+        s_l = -coupling_l
+        # 0 * x is 0 for finite x and NaN for inf or NaN: one isfinite per row
+        if not isfinite(0.0 * lhs_l + 0.0 * rhs_l0 + 0.0 * coupling_l):
+            raise NumericError(f"the reduced conditions overflow at rho1={rho1!r}")
+        if not bounded:
+            yield lhs_l, rhs_l0, s_l
+        elif d1 < floor:
+            continue
+        else:
+            lo, hi = 0.0, inf
+            m = lhs_l if lhs_l > 0.0 else -lhs_l
+            ms = s_l if s_l > 0.0 else -s_l
+            size = (rhs_l0 if rhs_l0 > 0.0 else -rhs_l0) + m + 1.0
+            if (size + ms) * up < size_cap:
+                c = rhs_l0 - lhs_l + eta * size - tol * (m if m > 1.0 else 1.0)
+                k = s_l + eta * ms
+                if k > 0.0:
+                    x = -c / k
+                    if x > lo:
+                        lo = x
+                elif k < 0.0:
+                    x = -c / k
+                    if x < hi:
+                        hi = x
+                elif not c > 0.0:
+                    continue
+                if lo > hi:
+                    continue
+        # the right row, only once the left one leaves a window
+        dv_r = vr2 - v12
+        from_r = rho1 - rr
+        coupling_r = rho1 * rr * dv_r / from_r
+        lhs_r = dv_r * (p1 + pr - 2.0 * rho1 * rr * (e1 - er) / from_r)
+        rhs_r0 = -d1 * rho1 * (vr2 + v12) + d1 * coupling_r
+        s_r = coupling_r
+        if not isfinite(0.0 * lhs_r + 0.0 * rhs_r0 + 0.0 * coupling_r):
+            raise NumericError(f"the reduced conditions overflow at rho1={rho1!r}")
+        if not bounded:
+            yield lhs_r, rhs_r0, s_r
+            continue
+        m = lhs_r if lhs_r > 0.0 else -lhs_r
+        ms = s_r if s_r > 0.0 else -s_r
+        size = (rhs_r0 if rhs_r0 > 0.0 else -rhs_r0) + m + 1.0
+        if (size + ms) * up < size_cap:
+            c = rhs_r0 - lhs_r + eta * size - tol * (m if m > 1.0 else 1.0)
+            k = s_r + eta * ms
             if k > 0.0:
                 x = -c / k
                 if x > lo:
@@ -262,12 +296,11 @@ def _scan(t: _ProblemTerms, rho1s, tol: float | None = None):
                 if x < hi:
                     hi = x
             elif not c > 0.0:
-                break
+                continue
             if lo > hi:
-                break
-        else:
-            if bounded:
-                yield rho1, (lo, hi)
+                continue
+        t.opened = rho1, d1, lhs_l, rhs_l0, s_l, lhs_r, rhs_r0, s_r
+        yield rho1, (lo, hi)
 
 
 def v12_star(p: RiemannProblem, rho1: float) -> float:
@@ -333,14 +366,9 @@ def admissibility_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
     two distinct densities.  NumericError when it overflows."""
     if rho_a == rho_b:
         raise DomainError("needs two distinct densities")
-    bracket = _bracket(
-        rho_a,
-        rho_b,
-        pressure(law, rho_a),
-        pressure(law, rho_b),
-        internal_energy(law, rho_a),
-        internal_energy(law, rho_b),
-    )
+    p_a, p_b = pressure(law, rho_a), pressure(law, rho_b)
+    e_a, e_b = internal_energy(law, rho_a), internal_energy(law, rho_b)
+    bracket = p_a + p_b - 2.0 * rho_a * rho_b * (e_a - e_b) / (rho_a - rho_b)
     if not -math.inf < bracket < math.inf:
         raise NumericError(f"arithmetic overflow: the admissibility bracket of {rho_a!r} and {rho_b!r}")
     return bracket
@@ -350,12 +378,17 @@ class _ReducedRows:
     """The reduced conditions at one rho1, drawn from ``_scan`` and so with
     the search's bits and errors: delta1 and both entropy rows, each margin
     affine in delta2, so scanning many delta2 values costs a handful of
-    flops each.  The search builds one only at an open window."""
+    flops each.  The search builds one only at an open window, where it
+    takes the terms that its scan has just computed (``t.opened``)."""
 
     def __init__(self, t: _ProblemTerms, rho1: float):
         self.rl, self.rr, self.rho1 = t.rl, t.rr, rho1
         self.window_ok = t.rl < rho1 < t.rr
         if not self.window_ok:
+            return
+        opened = t.opened
+        if opened is not None and opened[0] is rho1:
+            _, self.d1, self.lhs_l, self.rhs_l0, self.slope_l, self.lhs_r, self.rhs_r0, self.slope_r = opened
             return
         terms = _scan(t, (rho1,))
         self.d1 = next(terms)[3]
@@ -451,45 +484,48 @@ def _first_feasible(
     return next((d for d in points if lo <= d <= hi and ev.feasible(d, tol)), None)
 
 
-def _guided_candidates(p, scan_points):
-    """rho1 candidates mirroring the perturbation argument: approach either
-    the left density or the middle density of the standard solution,
-    whichever end the left normal velocity selects.  At most ``scan_points``
-    of them, drawn lazily, up to the first step ``gap * 0.5**k`` that
-    underflows to 0.0 (by k = 1075): every later one would equal that one.
-    The middle density comes from the S1R3 bisection alone, the bits of
+def _guided_candidates(p, scan_points, rho1_below=math.inf):
+    """The guided stage's stream: rho1 candidates mirroring the perturbation
+    argument, approaching either the left density or the middle density of
+    the standard solution, whichever end the left normal velocity selects.
+    At most ``scan_points`` of them, drawn lazily, up to the first step
+    ``gap * 0.5**k`` that underflows to 0.0 (by k = 1075): every later one
+    would equal that one.  A candidate at or above ``rho1_below``, or equal
+    to the one yielded before it, is dropped in the same frame.  The middle
+    density comes from the S1R3 bisection alone, the bits of
     ``solve_standard(p).middle.rho`` without its waves."""
     if classify(p) is not CaseId.S1R3:
         return
+    rl = p.left.rho
     rho_m = _solve_middle_density(p, CaseId.S1R3)
-    jump = shock_bracket(p.law, p.left.rho, rho_m)
-    threshold = rho_m * jump / (2.0 * (rho_m - p.left.rho))
-    gap = rho_m - p.left.rho
+    jump = shock_bracket(p.law, rl, rho_m)
+    threshold = rho_m * jump / (2.0 * (rho_m - rl))
+    gap = rho_m - rl
     from_left = p.left.v2 > threshold
+    previous = None
     for k in range(1, scan_points + 1):
         step = gap * 0.5**k
-        yield p.left.rho + step if from_left else rho_m - step
+        rho1 = rl + step if from_left else rho_m - step
+        if rho1 != previous and rho1 < rho1_below:
+            previous = rho1
+            yield rho1
         if step == 0.0:
             return
 
 
-def _fresh_below(rho1s, rho1_below: float):
-    """The rho1 of ``rho1s`` below ``rho1_below``, less each equal to the
-    one kept before it: the guided stage's stream."""
-    previous = None
-    for rho1 in rho1s:
-        if rho1 != previous and rho1 < rho1_below:
-            previous = rho1
-            yield rho1
+@functools.lru_cache(maxsize=4)
+def _rho1_exponents(grid: int) -> tuple[float, ...]:
+    """(i + 0.5) / grid for each grid index i: rho1 = rho- * ratio**x."""
+    return tuple((i + 0.5) / grid for i in range(grid))
 
 
 def _grid_below(rl: float, ratio: float, grid: int, rho1_below: float):
-    """The grid stage's ascending rho1, up to the first at or above ``rho1_below``."""
-    for i in range(grid):
-        rho1 = rl * ratio ** ((i + 0.5) / grid)
-        if not rho1 < rho1_below:
-            return
-        yield rho1
+    """The grid stage's ascending rho1, up to the first at or above
+    ``rho1_below``, drawn by C-level iterators: no Python frame per rho1.
+    operator.mul and operator.gt, not bound methods of rl or rho1_below,
+    which an int would answer with NotImplemented."""
+    rho1s = map(operator.mul, repeat(rl), map(operator.pow, repeat(ratio), _rho1_exponents(grid)))
+    return takewhile(functools.partial(operator.gt, rho1_below), rho1s)
 
 
 def _stage(t: _ProblemTerms, rho1s, tol: float, points=None) -> tuple[float, float] | None:
@@ -553,15 +589,15 @@ def search_feasible(
     searched, for ``grid`` above GRID_MAX, whose grid would not fit in
     memory or time, for a ``tol_strict`` that is not finite and positive,
     where no point could pass and the empty result would certify nothing,
-    for a ``rho1_below`` that is not an int or a float or is NaN, and for
-    data with rho- > rho+, whose density window is empty: rotate_180 them
-    first.
+    for a ``rho1_below`` that is not an int or a float, or is NaN or at or
+    below rho-, which leaves no rho1 to search, and for data with rho- >
+    rho+, whose density window is empty: rotate_180 them first.
     """
     scan_points = require_count("scan_points", scan_points, 1)
     grid = require_count("grid", grid, 2, GRID_MAX)
     tol_strict = require_positive("tol_strict", tol_strict)
-    if not is_number(rho1_below) or rho1_below != rho1_below:
-        raise DomainError(f"rho1_below must be a number, got {rho1_below!r}")
+    if not is_number(rho1_below) or not rho1_below > p.left.rho:
+        raise DomainError(f"rho1_below must be a number above rho-={p.left.rho!r}, got {rho1_below!r}")
     t = _ProblemTerms(p)
     if t.disc <= t.disc_noise:
         raise CriterionError(
@@ -572,7 +608,7 @@ def search_feasible(
     if not rl < rr:
         raise DomainError("the search needs rho- < rho+; rotate the problem first")
     # most windows are empty: no rows are built and no delta2 is drawn there
-    found = _stage(t, _fresh_below(_guided_candidates(p, scan_points), rho1_below), tol_strict)
+    found = _stage(t, _guided_candidates(p, scan_points, rho1_below), tol_strict)
     if found is not None:
         return found
     delta2_grid = _delta2_grid(grid)

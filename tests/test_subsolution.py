@@ -188,21 +188,21 @@ def scan_line(statement):
     return first + [line.strip() for line in lines].index(statement)
 
 
-def scan_setting(t, rho1, tol, statement, values):
-    """scan_window, with the scan's locals set each time it reaches the
-    line ``statement``, as a debugger sets variables at a breakpoint: a trace
-    function updates them with ``values(right)``, ``right`` being the scan's
-    row flag there (None before the rows).  The scan's own code runs
+def scan_setting(t, rho1, tol, settings):
+    """scan_window, with the scan's locals set each time it reaches a line
+    of ``settings``, as a debugger sets variables at a breakpoint:
+    ``settings`` maps a statement of _scan to the values that a trace
+    function sets when that line is reached.  The scan's own code runs
     throughout, on the values set from that line on; this drives its bound
     with coefficients that its own arithmetic and row check would never
-    hand it.  Raises AssertionError when the line is never reached."""
-    target = scan_line(statement)
+    hand it.  Raises AssertionError when no line is ever reached."""
+    targets = {scan_line(statement): values for statement, values in settings.items()}
     reached = []
 
     def on_line(frame, event, arg):
-        if event == "line" and frame.f_lineno == target:
-            reached.append(target)
-            frame.f_locals.update(values(frame.f_locals.get("right")))
+        if event == "line" and frame.f_lineno in targets:
+            reached.append(frame.f_lineno)
+            frame.f_locals.update(targets[frame.f_lineno])
         return on_line
 
     def on_call(frame, event, arg):
@@ -214,7 +214,7 @@ def scan_setting(t, rho1, tol, statement, values):
         window = scan_window(t, rho1, tol)
     finally:
         sys.settrace(saved)
-    assert reached, statement
+    assert reached, settings
     return window
 
 
@@ -468,10 +468,10 @@ class TestNumericFailure:
     def test_overflowing_terms_below_the_floor(self, v12, d1):
         # an inf or NaN v12 or delta1 makes the left row's terms inf or NaN,
         # so the scan raises even where delta1 alone would refuse rho1; they
-        # are set right after the closed forms, before the left row
+        # are set right after the closed forms, at the left row's first line
         values = {"v12": v12, "d1": d1}
         with pytest.raises(NumericError, match="overflow at rho1="):
-            scan_setting(_ProblemTerms(CASE5), 2.0, STRICT_TOL, "lo, hi = 0.0, inf", lambda right: values)
+            scan_setting(_ProblemTerms(CASE5), 2.0, STRICT_TOL, {"dv_l = v12 - vl2": values})
 
     def test_density_ratio_overflow(self):
         # rho+/rho- is inf: the first grid rho1 was inf, so the grid stage
@@ -945,8 +945,9 @@ class TestBoundedSearch:
         monkeypatch.undo()
         assert misses > 0
         # without the bound the same searches would have gone to rho_m and
-        # back: the check above is not vacuous
-        guided = [list(_guided_candidates(p, 64)) for p in perturbed_problems(
+        # back: the check above is not vacuous (the stream itself drops
+        # repeats, so the walk is the full list's)
+        guided = [full_guided_list(p, 64) for p in perturbed_problems(
             wedge.build_sr, problems, monkeypatch)]
         assert any(len(set(c)) < len(c) for c in guided)
 
@@ -955,6 +956,13 @@ class TestBoundedSearch:
         # rho1 and report a certified empty result
         with pytest.raises(DomainError):
             search_feasible(CASE5, rho1_below=math.nan)
+
+    @pytest.mark.parametrize("bound", [1.0, 1, 0.5, 0.0, -1.0, -math.inf])
+    def test_bound_at_or_below_the_left_density_rejected(self, bound):
+        # rho- is 1: no rho1 lies above rho- and below the bound, so None
+        # would certify a search over nothing
+        with pytest.raises(DomainError, match="rho1_below must be a number above rho-=1"):
+            search_feasible(CASE5, rho1_below=bound)
 
     def test_unusable_pair_no_longer_ends_the_attempt(self, monkeypatch):
         # random_case5 data seed 2, draw 334: at s = 1/16 the unbounded search
@@ -1125,14 +1133,12 @@ def kernel_window(ev, tol):
     ev, a _ReducedRows: the search's bound code on hand-made coefficients,
     which the scan's own row check would refuse when they are not finite.
     The scan runs on CASE5's terms, whose density window (1, 4) is ev's,
-    and takes delta1 and each row from ev at the bound's first line."""
-    rows = ((ev.lhs_l, ev.rhs_l0, ev.slope_l), (ev.lhs_r, ev.rhs_r0, ev.slope_r))
-
-    def values(right):
-        lhs, rhs0, s = rows[right]
-        return {"d1": ev.d1, "lhs": lhs, "rhs0": rhs0, "s": s}
-
-    return scan_setting(HAND_MADE_TERMS, ev.rho1, tol, "if d1 < floor:", values)
+    and takes delta1 and each row from ev at the first line of that row's
+    bound."""
+    left = {"d1": ev.d1, "lhs_l": ev.lhs_l, "rhs_l0": ev.rhs_l0, "s_l": ev.slope_l}
+    right = {"lhs_r": ev.lhs_r, "rhs_r0": ev.rhs_r0, "s_r": ev.slope_r}
+    settings = {"elif d1 < floor:": left, "m = lhs_r if lhs_r > 0.0 else -lhs_r": right}
+    return scan_setting(HAND_MADE_TERMS, ev.rho1, tol, settings)
 
 
 class TestDelta2Window:
@@ -1388,35 +1394,42 @@ def schedule_kernel_calls(monkeypatch):
     """(t, rho1, tol, window) of every rho1 that the search stages' scans
     evaluate in build_sr and build_s on the first 20 problems of the
     seed-601 and seed-602 batches, and the number of right rows those scans
-    computed.  Each row calls _bracket once, the right row with rho1 first;
-    a scan runs only while its stage draws from it, so the rows that
-    _first_feasible builds between two draws are not counted."""
+    computed: the times a scan with a tolerance reached the right row's
+    first line, which a trace function counts.  The rows of one rho1 drawn
+    without a tolerance are not counted."""
     calls, right = [], [0]
-    inside = [False]
-    bracket = subsolution._bracket
+    right_line = scan_line("dv_r = vr2 - v12")
 
     def drawn(t, rho1, tol):
         calls.append([t, rho1, tol, None])
-        inside[0] = True
 
     def window(rho1, window):
         assert calls[-1][1] == rho1  # the scan yields the rho1 it drew last
         calls[-1][3] = window
-        inside[0] = False
 
-    def counted_bracket(rho_a, *rest):
-        right[0] += inside[0] and calls and rho_a == calls[-1][1]
-        return bracket(rho_a, *rest)
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno == right_line:
+            right[0] += 1
+        return on_line
 
+    def on_call(frame, event, arg):
+        if frame.f_code is _scan.__code__ and frame.f_locals["tol"] is not None:
+            return on_line
+        return None
+
+    saved = sys.gettrace()
     with monkeypatch.context() as m:
         stage_scans(m, on_draw=drawn, on_yield=window)
-        m.setattr(subsolution, "_bracket", counted_bracket)
-        rng = np.random.default_rng(601)
-        for _ in range(20):
-            wedge.build_sr(random_case5(rng)[0])
-        rng = np.random.default_rng(602)
-        for _ in range(20):
-            wedge.build_s(random_case6_one_shock(rng))
+        sys.settrace(on_call)
+        try:
+            rng = np.random.default_rng(601)
+            for _ in range(20):
+                wedge.build_sr(random_case5(rng)[0])
+            rng = np.random.default_rng(602)
+            for _ in range(20):
+                wedge.build_s(random_case6_one_shock(rng))
+        finally:
+            sys.settrace(saved)
     return [tuple(call) for call in calls], right[0]
 
 

@@ -27,7 +27,7 @@ _EXPORTS = {
         "InvariantError",
         "NumericError",
     ),
-    "oracles": ("lemma2_f", "lemma2_gap", "lemma3_gaps", "run_suite"),
+    "oracles": ("admissibility_bracket", "lemma2_f", "lemma2_gap", "lemma3_gaps", "run_suite"),
     "riemann": (
         "CaseId",
         "RiemannProblem",
@@ -42,7 +42,6 @@ _EXPORTS = {
     "subsolution": (
         "FanSubsolution",
         "ReducedSubsolution",
-        "admissibility_bracket",
         "check_reduced",
         "discriminant",
         "extract_deltas",

@@ -1,6 +1,8 @@
 """Stand-alone evaluators for the three structural inequalities underpinning
-the constructions (Lemma 1's is ``subsolution.admissibility_bracket``), plus
-seeded sampling batches for property suites.
+the constructions (Lemma 1's admissibility bracket, Lemma 2's shock-over-
+rarefaction gap and Lemma 3's bracket growth), plus seeded sampling batches
+for property suites.  The module needs only the scalar kernels, so the lemma
+suite runs without loading the search.
 
 The batches draw numpy's ``default_rng(seed).random()`` stream, reproduced
 bit for bit with the standard library, so the package needs no numpy."""
@@ -9,15 +11,27 @@ from __future__ import annotations
 
 import math
 
-from .eos import GasLaw
+from .eos import GasLaw, internal_energy, pressure
 from .errors import DEFAULT_SAMPLES, DEFAULT_SEED, DomainError, NumericError, require_count
-from .subsolution import admissibility_bracket
 from .wavecurves import rarefaction_integral, shock_bracket
 
 F_GAMMAS = (1.1, 1.4, 5.0 / 3.0, 2.0, 3.0)
 
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
+
+
+def admissibility_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
+    """p(a) + p(b) - 2ab (eps(a) - eps(b))/(a - b); strictly positive for any
+    two distinct densities.  NumericError when it overflows."""
+    if rho_a == rho_b:
+        raise DomainError("needs two distinct densities")
+    p_a, p_b = pressure(law, rho_a), pressure(law, rho_b)
+    e_a, e_b = internal_energy(law, rho_a), internal_energy(law, rho_b)
+    bracket = p_a + p_b - 2.0 * rho_a * rho_b * (e_a - e_b) / (rho_a - rho_b)
+    if not -math.inf < bracket < math.inf:
+        raise NumericError(f"arithmetic overflow: the admissibility bracket of {rho_a!r} and {rho_b!r}")
+    return bracket
 
 
 def lemma2_gap(law: GasLaw, rho_minus: float, rho_plus: float) -> float:

@@ -1,7 +1,8 @@
 """Fan-subsolution algebra: closed-form interface speeds and wedge-state
 quantities, the reduced feasibility conditions in (rho1, delta2), the
 deterministic feasibility search, the lift from reduced to full unknowns, and
-the verifier of the full condition system."""
+the verifier of the full condition system.  The entropy rows write Lemma 1's
+admissibility bracket (``oracles.admissibility_bracket``) out inline."""
 
 from __future__ import annotations
 
@@ -9,11 +10,11 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat, takewhile
+from itertools import chain, repeat, takewhile
 
 from . import certificate as cert
 from .certificate import Certificate
-from .eos import GasLaw, internal_energy, pressure
+from .eos import internal_energy, pressure
 from .errors import (
     GRID_MAX, CriterionError, DomainError, InvariantError, NumericError, is_number, require_count, require_positive,
     squared,
@@ -361,19 +362,6 @@ def reduced_residuals(
     )
 
 
-def admissibility_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
-    """p(a) + p(b) - 2ab (eps(a) - eps(b))/(a - b); strictly positive for any
-    two distinct densities.  NumericError when it overflows."""
-    if rho_a == rho_b:
-        raise DomainError("needs two distinct densities")
-    p_a, p_b = pressure(law, rho_a), pressure(law, rho_b)
-    e_a, e_b = internal_energy(law, rho_a), internal_energy(law, rho_b)
-    bracket = p_a + p_b - 2.0 * rho_a * rho_b * (e_a - e_b) / (rho_a - rho_b)
-    if not -math.inf < bracket < math.inf:
-        raise NumericError(f"arithmetic overflow: the admissibility bracket of {rho_a!r} and {rho_b!r}")
-    return bracket
-
-
 class _ReducedRows:
     """The reduced conditions at one rho1, drawn from ``_scan`` and so with
     the search's bits and errors: delta1 and both entropy rows, each margin
@@ -590,7 +578,8 @@ def search_feasible(
     memory or time, for a ``tol_strict`` that is not finite and positive,
     where no point could pass and the empty result would certify nothing,
     for a ``rho1_below`` that is not an int or a float, or is NaN or at or
-    below rho-, which leaves no rho1 to search, and for data with rho- >
+    below rho-, or at or below every guided candidate and the first grid
+    rho1, each of which leaves no rho1 to search, and for data with rho- >
     rho+, whose density window is empty: rotate_180 them first.
     """
     scan_points = require_count("scan_points", scan_points, 1)
@@ -608,14 +597,24 @@ def search_feasible(
     if not rl < rr:
         raise DomainError("the search needs rho- < rho+; rotate the problem first")
     # most windows are empty: no rows are built and no delta2 is drawn there
-    found = _stage(t, _guided_candidates(p, scan_points, rho1_below), tol_strict)
-    if found is not None:
-        return found
+    guided = _guided_candidates(p, scan_points, rho1_below)
+    first = next(guided, None)
+    if first is not None:
+        found = _stage(t, chain((first,), guided), tol_strict)
+        if found is not None:
+            return found
     delta2_grid = _delta2_grid(grid)
     ratio = rr / rl
     if not math.isfinite(ratio):
         raise NumericError(f"arithmetic overflow: the density ratio {rr!r}/{rl!r}")
-    return _stage(t, _grid_below(rl, ratio, grid, rho1_below), tol_strict, delta2_grid)
+    rho1s = _grid_below(rl, ratio, grid, rho1_below)
+    if first is None:
+        # neither stage would draw a rho1: None would certify a search over nothing
+        first = next(rho1s, None)
+        if first is None:
+            raise DomainError(f"no guided or grid rho1 lies below rho1_below={rho1_below!r}")
+        rho1s = chain((first,), rho1s)
+    return _stage(t, rho1s, tol_strict, delta2_grid)
 
 
 def lift_to_full(p: RiemannProblem, r: ReducedSubsolution) -> FanSubsolution:

@@ -79,10 +79,10 @@ def _attempt(p, u2, s, rho_ref, right_case, tol_strict, search_opts):
     if not verify_full(tilde, sub, tol_strict=tol_strict).overall:
         return "full-verification-failed"
     wedge_problem = RiemannProblem(law, u2, p.right)
-    if classify(wedge_problem) is not right_case:
+    right_wave = solve_standard(wedge_problem)
+    if right_wave.case is not right_case:
         return "right-problem-misclassified"
     # right_case is a single-wave case, so this is one wave of its kind
-    right_wave = solve_standard(wedge_problem)
     if right_wave.waves[0].family != 3:
         return "right-problem-not-a-single-3-wave"
     if not verify_standard(wedge_problem, right_wave, tol_strict=tol_strict).overall:

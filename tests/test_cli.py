@@ -1105,10 +1105,9 @@ def test_cheap_modes_load_neither_the_search_nor_the_suite(tmp_path):
     assert seen == [[], *([status, CLI_CORE] for status in (STATUS_OK, STATUS_OK, 1, 1, 1))]
 
 
-# The submodules each other mode loads beyond CLI_CORE: the lemma suite
-# uses the search's admissibility bracket, and neither the search nor the
-# suite needs the constructions
-MODE_LOADS = {"subsolution": ["subsolution"], "wedge": ["subsolution", "wedge"], "lemmas": ["oracles", "subsolution"]}
+# The submodules each other mode loads beyond CLI_CORE: neither the search
+# nor the suite needs the constructions
+MODE_LOADS = {"subsolution": ["subsolution"], "wedge": ["subsolution", "wedge"], "lemmas": ["oracles"]}
 
 
 @pytest.mark.parametrize("mode", MODE_LOADS)

@@ -964,6 +964,21 @@ class TestBoundedSearch:
         with pytest.raises(DomainError, match="rho1_below must be a number above rho-=1"):
             search_feasible(CASE5, rho1_below=bound)
 
+    @pytest.mark.parametrize("bound", [math.nextafter(1.0, 2.0), 1.0001, 1.005])
+    def test_bound_below_every_candidate_rejected(self, bound):
+        # above rho- = 1, but every guided candidate lies nearer rho_m and
+        # the first grid rho1 is 4**(1/256), about 1.0054: no rho1 is drawn,
+        # so None would certify a search over nothing
+        with pytest.raises(DomainError, match="no guided or grid rho1 lies below"):
+            search_feasible(CASE5, rho1_below=bound)
+
+    def test_bound_above_the_first_grid_rho1_is_searched(self, monkeypatch):
+        drawn = []
+        stage_scans(monkeypatch, on_draw=lambda t, rho1, tol: drawn.append(rho1))
+        assert search_feasible(CASE5, rho1_below=1.006) is None
+        assert reference_search(CASE5, rho1_below=1.006) is None
+        assert drawn == scan_grids(CASE5, 128)[0][:1]
+
     def test_unusable_pair_no_longer_ends_the_attempt(self, monkeypatch):
         # random_case5 data seed 2, draw 334: at s = 1/16 the unbounded search
         # finds a pair at rho1 >= rho_m, which used to end the attempt as

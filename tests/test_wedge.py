@@ -186,6 +186,20 @@ class TestScheduleSizes:
         build(p, tol_strict=1e-9)
         assert seen == [("search_feasible", 1e-9), ("verify_full", 1e-9), ("verify_standard", 1e-9)]
 
+    def test_each_right_piece_is_classified_once(self, build, p, monkeypatch):
+        # solve_standard classifies the right piece (u2 to the right data);
+        # the construction reads that case instead of classifying it again
+        classified = []
+
+        def recording(q):
+            classified.append(q)
+            return classify(q)
+
+        monkeypatch.setattr(eulerfan.wedge, "classify", recording)
+        w = build(p)
+        assert classified
+        assert all(q.left != w.u2 for q in classified)
+
     def test_zero_halvings_is_one_attempt(self, build, p, monkeypatch):
         monkeypatch.setattr(eulerfan.wedge, "search_feasible", lambda p, **kw: None)
         with pytest.raises(ConstructionError) as err:

@@ -41,22 +41,51 @@ def rarefaction_integral(law: GasLaw, rho_a: float, rho_b: float) -> float:
     gamma = 1 the integral diverges there.  A negative, infinite or NaN
     density raises DomainError, and a density ratio or a result beyond the
     floats raises NumericError.
+
+    Computed inline, with rarefaction_integral_to's expressions in its
+    order (the sound speed at rho_b first), so the two give the same bits
+    and the same errors for distinct densities; an overflowing sound speed
+    is handed to sound_speed, which raises its own NumericError.
     """
     if not (0.0 <= rho_a < math.inf and 0.0 <= rho_b < math.inf):
         raise DomainError(_NONNEGATIVE)
     if rho_a == rho_b:
         # before the terms at rho_b, which may overflow
         return 0.0
-    integral = rarefaction_integral_to(law, rho_b)(rho_a)
+    if law.isothermal:
+        if rho_a == 0.0 or rho_b == 0.0:
+            raise DivergenceError("integral diverges at the vacuum for gamma = 1")
+        try:
+            integral = math.sqrt(law.K) * math.log(rho_b / rho_a)
+        except ValueError:  # log(0.0): the ratio underflowed
+            raise NumericError(f"arithmetic underflow: the density ratio {rho_b!r}/{rho_a!r}") from None
+    else:
+        # gamma > 1: the sound speed has the finite vacuum limit 0
+        k_gamma, exponent = law.K * law.gamma, law.gamma - 1.0
+        speed_b = speed_a = 0.0
+        if rho_b > 0.0:
+            try:
+                c2 = k_gamma * rho_b**exponent
+            except OverflowError:
+                c2 = math.inf
+            speed_b = math.sqrt(c2) if c2 < math.inf else sound_speed(law, rho_b)
+        if rho_a > 0.0:
+            try:
+                c2 = k_gamma * rho_a**exponent
+            except OverflowError:
+                c2 = math.inf
+            speed_a = math.sqrt(c2) if c2 < math.inf else sound_speed(law, rho_a)
+        integral = 2.0 / exponent * (speed_b - speed_a)
     if not abs(integral) < math.inf:
         raise NumericError(f"arithmetic overflow: the rarefaction integral {rho_a!r} to {rho_b!r}")
     return integral
 
 
 def rarefaction_integral_to(law: GasLaw, rho_b: float):
-    """rho_a -> rarefaction_integral(law, rho_a, rho_b), bit for bit, with
-    the terms at the fixed upper endpoint rho_b (its sound speed and
-    2/(gamma-1)) and the law constants K*gamma and gamma-1 computed once.
+    """rho_a -> rarefaction_integral(law, rho_a, rho_b), bit for bit: the
+    residual term of the middle-density bisection, with the terms at the
+    fixed upper endpoint rho_b (its sound speed and 2/(gamma-1)) and the law
+    constants K*gamma and gamma-1 computed once.
     For gamma > 1 the sound speed at rho_a is sound_speed's product, with
     its factors in pressure_derivative's order, evaluated inline; an
     overflowing one is handed to sound_speed, which raises its own
@@ -110,21 +139,50 @@ def shock_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
     """sqrt((rho_a - rho_b)(p(rho_a) - p(rho_b)) / (rho_a * rho_b)).
 
     The magnitude of the normal-velocity jump across a shock joining the two
-    densities; symmetric in its arguments and zero iff they coincide.  A
+    densities; symmetric in its arguments and zero iff they coincide.  Equal
+    densities give 0.0 before any product is formed, at every scale.  A
     density that is not finite and positive raises DomainError, and a
     density product or a result beyond the floats raises NumericError.
+
+    Computed inline, with shock_bracket_to's expressions in its order
+    (p(rho_b) first), so the two give the same bits and the same errors
+    for distinct densities; an overflowing pressure is handed to pressure,
+    which raises its own NumericError.
     """
     if not (0.0 < rho_a < math.inf and 0.0 < rho_b < math.inf):
         raise DomainError(_POSITIVE)
-    bracket = shock_bracket_to(law, rho_b)(rho_a)
-    if not (bracket < math.inf and rho_a * rho_b < math.inf):
+    if rho_a == rho_b:
+        # before the pressures and the product, which may leave the floats
+        return 0.0
+    k, gamma = law.K, law.gamma
+    try:
+        p_b = k * rho_b**gamma
+    except OverflowError:
+        p_b = math.inf
+    if not p_b < math.inf:
+        p_b = pressure(law, rho_b)
+    try:
+        p_a = k * rho_a**gamma
+    except OverflowError:
+        p_a = math.inf
+    if not p_a < math.inf:
+        p_a = pressure(law, rho_a)
+    num = (rho_a - rho_b) * (p_a - p_b)
+    product = rho_a * rho_b
+    # max(num, 0.0) without the call: keeps -0.0 and NaN as max does
+    try:
+        bracket = math.sqrt((0.0 if 0.0 > num else num) / product)
+    except ZeroDivisionError:
+        raise NumericError(f"arithmetic underflow: the density product {rho_a!r}*{rho_b!r}") from None
+    if not (bracket < math.inf and product < math.inf):
         raise NumericError(f"arithmetic overflow: the shock bracket of {rho_a!r} and {rho_b!r}")
     return bracket
 
 
 def shock_bracket_to(law: GasLaw, rho_b: float):
-    """rho_a -> shock_bracket(law, rho_a, rho_b), bit for bit, with p(rho_b)
-    computed once.  p(rho_a) is pressure's product K * rho_a**gamma,
+    """rho_a -> shock_bracket(law, rho_a, rho_b), bit for bit for distinct
+    densities: the residual term of the middle-density bisection, with
+    p(rho_b) computed once.  p(rho_a) is pressure's product K * rho_a**gamma,
     evaluated inline; at a density that is not finite and positive, or
     where the product overflows, ``pressure`` is called instead and raises
     its own DomainError or NumericError.  Only a density product that

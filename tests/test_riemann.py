@@ -172,6 +172,23 @@ def test_velocity_overflow_in_verify_standard(p):
         verify_standard(p, s)
 
 
+@pytest.mark.parametrize("rho", [1e-200, 1e200])
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+def test_equal_densities_at_extreme_scale(gamma, rho):
+    # the shock threshold is 0.0 before the product rho*rho leaves the
+    # floats; it raised NumericError at both scales
+    p = make(GasLaw(1.0, gamma), rho, 0.0, rho, 1.0)
+    expected = CaseId.R1R3 if gamma == 1.0 or rho > 1.0 else CaseId.R1R3_VACUUM
+    assert classify(p) is expected
+    s = solve_standard(p)
+    assert s.case is expected
+    # at 1e200 and gamma > 1 the sound speeds are 1e40 or more, so the middle
+    # residual's rounding is far above its tolerance of 1e-11 (ROADMAP
+    # item 11)
+    if rho < 1.0 or gamma == 1.0:
+        assert verify_standard(p, s).overall
+
+
 def test_zero_density_is_a_domain_error():
     # State takes rho = 0 for the solver's vacuum; a problem does not
     with pytest.raises(DomainError, match="positive density"):

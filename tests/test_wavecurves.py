@@ -1,25 +1,34 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from eulerfan import (
+    CaseId,
     DegenerateShockError,
     DivergenceError,
     DomainError,
+    EulerFanError,
     GasLaw,
     NumericError,
     State,
+    classify,
     lambda1,
     lambda3,
+    lemma2_gap,
+    lemma3_gaps,
+    near_boundaries,
     pressure,
     pressure_derivative,
     pure_shock_speed,
     rarefaction_integral,
     shock_bracket,
 )
+from eulerfan import wavecurves
 from eulerfan.eos import sound_speed
 from eulerfan.wavecurves import rarefaction_integral_to, shock_bracket_to
+from generators import problem_for_case
 from quadrature import adaptive_simpson
 
 LAW_LOG = GasLaw(1.0, 1.0)
@@ -99,6 +108,14 @@ class TestShockBracket:
     def test_nonpositive_density_rejected(self):
         with pytest.raises(DomainError):
             shock_bracket(LAW_SQ, 0.0, 1.0)
+
+    @pytest.mark.parametrize("rho", [5e-324, 1e-200, 1e-162, 1.0, 1e154, 1e200, 1e300])
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 500.0])
+    def test_equal_densities_give_zero_at_every_scale(self, gamma, rho):
+        # the product rho*rho underflows up to about 1e-162 and overflows
+        # from about 1e154, and p(rho) may overflow; neither is computed
+        for k in (1e-300, 1.0, 1e300):
+            assert _same_bits(shock_bracket(GasLaw(k, gamma), rho, rho), 0.0)
 
     def test_beats_rarefaction_integral(self):
         # strict dominance on increasing density pairs
@@ -364,3 +381,144 @@ def test_equal_pressures_keep_the_sign_of_zero(gamma):
             assert _same_bits(shock_bracket_to(law, y)(x), old)
     # pressures of neighbours round equal only for gamma near 1
     assert hits > 0 or gamma >= 3.0
+
+
+# densities over the whole float range: a subnormal, then 1e-300 to 1e300,
+# with the neighbours of the scales where rho*rho under- and overflows
+EXTREME_RHOS = (
+    5e-324, 1e-300, 3e-250, 1e-200, 2e-162, 7e-155, 1e-100,
+    0.5, 1.0, 3.0, 1e100, 5e153, 2e154, 1e200, 4e250, 1e300,
+)
+EXTREME_KS = (1e-300, 1.0, 1e300)
+
+
+def _outcome(call):
+    """("value", the bits) or (the error type, its message)."""
+    try:
+        value = call()
+    except (EulerFanError, ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+    return "value", value.hex()
+
+
+def _same_outcomes(new, fixed, old, rho_a, rho_b, eos_at_a=None):
+    """The one-shot kernel's outcome ``new`` against the fixed-endpoint
+    form's and the former single-function form's; ``eos_at_a`` is the
+    outcome of the eos term at rho_a where the former form computed it
+    first."""
+    if new[0] == "value":
+        assert fixed == old == new
+    elif new[0] is NumericError and new[1].startswith("arithmetic overflow"):
+        # the one result's own check, which neither other form makes: they
+        # return the result, inf or NaN, or a quotient by an overflowed
+        # density product
+        assert fixed == old and fixed[0] == "value"
+        assert not math.isfinite(float.fromhex(fixed[1])) or rho_a * rho_b == math.inf
+    elif new[0] is NumericError and new[1].startswith("arithmetic underflow"):
+        # the former form divided by 0.0 or took log(0.0)
+        assert fixed == new
+        assert old[0] in (ZeroDivisionError, ValueError)
+    else:
+        # eos's own error, at rho_b before rho_a; the former shock form
+        # evaluated p(rho_a) first
+        assert fixed == new
+        first = eos_at_a is not None and eos_at_a[0] is NumericError
+        assert old == (eos_at_a if first else new)
+
+
+@pytest.mark.parametrize("gamma", FIXED_GAMMAS + (500.0,))
+class TestExtremeRangeBits:
+    """The one-shot kernels, the fixed-endpoint forms and the former forms
+    agree bit for bit, or raise the same error, over the whole float range.
+    Equal densities are left out: the one-shot forms return 0.0 before any
+    term, where the fixed-endpoint forms have computed the term at rho_b
+    (which may overflow) and the former shock form formed p and rho*rho."""
+
+    @pytest.mark.parametrize("k", EXTREME_KS)
+    def test_shock_bits(self, gamma, k):
+        law = GasLaw(k, gamma)
+        for rho_b in EXTREME_RHOS:
+            for rho_a in EXTREME_RHOS:
+                if rho_a == rho_b:
+                    continue
+                _same_outcomes(
+                    _outcome(lambda: shock_bracket(law, rho_a, rho_b)),
+                    _outcome(lambda: shock_bracket_to(law, rho_b)(rho_a)),
+                    _outcome(lambda: _old_shock_bracket(law, rho_a, rho_b)),
+                    rho_a,
+                    rho_b,
+                    _outcome(lambda: pressure(law, rho_a)),
+                )
+
+    @pytest.mark.parametrize("k", EXTREME_KS)
+    def test_rarefaction_bits(self, gamma, k):
+        law = GasLaw(k, gamma)
+        rhos = (0.0,) + EXTREME_RHOS
+        for rho_b in rhos:
+            for rho_a in rhos:
+                if rho_a == rho_b:
+                    continue
+                _same_outcomes(
+                    _outcome(lambda: rarefaction_integral(law, rho_a, rho_b)),
+                    _outcome(lambda: rarefaction_integral_to(law, rho_b)(rho_a)),
+                    _outcome(lambda: _old_rarefaction_integral(law, rho_a, rho_b)),
+                    rho_a,
+                    rho_b,
+                )
+
+    @pytest.mark.parametrize("where", ["rho_b", "rho_a", "both"])
+    def test_overflow_at_one_or_both_endpoints(self, gamma, where):
+        # p and c overflow at 1e200 for every gamma here but 1 and the
+        # isothermal band, where c**2 = K stays finite
+        law = GasLaw(1e300, gamma)
+        rho_a, rho_b = {"rho_b": (1.0, 2e200), "rho_a": (1e200, 1.0), "both": (1e200, 2e200)}[where]
+        first = rho_a if where == "rho_a" else rho_b  # rho_b's error comes first
+        for eos, kernel, to in (
+            (pressure, shock_bracket, shock_bracket_to),
+            (sound_speed, rarefaction_integral, rarefaction_integral_to),
+        ):
+            expected = _outcome(lambda: eos(law, first))
+            if expected[0] != "value":
+                assert expected[0] is NumericError
+                assert _outcome(lambda: kernel(law, rho_a, rho_b)) == expected
+                assert _outcome(lambda: to(law, rho_b)(rho_a)) == expected
+
+
+def test_one_shot_kernels_build_no_fixed_endpoint_form(monkeypatch):
+    """shock_bracket and rarefaction_integral compute inline: neither they
+    nor the layers that call them once per threshold or lemma sample build
+    the bisection's fixed-endpoint forms."""
+    builds = Counter()
+
+    def counted(name, build):
+        def wrapper(*args):
+            builds[name] += 1
+            return build(*args)
+
+        return wrapper
+
+    for name in ("shock_bracket_to", "rarefaction_integral_to"):
+        monkeypatch.setattr(wavecurves, name, counted(name, getattr(wavecurves, name)))
+    rng = np.random.default_rng(27)
+    for law in (LAW_LOG, GasLaw(0.7, 1.4), GasLaw(2.0, 3.0)):
+        assert shock_bracket(law, 1.3, 2.7) > 0.0
+        assert rarefaction_integral(law, 2.7, 1.3) < 0.0
+        if not law.isothermal:
+            assert rarefaction_integral(law, 0.0, 2.7) > 0.0
+        assert lemma2_gap(law, 1.3, 2.7) > 0.0
+        assert lemma3_gaps(law, 1.3, 2.0, 2.7) > 0.0
+        for case in CaseId:
+            if case is CaseId.R1R3_VACUUM and law.isothermal:
+                continue
+            p, _ = problem_for_case(case, rng, law=law)
+            assert classify(p) is case
+            near_boundaries(p)
+    assert sum(builds.values()) == 0, dict(builds)
+    # an overflowing pressure still raises eos's own error
+    law = GasLaw(1e300, 3.0)
+    with pytest.raises(NumericError) as expected:
+        pressure(law, 1e200)
+    with pytest.raises(NumericError) as got:
+        shock_bracket(law, 1.0, 1e200)
+    assert str(got.value) == str(expected.value)
+    assert sum(builds.values()) == 0, dict(builds)

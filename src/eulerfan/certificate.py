@@ -3,6 +3,7 @@ inequality margins, each with an explicit tolerance and verdict."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -99,13 +100,18 @@ class Certificate:
         """The certificate that to_dict wrote as ``d``, each verdict
         recomputed from its entry's kind, value and tolerance.  DomainError
         if ``d`` lacks a field or holds one of another type, names an
-        unknown kind, or records a verdict, an entry's or the overall one,
-        that its numbers do not give."""
+        unknown kind, holds a non-finite value or a tolerance that is not
+        finite and positive, or records a verdict, an entry's or the overall
+        one, that its numbers do not give."""
         _check_fields("certificate", d, _CERTIFICATE_FIELDS)
         entries = []
         for i, e in enumerate(d["entries"]):
             where = f"certificate entry {i}"
             _check_fields(where, e, _ENTRY_FIELDS)
+            if not (abs(e["value"]) < math.inf and 0.0 < e["tolerance"] < math.inf):
+                raise DomainError(
+                    f"{where}: value {e['value']!r} must be finite, tolerance {e['tolerance']!r} finite and positive"
+                )
             entry = make_entry(e["label"], e["kind"], e["value"], e["tolerance"])
             if entry.passed is not e["passed"]:
                 raise DomainError(

@@ -18,9 +18,7 @@ from .wavecurves import (
     lambda3,
     pure_shock_speed,
     rarefaction_integral,
-    rarefaction_integral_to,
     shock_bracket,
-    shock_bracket_to,
 )
 
 # Half-width, relative to scale, of the band around each case-separating
@@ -226,9 +224,9 @@ def _bisect(f, lo, hi, flo, fhi, e0):
     the width is at most 1e-13 * (hi - lo) and at most 2**-36 times its
     lower end, or the ends are adjacent floats.  A midpoint where f is 0.0
     is returned.  BracketError when flo and fhi do not change sign, and
-    NumericError when f is not finite at an end of the last bracket: the
-    root then lies where the residual's kernels left the floats (a density
-    ratio that overflows, say), not at the sign change found.
+    NumericError when f is not finite at an end of the last bracket: each
+    kernel raises for a term beyond the floats, so that is a sum of terms
+    that overflows.
 
     With e0 (from _rounding_bound) the walk takes the same midpoints and
     returns the same float, but calls f only at midpoints whose sign is not
@@ -237,9 +235,10 @@ def _bisect(f, lo, hi, flo, fhi, e0):
     without a call; the ones strictly between a and b are evaluated.
 
     The proof.  f is the residual r(m) = (s1*g1(m) + s3*g3(m)) - dv of
-    middle_equation.  Let R be the same expression in exact arithmetic, with
-    the floats the kernels hold (the law constants, dv, a rarefaction's
-    factor and sound speed speed_b at its data density rho_b) and the exact
+    middle_equation, each g the kernel between m and its data density rho_b.
+    Let R be the same expression in exact arithmetic, with the law
+    constants, dv, a rarefaction's factor and sound speed speed_b at rho_b
+    as floats (each call recomputes them to the same float) and the exact
     p(rho_b) = K*rho_b**gamma of a shock.  On the brackets of
     _solve_middle_density a shock's trial density m is at or above its
     rho_b and a rarefaction's at or below (_rounding_bound checks it), so
@@ -385,14 +384,11 @@ def _proven_span(f, lo, hi, flo, fhi, e0):
     return a, b
 
 
-def _velocity_change(kind: str, law: GasLaw, rho: float):
-    """(sign, g): sign * g(m) is the normal-velocity change from density rho
-    to m along a wave of ``kind``, the rarefaction integral or the negated
-    shock bracket (a factor of +-1.0 rounds nothing).  The terms at rho are
-    computed once, so each evaluation pays only for m."""
-    if kind == RAREFACTION:
-        return 1.0, rarefaction_integral_to(law, rho)
-    return -1.0, shock_bracket_to(law, rho)
+# Per wave kind, (sign, g): sign * g(law, m, rho) is the normal-velocity
+# change from density rho to m (a factor of +-1.0 rounds nothing).  Bound at
+# import, so a tracer that rebinds this module's kernels does not count each
+# residual evaluation.
+_VELOCITY_CHANGE = {RAREFACTION: (1.0, rarefaction_integral), SHOCK: (-1.0, shock_bracket)}
 
 
 def middle_equation(p: RiemannProblem, case: CaseId):
@@ -400,11 +396,11 @@ def middle_equation(p: RiemannProblem, case: CaseId):
     the intermediate density; strictly decreasing in rho_m."""
     if case not in WAVE_KINDS:
         raise InvariantError(f"case {case.value} has no middle-state equation")
-    law, dv = p.law, p.dv
+    law, rl, rr, dv = p.law, p.left.rho, p.right.rho, p.dv
     k1, k3 = WAVE_KINDS[case]
-    s1, g1 = _velocity_change(k1, law, p.left.rho)
-    s3, g3 = _velocity_change(k3, law, p.right.rho)
-    return lambda m: (s1 * g1(m) + s3 * g3(m)) - dv
+    s1, g1 = _VELOCITY_CHANGE[k1]
+    s3, g3 = _VELOCITY_CHANGE[k3]
+    return lambda m: (s1 * g1(law, m, rl) + s3 * g3(law, m, rr)) - dv
 
 
 def _solve_middle_density(p: RiemannProblem, case: CaseId) -> float:
@@ -527,8 +523,8 @@ def solve_standard(p: RiemannProblem) -> StandardSolution:
     else:
         k1, k3 = WAVE_KINDS[case]
         rho_m = _solve_middle_density(p, case)
-        sign, change = _velocity_change(k1, law, rl)
-        middle = State(rho_m, v1, ul.v2 + sign * change(rho_m))
+        sign, change = _VELOCITY_CHANGE[k1]
+        middle = State(rho_m, v1, ul.v2 + sign * change(law, rho_m, rl))
         waves = (_wave(law, 1, k1, ul, middle), _wave(law, 3, k3, middle, ur))
 
     # 0 * x is 0 for finite x and NaN for inf or NaN: one test for them all

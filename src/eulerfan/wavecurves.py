@@ -42,10 +42,11 @@ def rarefaction_integral(law: GasLaw, rho_a: float, rho_b: float) -> float:
     density raises DomainError, and a density ratio or a result beyond the
     floats raises NumericError.
 
-    Computed inline, with rarefaction_integral_to's expressions in its
-    order (the sound speed at rho_b first), so the two give the same bits
-    and the same errors for distinct densities; an overflowing sound speed
-    is handed to sound_speed, which raises its own NumericError.
+    The middle-density bisection calls it with the data density as rho_b,
+    once per residual evaluation.  The sound speed at rho_b comes first, so
+    its error does too; each is sound_speed's K * gamma * rho**(gamma - 1),
+    evaluated inline, and an overflowing one is handed to sound_speed,
+    which raises its own NumericError.
     """
     if not (0.0 <= rho_a < math.inf and 0.0 <= rho_b < math.inf):
         raise DomainError(_NONNEGATIVE)
@@ -81,60 +82,6 @@ def rarefaction_integral(law: GasLaw, rho_a: float, rho_b: float) -> float:
     return integral
 
 
-def rarefaction_integral_to(law: GasLaw, rho_b: float):
-    """rho_a -> rarefaction_integral(law, rho_a, rho_b), bit for bit: the
-    residual term of the middle-density bisection, with the terms at the
-    fixed upper endpoint rho_b (its sound speed and 2/(gamma-1)) and the law
-    constants K*gamma and gamma-1 computed once.
-    For gamma > 1 the sound speed at rho_a is sound_speed's product, with
-    its factors in pressure_derivative's order, evaluated inline; an
-    overflowing one is handed to sound_speed, which raises its own
-    NumericError.  Only a density ratio that underflows to 0 raises
-    NumericError here otherwise; rarefaction_integral checks its one result
-    for overflow."""
-    if not 0.0 <= rho_b < math.inf:
-        raise DomainError(_NONNEGATIVE)
-    if law.isothermal:
-        root_k = math.sqrt(law.K)
-
-        def integral(rho_a: float) -> float:
-            if not 0.0 <= rho_a < math.inf:
-                raise DomainError(_NONNEGATIVE)
-            if rho_a == rho_b:
-                return 0.0
-            if rho_a == 0.0 or rho_b == 0.0:
-                raise DivergenceError("integral diverges at the vacuum for gamma = 1")
-            try:
-                return root_k * math.log(rho_b / rho_a)
-            except ValueError:  # log(0.0): the ratio underflowed
-                raise NumericError(
-                    f"arithmetic underflow: the density ratio {rho_b!r}/{rho_a!r}"
-                ) from None
-
-        return integral
-    # gamma > 1: the sound speed has the finite vacuum limit 0
-    factor = 2.0 / (law.gamma - 1.0)
-    speed_b = sound_speed(law, rho_b) if rho_b > 0.0 else 0.0
-    # pressure_derivative's K * gamma * rho**(gamma - 1), left to right
-    k_gamma, exponent = law.K * law.gamma, law.gamma - 1.0
-
-    def integral(rho_a: float) -> float:
-        if not 0.0 <= rho_a < math.inf:
-            raise DomainError(_NONNEGATIVE)
-        if rho_a == rho_b:
-            return 0.0
-        speed_a = 0.0
-        if rho_a > 0.0:
-            try:
-                c2 = k_gamma * rho_a**exponent
-            except OverflowError:
-                c2 = math.inf
-            speed_a = math.sqrt(c2) if c2 < math.inf else sound_speed(law, rho_a)
-        return factor * (speed_b - speed_a)
-
-    return integral
-
-
 def shock_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
     """sqrt((rho_a - rho_b)(p(rho_a) - p(rho_b)) / (rho_a * rho_b)).
 
@@ -144,10 +91,11 @@ def shock_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
     density that is not finite and positive raises DomainError, and a
     density product or a result beyond the floats raises NumericError.
 
-    Computed inline, with shock_bracket_to's expressions in its order
-    (p(rho_b) first), so the two give the same bits and the same errors
-    for distinct densities; an overflowing pressure is handed to pressure,
-    which raises its own NumericError.
+    The middle-density bisection calls it with the data density as rho_b,
+    once per residual evaluation.  p(rho_b) comes first, so its error does
+    too; each pressure is pressure's K * rho**gamma, evaluated inline, and
+    an overflowing one is handed to pressure, which raises its own
+    NumericError.
     """
     if not (0.0 < rho_a < math.inf and 0.0 < rho_b < math.inf):
         raise DomainError(_POSITIVE)
@@ -176,37 +124,6 @@ def shock_bracket(law: GasLaw, rho_a: float, rho_b: float) -> float:
         raise NumericError(f"arithmetic underflow: the density product {rho_a!r}*{rho_b!r}") from None
     if not (bracket < math.inf and product < math.inf):
         raise NumericError(f"arithmetic overflow: the shock bracket of {rho_a!r} and {rho_b!r}")
-    return bracket
-
-
-def shock_bracket_to(law: GasLaw, rho_b: float):
-    """rho_a -> shock_bracket(law, rho_a, rho_b), bit for bit for distinct
-    densities: the residual term of the middle-density bisection, with
-    p(rho_b) computed once.  p(rho_a) is pressure's product K * rho_a**gamma,
-    evaluated inline; at a density that is not finite and positive, or
-    where the product overflows, ``pressure`` is called instead and raises
-    its own DomainError or NumericError.  Only a density product that
-    underflows to 0 raises NumericError here otherwise; shock_bracket checks
-    its one result for overflow."""
-    p_b = pressure(law, rho_b)
-    k, gamma = law.K, law.gamma
-
-    def bracket(rho_a: float) -> float:
-        try:
-            p_a = k * rho_a**gamma if 0.0 < rho_a < math.inf else math.inf
-        except OverflowError:
-            p_a = math.inf
-        if not p_a < math.inf:
-            p_a = pressure(law, rho_a)
-        num = (rho_a - rho_b) * (p_a - p_b)
-        # max(num, 0.0) without the call: keeps -0.0 and NaN as max does
-        try:
-            return math.sqrt((0.0 if 0.0 > num else num) / (rho_a * rho_b))
-        except ZeroDivisionError:
-            raise NumericError(
-                f"arithmetic underflow: the density product {rho_a!r}*{rho_b!r}"
-            ) from None
-
     return bracket
 
 

@@ -2,7 +2,7 @@
 finite positive number is checked the same way, by errors.require_positive,
 every finite number by errors.require_finite, the problem types take only
 numbers, the package's lazy exports behave as attributes, and the package
-imports nothing outside the standard library."""
+imports nothing outside the standard library and nothing it does not use."""
 
 import ast
 import json
@@ -137,6 +137,37 @@ def test_a_deferred_third_party_import_is_caught(tmp_path, mutation):
             source = source.replace(text, replacement, 1)
         (tmp_path / path.name).write_text(source)
     assert [name for _, name in third_party_imports(tmp_path / filename)] == [reported]
+
+
+def unused_imports(tree):
+    """Names bound by a module-level import of the source ``tree`` (other
+    than from __future__) that no expression of the module reads."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+# bench/tracer.py rebinds subsolution.solve_standard, which the module does
+# not call
+UNUSED_IMPORTS = {"subsolution.py": ["solve_standard"]}
+
+
+def test_every_module_level_import_is_used():
+    sources = sorted(Path(eulerfan.__file__).parent.glob("*.py"))
+    unused = {path.name: unused_imports(ast.parse(path.read_text(), str(path))) for path in sources}
+    assert {name: names for name, names in unused.items() if names} == UNUSED_IMPORTS
+
+
+def test_an_unused_import_is_caught():
+    source = "from __future__ import annotations\nimport os.path\nimport math as m\n"
+    source += "from .eos import GasLaw, pressure\n"
+    assert unused_imports(ast.parse(source + "x = pressure\n")) == ["GasLaw", "m", "os"]
+    assert unused_imports(ast.parse(source + "x = pressure(GasLaw(1, 1), m.e)\ny = os.sep\n")) == []
 
 
 def test_every_export_resolves():

@@ -952,10 +952,20 @@ class TestCertificateFromJson:
             (lambda d: d.update(entries={}), "field 'entries' must be list"),
             (lambda d: d.update(overall="false"), "field 'overall' must be bool"),
             (lambda d: d["entries"].append([]), "certificate entry 2: expected an object"),
+            # every writer gives rel_tol * scale_of(...), finite and positive,
+            # and dumps refuses a non-finite value; each loaded as passing
+            (lambda d: (d["entries"][0].update(value=-5.0, tolerance=-10.0, passed=True), d.update(overall=True)),
+             "certificate entry 0: value -5.0 must be finite, tolerance -10.0 finite and positive"),
+            (lambda d: (d["entries"][0].update(kind="equation-residual", tolerance=math.inf, passed=True),
+                        d.update(overall=True)),
+             "tolerance inf finite and positive"),
+            (lambda d: (d["entries"][0].update(value=math.inf, passed=True), d.update(overall=True)),
+             "value inf must be finite"),
         ],
         ids=["unknown-kind", "no-label", "no-kind", "no-value", "no-tolerance", "no-passed",
              "no-entries", "no-overall", "value-str", "tolerance-null", "passed-int",
-             "label-int", "entries-object", "overall-str", "entry-list"],
+             "label-int", "entries-object", "overall-str", "entry-list", "negative-tolerance",
+             "infinite-tolerance", "infinite-value"],
     )
     def test_malformed_certificate_is_a_domain_error(self, edit, match):
         # an unknown kind loaded silently, a missing field was a KeyError

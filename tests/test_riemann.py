@@ -189,6 +189,32 @@ def test_equal_densities_at_extreme_scale(gamma, rho):
         assert verify_standard(p, s).overall
 
 
+@pytest.mark.parametrize("gamma", [1.0, 1.4])
+def test_shock_side_data_density_below_the_square_root_of_the_floats(gamma):
+    # the residual at the bracket's end takes the shock bracket of 1e-200
+    # and itself, which is 0.0; it raised "arithmetic underflow: the density
+    # product 1e-200*1e-200"
+    law = GasLaw(1.0, gamma)
+    dv = 0.5 * (abs(rarefaction_integral(law, 1e-100, 1e-200)) - shock_bracket(law, 1e-100, 1e-200))
+    p = make(law, 1e-100, 0.0, 1e-200, dv)
+    assert classify(p) is CaseId.R1S3
+    s = solve_standard(p)
+    assert 1e-200 < s.middle.rho < 1e-100
+    assert verify_standard(p, s).overall
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.4])
+def test_overflowing_residual_term_names_its_kernel(gamma):
+    # at the first doubled upper end, 2e160, the density product overflows;
+    # the residual was NaN from there on, and after 60 doublings a
+    # BracketError read "no sign change on [1e+160, 2.305843009213694e+178]"
+    p = make(GasLaw(1.0, gamma), 1e160, 0.0, 1e160, -1.0)
+    assert classify(p) is CaseId.S1S3
+    with pytest.raises(NumericError) as err:
+        solve_standard(p)
+    assert str(err.value) == "arithmetic overflow: the shock bracket of 2e+160 and 1e+160"
+
+
 def test_zero_density_is_a_domain_error():
     # State takes rho = 0 for the solver's vacuum; a problem does not
     with pytest.raises(DomainError, match="positive density"):

@@ -1,11 +1,9 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from eulerfan import (
-    CaseId,
     DegenerateShockError,
     DivergenceError,
     DomainError,
@@ -13,22 +11,15 @@ from eulerfan import (
     GasLaw,
     NumericError,
     State,
-    classify,
     lambda1,
     lambda3,
-    lemma2_gap,
-    lemma3_gaps,
-    near_boundaries,
     pressure,
     pressure_derivative,
     pure_shock_speed,
     rarefaction_integral,
     shock_bracket,
 )
-from eulerfan import wavecurves
 from eulerfan.eos import sound_speed
-from eulerfan.wavecurves import rarefaction_integral_to, shock_bracket_to
-from generators import problem_for_case
 from quadrature import adaptive_simpson
 
 LAW_LOG = GasLaw(1.0, 1.0)
@@ -253,9 +244,9 @@ def _same_bits(x, y):
 
 @pytest.mark.parametrize("gamma", FIXED_GAMMAS)
 class TestFixedEndpointForms:
-    """The forms with one endpoint fixed give the two-argument kernels' bits,
-    and the kernels give the bits of their former single-function form,
-    which calls pressure and sound_speed where the forms compute inline."""
+    """The kernels give the bits of their former single-function form, which
+    calls pressure and sound_speed where they compute inline, at every pair
+    of endpoints, as the bisection calls them with one endpoint fixed."""
 
     @staticmethod
     def densities(gamma, n=60):
@@ -268,36 +259,29 @@ class TestFixedEndpointForms:
         rhos = self.densities(gamma)
         ends = rhos if law.isothermal else [0.0] + rhos
         for rho_b in ends:
-            g = rarefaction_integral_to(law, rho_b)
             for rho_a in ends:
-                got = g(rho_a)
-                assert _same_bits(got, rarefaction_integral(law, rho_a, rho_b)), (rho_a, rho_b)
+                got = rarefaction_integral(law, rho_a, rho_b)
                 assert _same_bits(got, _old_rarefaction_integral(law, rho_a, rho_b)), (rho_a, rho_b)
 
     def test_shock_bits(self, gamma):
         law = GasLaw(float(10.0 ** np.random.default_rng(2).uniform(-1, 1)), gamma)
         rhos = self.densities(gamma)
         for rho_b in rhos:
-            g = shock_bracket_to(law, rho_b)
             for rho_a in rhos:
-                got = g(rho_a)
-                assert _same_bits(got, shock_bracket(law, rho_a, rho_b)), (rho_a, rho_b)
+                got = shock_bracket(law, rho_a, rho_b)
                 assert _same_bits(got, _old_shock_bracket(law, rho_a, rho_b)), (rho_a, rho_b)
 
     def test_vacuum_endpoints(self, gamma):
         law = GasLaw(0.8, gamma)
-        g = rarefaction_integral_to(law, 0.0)
-        assert g(0.0) == 0.0
+        assert rarefaction_integral(law, 0.0, 0.0) == 0.0
         if law.isothermal:
             with pytest.raises(DivergenceError):
-                g(2.0)
+                rarefaction_integral(law, 2.0, 0.0)
             with pytest.raises(DivergenceError):
-                rarefaction_integral_to(law, 2.0)(0.0)
+                rarefaction_integral(law, 0.0, 2.0)
         else:
-            assert _same_bits(g(2.0), _old_rarefaction_integral(law, 2.0, 0.0))
-            assert _same_bits(
-                rarefaction_integral_to(law, 2.0)(0.0), _old_rarefaction_integral(law, 0.0, 2.0)
-            )
+            assert _same_bits(rarefaction_integral(law, 2.0, 0.0), _old_rarefaction_integral(law, 2.0, 0.0))
+            assert _same_bits(rarefaction_integral(law, 0.0, 2.0), _old_rarefaction_integral(law, 0.0, 2.0))
 
     @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan])
     def test_bad_densities_raise_the_same_errors(self, gamma, bad):
@@ -306,12 +290,12 @@ class TestFixedEndpointForms:
         law = GasLaw(1.3, gamma)
         for rho in (0.7, bad):
             for a, b in ((bad, rho), (rho, bad)):
-                for old, new, to in (
-                    (_old_rarefaction_integral, rarefaction_integral, rarefaction_integral_to),
-                    (_old_shock_bracket, shock_bracket, shock_bracket_to),
+                for old, new in (
+                    (_old_rarefaction_integral, rarefaction_integral),
+                    (_old_shock_bracket, shock_bracket),
                 ):
                     outcomes = []
-                    for call in (lambda: old(law, a, b), lambda: new(law, a, b), lambda: to(law, b)(a)):
+                    for call in (lambda: old(law, a, b), lambda: new(law, a, b)):
                         try:
                             value = call()
                             outcomes.append(
@@ -319,49 +303,41 @@ class TestFixedEndpointForms:
                             )
                         except DomainError as err:
                             outcomes.append(("error", type(err)))
-                    assert outcomes[0] == outcomes[1] == outcomes[2], (new.__name__, a, b)
+                    assert outcomes[0] == outcomes[1], (new.__name__, a, b)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_densities_rejected(self, gamma, bad):
-        # one comparison per call rejects them in the builders and in the
-        # functions they return, before any arithmetic
+        # one comparison per call rejects them, before any arithmetic
         law = GasLaw(1.3, gamma)
         for rho in (0.7, bad):
-            for kernel, to in (
-                (rarefaction_integral, rarefaction_integral_to),
-                (shock_bracket, shock_bracket_to),
-            ):
+            for kernel in (rarefaction_integral, shock_bracket):
                 with pytest.raises(DomainError, match="finite"):
                     kernel(law, bad, rho)
                 with pytest.raises(DomainError, match="finite"):
                     kernel(law, rho, bad)
-                with pytest.raises(DomainError, match="finite"):
-                    to(law, bad)
-                with pytest.raises(DomainError, match="finite"):
-                    to(law, 0.7)(bad)
 
     def test_overflow_raises_the_eos_error(self, gamma):
-        # the forms compute p and c inline and hand an overflowing one to
+        # the kernels compute p and c inline and hand an overflowing one to
         # pressure or sound_speed, so the message is eos's own: at rho =
         # 1e300, rho**gamma raises OverflowError for gamma well above 1 and
         # K * rho**gamma is inf near 1
         law = GasLaw(1e300, gamma)
-        cases = [(pressure, shock_bracket_to(law, 1.0))]
+        cases = [(pressure, shock_bracket)]
         if gamma >= 1.4:  # nearer 1, c**2 = K*gamma*rho**(gamma-1) stays near K
-            cases.append((sound_speed, rarefaction_integral_to(law, 1.0)))
-        for eos, form in cases:
+            cases.append((sound_speed, rarefaction_integral))
+        for eos, kernel in cases:
             with pytest.raises(NumericError) as expected:
                 eos(law, 1e300)
             with pytest.raises(NumericError) as got:
-                form(1e300)
+                kernel(law, 1e300, 1.0)
             assert str(got.value) == str(expected.value)
 
     def test_zero_density_rejected_by_the_shock_form(self, gamma):
         law = GasLaw(1.3, gamma)
         with pytest.raises(DomainError):
-            shock_bracket_to(law, 0.0)
+            shock_bracket(law, 1.0, 0.0)
         with pytest.raises(DomainError):
-            shock_bracket_to(law, 1.0)(0.0)
+            shock_bracket(law, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("gamma", FIXED_GAMMAS)
@@ -378,7 +354,6 @@ def test_equal_pressures_keep_the_sign_of_zero(gamma):
         for x, y in ((a, b), (b, a)):
             old = _old_shock_bracket(law, x, y)
             assert _same_bits(shock_bracket(law, x, y), old)
-            assert _same_bits(shock_bracket_to(law, y)(x), old)
     # pressures of neighbours round equal only for gamma near 1
     assert hits > 0 or gamma >= 3.0
 
@@ -401,38 +376,34 @@ def _outcome(call):
     return "value", value.hex()
 
 
-def _same_outcomes(new, fixed, old, rho_a, rho_b, eos_at_a=None):
-    """The one-shot kernel's outcome ``new`` against the fixed-endpoint
-    form's and the former single-function form's; ``eos_at_a`` is the
-    outcome of the eos term at rho_a where the former form computed it
-    first."""
+def _same_outcomes(new, old, rho_a, rho_b, eos_at_a=None):
+    """The kernel's outcome ``new`` against the former single-function
+    form's ``old``; ``eos_at_a`` is the outcome of the eos term at rho_a
+    where the former form computed it first."""
     if new[0] == "value":
-        assert fixed == old == new
+        assert old == new
     elif new[0] is NumericError and new[1].startswith("arithmetic overflow"):
-        # the one result's own check, which neither other form makes: they
-        # return the result, inf or NaN, or a quotient by an overflowed
+        # the one result's own check, which the former form did not make: it
+        # returned the result, inf or NaN, or a quotient by an overflowed
         # density product
-        assert fixed == old and fixed[0] == "value"
-        assert not math.isfinite(float.fromhex(fixed[1])) or rho_a * rho_b == math.inf
+        assert old[0] == "value"
+        assert not math.isfinite(float.fromhex(old[1])) or rho_a * rho_b == math.inf
     elif new[0] is NumericError and new[1].startswith("arithmetic underflow"):
         # the former form divided by 0.0 or took log(0.0)
-        assert fixed == new
         assert old[0] in (ZeroDivisionError, ValueError)
     else:
         # eos's own error, at rho_b before rho_a; the former shock form
         # evaluated p(rho_a) first
-        assert fixed == new
         first = eos_at_a is not None and eos_at_a[0] is NumericError
         assert old == (eos_at_a if first else new)
 
 
 @pytest.mark.parametrize("gamma", FIXED_GAMMAS + (500.0,))
 class TestExtremeRangeBits:
-    """The one-shot kernels, the fixed-endpoint forms and the former forms
-    agree bit for bit, or raise the same error, over the whole float range.
-    Equal densities are left out: the one-shot forms return 0.0 before any
-    term, where the fixed-endpoint forms have computed the term at rho_b
-    (which may overflow) and the former shock form formed p and rho*rho."""
+    """The kernels and the former forms agree bit for bit, or raise the same
+    error, over the whole float range.  Equal densities are left out: the
+    kernels return 0.0 before any term, where the former shock form formed
+    p and rho*rho."""
 
     @pytest.mark.parametrize("k", EXTREME_KS)
     def test_shock_bits(self, gamma, k):
@@ -443,7 +414,6 @@ class TestExtremeRangeBits:
                     continue
                 _same_outcomes(
                     _outcome(lambda: shock_bracket(law, rho_a, rho_b)),
-                    _outcome(lambda: shock_bracket_to(law, rho_b)(rho_a)),
                     _outcome(lambda: _old_shock_bracket(law, rho_a, rho_b)),
                     rho_a,
                     rho_b,
@@ -460,7 +430,6 @@ class TestExtremeRangeBits:
                     continue
                 _same_outcomes(
                     _outcome(lambda: rarefaction_integral(law, rho_a, rho_b)),
-                    _outcome(lambda: rarefaction_integral_to(law, rho_b)(rho_a)),
                     _outcome(lambda: _old_rarefaction_integral(law, rho_a, rho_b)),
                     rho_a,
                     rho_b,
@@ -473,52 +442,8 @@ class TestExtremeRangeBits:
         law = GasLaw(1e300, gamma)
         rho_a, rho_b = {"rho_b": (1.0, 2e200), "rho_a": (1e200, 1.0), "both": (1e200, 2e200)}[where]
         first = rho_a if where == "rho_a" else rho_b  # rho_b's error comes first
-        for eos, kernel, to in (
-            (pressure, shock_bracket, shock_bracket_to),
-            (sound_speed, rarefaction_integral, rarefaction_integral_to),
-        ):
+        for eos, kernel in ((pressure, shock_bracket), (sound_speed, rarefaction_integral)):
             expected = _outcome(lambda: eos(law, first))
             if expected[0] != "value":
                 assert expected[0] is NumericError
                 assert _outcome(lambda: kernel(law, rho_a, rho_b)) == expected
-                assert _outcome(lambda: to(law, rho_b)(rho_a)) == expected
-
-
-def test_one_shot_kernels_build_no_fixed_endpoint_form(monkeypatch):
-    """shock_bracket and rarefaction_integral compute inline: neither they
-    nor the layers that call them once per threshold or lemma sample build
-    the bisection's fixed-endpoint forms."""
-    builds = Counter()
-
-    def counted(name, build):
-        def wrapper(*args):
-            builds[name] += 1
-            return build(*args)
-
-        return wrapper
-
-    for name in ("shock_bracket_to", "rarefaction_integral_to"):
-        monkeypatch.setattr(wavecurves, name, counted(name, getattr(wavecurves, name)))
-    rng = np.random.default_rng(27)
-    for law in (LAW_LOG, GasLaw(0.7, 1.4), GasLaw(2.0, 3.0)):
-        assert shock_bracket(law, 1.3, 2.7) > 0.0
-        assert rarefaction_integral(law, 2.7, 1.3) < 0.0
-        if not law.isothermal:
-            assert rarefaction_integral(law, 0.0, 2.7) > 0.0
-        assert lemma2_gap(law, 1.3, 2.7) > 0.0
-        assert lemma3_gaps(law, 1.3, 2.0, 2.7) > 0.0
-        for case in CaseId:
-            if case is CaseId.R1R3_VACUUM and law.isothermal:
-                continue
-            p, _ = problem_for_case(case, rng, law=law)
-            assert classify(p) is case
-            near_boundaries(p)
-    assert sum(builds.values()) == 0, dict(builds)
-    # an overflowing pressure still raises eos's own error
-    law = GasLaw(1e300, 3.0)
-    with pytest.raises(NumericError) as expected:
-        pressure(law, 1e200)
-    with pytest.raises(NumericError) as got:
-        shock_bracket(law, 1.0, 1e200)
-    assert str(got.value) == str(expected.value)
-    assert sum(builds.values()) == 0, dict(builds)

@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii as _escape
 
 from .certificate import Certificate
 from .eos import GasLaw
-from .errors import DEFAULT_SAMPLES, DEFAULT_SEED, GRID_MAX, ConstructionError, DomainError, EulerFanError, NumericError
+from .errors import DEFAULT_SAMPLES, DEFAULT_SEED, SEARCH_SIZES, ConstructionError, DomainError, EulerFanError, NumericError
 from .errors import require_count, require_finite, require_positive
 from .riemann import (
     EQUATION_TOL,
@@ -216,7 +216,7 @@ _SCHEMA = {
     "law": {"K": (require_positive,), "gamma": (require_finite, 1.0)},
     "left": _STATE,
     "right": _STATE,
-    "search": {"scan_points": (require_count, 1), "grid": (require_count, 2, GRID_MAX)},
+    "search": {name: (require_count, *bounds) for name, bounds in SEARCH_SIZES.items()},
     "perturbation": {"initial": (require_positive,), "max_halvings": (require_count, 0)},
 }
 

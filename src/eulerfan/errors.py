@@ -1,9 +1,10 @@
 """Exception types shared across the toolkit, the checks of the integers
 (sizes, seeds), the finite numbers (velocities, gamma) and the finite
 positive numbers (tolerances, fractions, times, law constants) that public
-functions take, the bounds and defaults of the sizes and seeds the command
-line checks before it loads the search or the lemma suite, and the one
-checked square of a velocity."""
+functions take, the bounds and defaults of the sizes and seeds (which the
+command line checks before it loads the search or the lemma suite, and the
+constructions before any attempt), and the one checked square of a
+velocity."""
 
 import math
 import operator
@@ -12,6 +13,11 @@ import operator
 # points and, on a miss, tries grid values of rho1.  A full miss at this size
 # took under a second and 3 MiB on a 2-core host; 1e9 would need tens of GB.
 GRID_MAX = 2**16
+
+# The bounds (require_count's minimum and maximum) of each search size that
+# search_feasible takes: one guided candidate and a grid of two points at
+# least, so that a search always searches something.
+SEARCH_SIZES = {"scan_points": (1,), "grid": (2, GRID_MAX)}
 
 # The lemma suite's default seed and sample count (oracles.run_suite).
 DEFAULT_SEED = 1729

@@ -16,8 +16,8 @@ from . import certificate as cert
 from .certificate import Certificate
 from .eos import internal_energy, pressure
 from .errors import (
-    GRID_MAX, CriterionError, DomainError, InvariantError, NumericError, is_number, require_count, require_positive,
-    squared,
+    SEARCH_SIZES, CriterionError, DomainError, InvariantError, NumericError, is_number, require_count, require_finite,
+    require_positive, squared,
 )
 from .riemann import EQUATION_TOL, STRICT_TOL, CaseId, RiemannProblem, _solve_middle_density, classify
 # not called here: the benchmark's tracer rebinds this module's solve_standard
@@ -112,9 +112,6 @@ class _ProblemTerms:
         # with the terms, so small-scale data keeps a genuine sign.
         self.disc_noise = STRICT_TOL * max(abs(t1), abs(t2))
         self.clamped = None if self.disc < -self.disc_noise else max(self.disc, 0.0)
-        # (rho1, delta1, left row, right row) at the last open window that a
-        # search scan yielded, for _ReducedRows at that rho1
-        self.opened = None
 
 
 def discriminant(p: RiemannProblem) -> float:
@@ -147,18 +144,17 @@ def _scan(t: _ProblemTerms, rho1s, tol: float | None = None):
     is a conditional negation, which the window's decisions cannot tell
     from abs (only the sign of a zero differs, and a NaN fails either way).
 
-    With ``tol`` it is a search stage's kernel and yields (rho1, (lo, hi))
-    for each rho1 whose window is open, lo <= hi: the predicate
-    (``_ReducedRows.feasible``) fails at every delta2 >= 0 outside it.
-    Before it yields, it keeps rho1, delta1 and both rows in ``t.opened``,
-    where ``_ReducedRows`` at that rho1 takes them.  Other rho1 yield
-    nothing: outside the density window, delta1 below SEARCH_DELTA_FLOOR
-    (checked after the left row), or no delta2 left by the rows.  The right
-    row is computed only once the left one leaves a window.  Without
-    ``tol``, a rho1 inside the density window yields (p1, e1, v12, d1),
-    then the left and the right row as (lhs, rhs0, s), with margin rhs0 +
-    s*delta2 - lhs, each computed only once it is drawn: the single-point
-    callers draw these.
+    With ``tol`` it is a search stage's kernel and yields (rho1, (lo, hi),
+    rows) for each rho1 whose window is open, lo <= hi: the predicate
+    (``rows.feasible``) fails at every delta2 >= 0 outside it, and
+    ``rows`` is the _ReducedRows of the delta1 and both entropy rows just
+    computed.  Other rho1 yield nothing: outside the density window, delta1
+    below SEARCH_DELTA_FLOOR (checked after the left row), or no delta2
+    left by the rows.  The right row is computed only once the left one
+    leaves a window.  Without ``tol``, a rho1 inside the density window
+    yields (p1, e1, v12, d1), then the left and the right row as (lhs,
+    rhs0, s), with margin rhs0 + s*delta2 - lhs, each computed only once it
+    is drawn: the single-point callers draw these.
 
     p and eps are eos's expressions with the law constants held by ``t``;
     where one overflows, eos is called and raises its own NumericError
@@ -300,14 +296,15 @@ def _scan(t: _ProblemTerms, rho1s, tol: float | None = None):
                 continue
             if lo > hi:
                 continue
-        t.opened = rho1, d1, lhs_l, rhs_l0, s_l, lhs_r, rhs_r0, s_r
-        yield rho1, (lo, hi)
+        yield rho1, (lo, hi), _ReducedRows(t, rho1, d1, (lhs_l, rhs_l0, s_l), (lhs_r, rhs_r0, s_r))
 
 
 def v12_star(p: RiemannProblem, rho1: float) -> float:
     """Wedge normal velocity forced by the mass jump at the left interface;
     NumericError when it overflows, or when delta1, computed with it,
-    overflows in a power or underflows in a divisor."""
+    overflows in a power or underflows in a divisor.  DomainError for a
+    rho1 that is not a finite number strictly inside (rho-, rho+)."""
+    rho1 = require_finite("rho1", rho1)
     v12 = next(_scan(_star_terms(p, rho1), (rho1,)))[2]
     if not math.isfinite(v12):
         raise NumericError(f"arithmetic overflow: v12 at rho1={rho1!r}")
@@ -322,8 +319,11 @@ def reduced_from(p: RiemannProblem, rho1: float, delta2: float) -> ReducedSubsol
     choice with mu0 < mu1; the wedge normal velocity v12 forced by the mass
     jump at the left interface; and the wedge normal-stress excess delta1
     forced by the momentum jump on the left.  Raises NumericError when one
-    of these overflows.
+    of these overflows, and DomainError for a rho1 that is not a finite
+    number strictly inside (rho-, rho+) or a delta2 that is not a finite
+    number; an int comes back as its float.
     """
+    rho1, delta2 = require_finite("rho1", rho1), require_finite("delta2", delta2)
     t = _star_terms(p, rho1)
     _, _, v12, delta1 = next(_scan(t, (rho1,)))
     d, rl, rr = t.clamped, t.rl, t.rr
@@ -363,25 +363,24 @@ def reduced_residuals(
 
 
 class _ReducedRows:
-    """The reduced conditions at one rho1, drawn from ``_scan`` and so with
-    the search's bits and errors: delta1 and both entropy rows, each margin
+    """The reduced conditions at one rho1, with the search's bits and
+    errors: delta1 and both entropy rows as (lhs, rhs0, slope), each margin
     affine in delta2, so scanning many delta2 values costs a handful of
-    flops each.  The search builds one only at an open window, where it
-    takes the terms that its scan has just computed (``t.opened``)."""
+    flops each.  The search's scan builds one at each open window from the
+    terms it has just computed; without them, they are drawn from the
+    scan's single-point mode."""
 
-    def __init__(self, t: _ProblemTerms, rho1: float):
+    def __init__(self, t: _ProblemTerms, rho1: float, d1=None, left=None, right=None):
         self.rl, self.rr, self.rho1 = t.rl, t.rr, rho1
         self.window_ok = t.rl < rho1 < t.rr
         if not self.window_ok:
             return
-        opened = t.opened
-        if opened is not None and opened[0] is rho1:
-            _, self.d1, self.lhs_l, self.rhs_l0, self.slope_l, self.lhs_r, self.rhs_r0, self.slope_r = opened
-            return
-        terms = _scan(t, (rho1,))
-        self.d1 = next(terms)[3]
-        self.lhs_l, self.rhs_l0, self.slope_l = next(terms)
-        self.lhs_r, self.rhs_r0, self.slope_r = next(terms)
+        if left is None:
+            terms = _scan(t, (rho1,))
+            d1, left, right = next(terms)[3], next(terms), next(terms)
+        self.d1 = d1
+        self.lhs_l, self.rhs_l0, self.slope_l = left
+        self.lhs_r, self.rhs_r0, self.slope_r = right
 
     def rows(self, delta2: float):
         """(label, margin, scale) for every reduced condition at (rho1, delta2).
@@ -425,9 +424,11 @@ def check_reduced(
     the latter evaluated with the closed-form wedge quantities.  When rho1
     sits outside the open window the star functions are undefined and only
     the (failing) window margins are reported.  Raises DomainError for a
-    ``tol_strict`` that is not finite and positive.
+    ``tol_strict`` that is not finite and positive, and for a rho1 or
+    delta2 that is not a finite number; an int is taken as its float.
     """
     tol_strict = require_positive("tol_strict", tol_strict)
+    rho1, delta2 = require_finite("rho1", rho1), require_finite("delta2", delta2)
     if not p.left.rho < p.right.rho:
         raise DomainError("the reduced conditions need rho- < rho+")
     entries = []
@@ -437,39 +438,24 @@ def check_reduced(
     return Certificate(tuple(entries))
 
 
-def _halvings(delta2: float):
-    """delta2, delta2/2, ... down to SEARCH_DELTA_FLOOR."""
+def _halvings(rows: _ReducedRows, tol: float):
+    """The guided stage's delta2 schedule at one rho1: both entropy margins
+    are affine in delta2, so the feasible set in delta2 is an interval
+    touching 0, and the schedule halves delta2 down to SEARCH_DELTA_FLOOR
+    from a crude positive-root bound on the base values and slopes, or is
+    empty when a base margin fails."""
+    a0 = rows.rhs_l0 - rows.lhs_l
+    b0 = rows.rhs_r0 - rows.lhs_r
+    if not (
+        a0 > tol * cert.scale_of(rows.lhs_l, rows.rhs_l0)
+        and b0 > tol * cert.scale_of(rows.lhs_r, rows.rhs_r0)
+    ):
+        return
+    denom = max(abs(rows.slope_l), abs(rows.slope_r), 1e-300)
+    delta2 = min(10.0 * (abs(a0) + abs(b0)) / denom, DELTA2_CAP)
     while delta2 >= SEARCH_DELTA_FLOOR:
         yield delta2
         delta2 *= 0.5
-
-
-def _first_feasible(
-    t: _ProblemTerms, rho1: float, window: tuple[float, float], tol: float, points=None
-) -> float | None:
-    """The search at a rho1 whose scan yielded the open delta2 ``window``:
-    the first delta2 of ``points``, in their order, at which the predicate
-    holds, or None.  The predicate fails outside the window, so it runs only
-    at the points inside; the answer is that of walking every point.
-
-    ``points=None`` is the guided stage's schedule: both entropy margins are
-    affine in delta2, so the feasible set in delta2 is an interval touching
-    0, and the schedule halves delta2 down from a crude positive-root bound
-    on the base values and slopes, or is empty when a base margin fails.
-    """
-    ev = _ReducedRows(t, rho1)
-    if points is None:
-        a0 = ev.rhs_l0 - ev.lhs_l
-        b0 = ev.rhs_r0 - ev.lhs_r
-        if not (
-            a0 > tol * cert.scale_of(ev.lhs_l, ev.rhs_l0)
-            and b0 > tol * cert.scale_of(ev.lhs_r, ev.rhs_r0)
-        ):
-            return None
-        denom = max(abs(ev.slope_l), abs(ev.slope_r), 1e-300)
-        points = _halvings(min(10.0 * (abs(a0) + abs(b0)) / denom, DELTA2_CAP))
-    lo, hi = window
-    return next((d for d in points if lo <= d <= hi and ev.feasible(d, tol)), None)
 
 
 def _guided_candidates(p, scan_points, rho1_below=math.inf):
@@ -517,12 +503,16 @@ def _grid_below(rl: float, ratio: float, grid: int, rho1_below: float):
 
 
 def _stage(t: _ProblemTerms, rho1s, tol: float, points=None) -> tuple[float, float] | None:
-    """The first (rho1, delta2) hit of one scan of a stage's stream ``rho1s``,
-    with ``_first_feasible`` at each open window; nothing after it is drawn."""
-    for rho1, window in _scan(t, rho1s, tol):
-        found = _first_feasible(t, rho1, window, tol, points)
-        if found is not None:
-            return rho1, found
+    """The first (rho1, delta2) hit of one scan of a stage's stream ``rho1s``;
+    nothing after it is drawn.  At each open window the stage walks the
+    delta2 of ``points`` in their order, or the guided schedule
+    (``_halvings``) when ``points`` is None, and runs the predicate only at
+    those inside the window: it fails outside, so the first hit is that of
+    walking every point."""
+    for rho1, (lo, hi), rows in _scan(t, rho1s, tol):
+        for d in _halvings(rows, tol) if points is None else points:
+            if lo <= d <= hi and rows.feasible(d, tol):
+                return rho1, d
     return None
 
 
@@ -582,8 +572,8 @@ def search_feasible(
     rho1, each of which leaves no rho1 to search, and for data with rho- >
     rho+, whose density window is empty: rotate_180 them first.
     """
-    scan_points = require_count("scan_points", scan_points, 1)
-    grid = require_count("grid", grid, 2, GRID_MAX)
+    scan_points = require_count("scan_points", scan_points, *SEARCH_SIZES["scan_points"])
+    grid = require_count("grid", grid, *SEARCH_SIZES["grid"])
     tol_strict = require_positive("tol_strict", tol_strict)
     if not is_number(rho1_below) or not rho1_below > p.left.rho:
         raise DomainError(f"rho1_below must be a number above rho-={p.left.rho!r}, got {rho1_below!r}")

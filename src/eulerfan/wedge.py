@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import pressure
-from .errors import ConstructionError, DomainError, NumericError, require_count, require_positive
+from .errors import SEARCH_SIZES, ConstructionError, DomainError, NumericError, require_count, require_positive
 from .riemann import (
     RAREFACTION,
     STRICT_TOL,
@@ -33,9 +33,6 @@ from .wavecurves import State, rarefaction_integral, shock_bracket
 
 # Relative tolerance for the wave-curve membership of the auxiliary state.
 CURVE_TOL = 1e-11
-
-# What a construction passes on to search_feasible besides its bound and tolerance
-_SEARCH_SIZES = frozenset(search_feasible.__kwdefaults__) - {"rho1_below", "tol_strict"}
 
 
 @dataclass(frozen=True)
@@ -103,14 +100,16 @@ def _construct(p, rho_ref, place, right_case, initial_fraction, max_halvings, to
     It also ends before s underflows to 0.0, which would repeat one attempt,
     so at most about 2,100 are made.  Raises DomainError for a negative
     ``max_halvings``, an ``initial_fraction`` or ``tol_strict`` that is not
-    a finite positive number, or a search option that is not a search size.
+    a finite positive number, or a search option that is not a search size
+    or breaks its bounds (errors.SEARCH_SIZES).
     """
     max_halvings = require_count("max_halvings", max_halvings, 0)
     s = require_positive("initial_fraction", initial_fraction)
     tol_strict = require_positive("tol_strict", tol_strict)
-    unknown = set(search_opts) - _SEARCH_SIZES
+    unknown = search_opts.keys() - SEARCH_SIZES.keys()
     if unknown:
-        raise DomainError(f"a construction passes on only {sorted(_SEARCH_SIZES)}, not {sorted(unknown)}")
+        raise DomainError(f"a construction passes on only {sorted(SEARCH_SIZES)}, not {sorted(unknown)}")
+    search_opts = {name: require_count(name, value, *SEARCH_SIZES[name]) for name, value in search_opts.items()}
     attempts = []
     for _ in range(max_halvings + 1):
         rho2, u2 = place(s)

@@ -3,15 +3,17 @@ written with a loop over the two entropy rows, a bracket function and the
 builtin abs.
 
 The search kernel computes each rho1 in straight-line code; over any stream
-of rho1 it must yield these (rho1, (lo, hi)), bit for bit, or raise this
-exception with this message after the same yields.
+of rho1 it must yield these (rho1, (lo, hi), rows), bit for bit, or raise
+this exception with this message after the same yields.  The reference
+rows are those that the kernel's single-point mode gives the rho1, so the
+rows the kernel hands to the delta2 walk are checked against them.
 """
 
 import math
 
 from eulerfan import CriterionError, NumericError
 from eulerfan.eos import internal_energy, pressure
-from eulerfan.subsolution import _WINDOW_ETA, _WINDOW_SIZE_CAP, SEARCH_DELTA_FLOOR
+from eulerfan.subsolution import _WINDOW_ETA, _WINDOW_SIZE_CAP, SEARCH_DELTA_FLOOR, _ReducedRows
 
 
 def bracket(rho_a, rho_b, p_a, p_b, e_a, e_b):
@@ -19,8 +21,9 @@ def bracket(rho_a, rho_b, p_a, p_b, e_a, e_b):
 
 
 def scan(t, rho1s, tol):
-    """(rho1, (lo, hi)) for each rho1 of ``rho1s`` whose delta2 window is
-    open, on the problem terms ``t`` (a subsolution._ProblemTerms)."""
+    """(rho1, (lo, hi), rows) for each rho1 of ``rho1s`` whose delta2
+    window is open, on the problem terms ``t`` (a subsolution._ProblemTerms),
+    with the rows of the single-point mode at that rho1."""
     d = t.clamped
     if d is None:
         raise CriterionError(f"negative discriminant {t.disc!r}: no fan subsolution can exist")
@@ -88,16 +91,25 @@ def scan(t, rho1s, tol):
             if lo > hi:
                 break
         else:
-            yield rho1, (lo, hi)
+            yield rho1, (lo, hi), _ReducedRows(t, rho1)
+
+
+ROW_FIELDS = ("d1", "lhs_l", "rhs_l0", "slope_l", "lhs_r", "rhs_r0", "slope_r")
+
+
+def in_hex(rho1, window, rows):
+    """One yield of a scan as rho1, lo, hi and the fields of its rows
+    (delta1 and both entropy rows) in hex."""
+    return tuple(float(x).hex() for x in (rho1, *window, *(getattr(rows, name) for name in ROW_FIELDS)))
 
 
 def outcome(scanner, t, rho1s, tol):
-    """Every yield of ``scanner`` as (rho1, lo, hi) in hex, then the
-    exception that ended it as (type, message), or None."""
+    """Every yield of ``scanner`` in hex (``in_hex``), then the exception
+    that ended it as (type, message), or None."""
     yields = []
     try:
-        for rho1, (lo, hi) in scanner(t, rho1s, tol):
-            yields.append((float(rho1).hex(), lo.hex(), hi.hex()))
+        for found in scanner(t, rho1s, tol):
+            yields.append(in_hex(*found))
     except Exception as exc:  # every exception type is part of the contract
         return yields, (type(exc), str(exc))
     return yields, None

@@ -1,8 +1,9 @@
 """The public surface: every export resolves, every argument that must be a
 finite positive number is checked the same way, by errors.require_positive,
 every finite number by errors.require_finite, the problem types take only
-numbers, the package's lazy exports behave as attributes, and the package
-imports nothing outside the standard library and nothing it does not use."""
+numbers, the package's lazy exports behave as attributes, the package
+imports nothing outside the standard library, and neither the package nor
+its tests import anything they do not use."""
 
 import ast
 import json
@@ -158,7 +159,9 @@ UNUSED_IMPORTS = {"subsolution.py": ["solve_standard"]}
 
 
 def test_every_module_level_import_is_used():
-    sources = sorted(Path(eulerfan.__file__).parent.glob("*.py"))
+    # the package's sources and the test suite's; no file name is in both
+    sources = sorted(Path(eulerfan.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert len({path.name for path in sources}) == len(sources)
     unused = {path.name: unused_imports(ast.parse(path.read_text(), str(path))) for path in sources}
     assert {name: names for name, names in unused.items() if names} == UNUSED_IMPORTS
 

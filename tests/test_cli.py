@@ -53,7 +53,7 @@ from eulerfan.cli import (
 )
 from eulerfan import cli, oracles
 from eulerfan.certificate import strict
-from eulerfan.subsolution import GRID_MAX
+from eulerfan.errors import GRID_MAX
 from eulerfan.wedge import build_s
 from generators import random_case5, random_case6_one_shock
 

@@ -18,7 +18,7 @@ from eulerfan import (
 from eulerfan.riemann import STRICT_TOL
 from eulerfan.subsolution import _guided_candidates, _ProblemTerms, _scan
 from generators import GAMMAS, random_case5, random_case6_one_shock
-from reference_scan import outcome, scan
+from reference_scan import in_hex, outcome, scan
 
 
 def assert_same(t, rho1s, tol):
@@ -51,9 +51,9 @@ def test_acceptance_batch_streams(monkeypatch, build, draw, seed):
             yield rho1
 
     def yielded(scan, kept):
-        for rho1, (lo, hi) in scan:
-            kept.append((float(rho1).hex(), lo.hex(), hi.hex()))
-            yield rho1, (lo, hi)
+        for found in scan:
+            kept.append(in_hex(*found))
+            yield found
 
     def recorded_scan(t, rho1s, tol=None):
         if tol is None:

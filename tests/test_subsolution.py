@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from eulerfan import (
-    CaseId,
     CriterionError,
     DomainError,
     FanSubsolution,
@@ -37,14 +36,13 @@ from eulerfan import (
 )
 from eulerfan import subsolution, wedge
 from eulerfan.certificate import scale_of
-from eulerfan.errors import squared
+from eulerfan.cli import certificate_from_json, certificate_to_json
+from eulerfan.errors import GRID_MAX, squared
 from eulerfan.riemann import STRICT_TOL
 from eulerfan.subsolution import (
     DELTA2_CAP,
-    GRID_MAX,
     SEARCH_DELTA_FLOOR,
     _delta2_grid,
-    _first_feasible,
     _guided_candidates,
     _ProblemTerms,
     _ReducedRows,
@@ -178,7 +176,7 @@ def closed_forms(t, rho1):
 def scan_window(t, rho1, tol):
     """The delta2 window (lo, hi) that the search's scan gives rho1, or None
     where it yields nothing."""
-    return next((window for _, window in _scan(t, (rho1,), tol)), None)
+    return next((window for _, window, _ in _scan(t, (rho1,), tol)), None)
 
 
 @functools.lru_cache
@@ -310,6 +308,54 @@ class TestCheckReduced:
     def test_wrong_density_order_rejected(self):
         with pytest.raises(DomainError):
             check_reduced(RiemannProblem(LAW_LOG, State(4, 0, 0), State(1, 0, 0.1)), 2.0, 1.0)
+
+
+NOT_FINITE = ["x", None, True, math.nan, math.inf, -math.inf, 10**400]
+NOT_FINITE_IDS = ["string", "None", "bool", "nan", "inf", "-inf", "huge-int"]
+
+
+class TestFiniteArguments:
+    """The single-point closed forms take rho1 and delta2 as finite
+    numbers: anything else is a DomainError, and an int is its float."""
+
+    @pytest.mark.parametrize("value", NOT_FINITE, ids=NOT_FINITE_IDS)
+    def test_rho1_rejected(self, value):
+        # a string was a bare TypeError
+        for call in (
+            lambda: check_reduced(CASE5, value, 1.0),
+            lambda: reduced_from(CASE5, value, 1.0),
+            lambda: v12_star(CASE5, value),
+        ):
+            with pytest.raises(DomainError, match="^rho1 must be a finite number"):
+                call()
+
+    @pytest.mark.parametrize("value", NOT_FINITE, ids=NOT_FINITE_IDS)
+    def test_delta2_rejected(self, value):
+        # reduced_from kept a string, check_reduced certified a NaN that
+        # certificate_to_json then refused
+        for call in (lambda: check_reduced(CASE5, 2.0, value), lambda: reduced_from(CASE5, 2.0, value)):
+            with pytest.raises(DomainError, match="^delta2 must be a finite number"):
+                call()
+
+    def test_rho1_outside_the_window_keeps_its_outcome(self):
+        assert not check_reduced(CASE5, 5.0, 1.0).overall
+        with pytest.raises(DomainError, match="strictly between"):
+            reduced_from(CASE5, 5.0, 1.0)
+        with pytest.raises(DomainError, match="strictly between"):
+            v12_star(CASE5, 5.0)
+
+    @pytest.mark.parametrize("rho1, delta2", [(2.0, 1), (2, 1.0), (2, 1)])
+    def test_ints_are_their_floats(self, rho1, delta2):
+        # CASE5's densities are ints: an int rho1 gave int window margins,
+        # and an int delta2 an int value, which certificate_from_json refused
+        c = check_reduced(CASE5, rho1, delta2)
+        assert c == check_reduced(CASE5, 2.0, 1.0)
+        assert all(type(e.value) is float for e in c.entries)
+        assert certificate_from_json(certificate_to_json(c)) == c
+        r = reduced_from(CASE5, rho1, delta2)
+        assert r == reduced_from(CASE5, 2.0, 1.0)
+        assert type(r.rho1) is float and type(r.delta2) is float
+        assert v12_star(CASE5, rho1) == v12_star(CASE5, 2.0)
 
 
 class TestSearch:
@@ -773,7 +819,7 @@ def stage_scans(monkeypatch, on_draw=None, on_yield=None):
     """Wrap the search stages' scans (those with a tolerance; the rows of
     one rho1 are drawn without) so that ``on_draw(t, rho1, tol)`` sees every
     rho1 a scan draws from its stream, before the scan evaluates it, and
-    ``on_yield(rho1, window)`` every open window it yields."""
+    ``on_yield(rho1, window)`` every open window it yields with its rows."""
     scan = subsolution._scan
 
     def drawn(t, rho1s, tol):
@@ -786,10 +832,10 @@ def stage_scans(monkeypatch, on_draw=None, on_yield=None):
         if tol is None:
             yield from scan(t, rho1s)
             return
-        for rho1, window in scan(t, drawn(t, rho1s, tol), tol):
+        for rho1, window, rows in scan(t, drawn(t, rho1s, tol), tol):
             if on_yield is not None:
                 on_yield(rho1, window)
-            yield rho1, window
+            yield rho1, window, rows
 
     monkeypatch.setattr(subsolution, "_scan", wrapped)
 
@@ -1013,23 +1059,15 @@ class StubEvaluator:
 
 def stub_walk(monkeypatch, ev, points):
     """search_step at one grid rho1, with the stub ev standing in for the
-    scan's window and for the rows; the rows must be built only for an
-    open window."""
-    built = []
-
-    def rows(t, rho1):
-        built.append(rho1)
-        return ev
+    window and the rows that the scan yields, and for no yield when its
+    window is None."""
 
     def scan(t, rho1s, tol):
-        return ((rho1, ev.window) for rho1 in rho1s if ev.window is not None)
+        return ((rho1, ev.window, ev) for rho1 in rho1s if ev.window is not None)
 
     with monkeypatch.context() as m:
         m.setattr(subsolution, "_scan", scan)
-        m.setattr(subsolution, "_ReducedRows", rows)
-        found = search_step(None, 2.0, points)
-    assert built == ([] if ev.window is None else [2.0])
-    return found
+        return search_step(None, 2.0, points)
 
 
 def filtered_walk(ev, points, tol):
@@ -1044,8 +1082,9 @@ ASCENDING = tuple(float(k) for k in range(1, 11))
 
 
 class TestFirstFeasibleWalk:
-    """The walk runs the predicate at the points of the full filtered walk,
-    in the same order, and returns the same point."""
+    """A stage's walk over the delta2 points of an open window runs the
+    predicate at the points of the full filtered walk, in the same order,
+    and returns the same point."""
 
     @pytest.mark.parametrize("order", ["ascending", "descending"])
     @pytest.mark.parametrize(
@@ -1346,6 +1385,26 @@ def test_search_work_per_rho1(monkeypatch):
     assert rho1_evaluated > 128
     assert calls["pressure"] <= rho1_evaluated + 2
     assert calls["internal_energy"] <= rho1_evaluated + 2
+
+
+def test_stages_leave_the_problem_terms_as_built(monkeypatch):
+    """A search stage reads the problem terms and writes none: the rows of
+    an open window come with the scan's yield.  Checked at every stage of
+    the seed-601 schedule searches of three problems, hits and misses."""
+    rng = np.random.default_rng(601)
+    searches = schedule_searches(wedge.build_sr, [random_case5(rng)[0] for _ in range(3)], monkeypatch)
+    stage, changed = subsolution._stage, []
+
+    def checked(t, rho1s, tol, points=None):
+        built = dict(vars(t))
+        found = stage(t, rho1s, tol, points)
+        changed.append(vars(t) != built)
+        return found
+
+    monkeypatch.setattr(subsolution, "_stage", checked)
+    outcomes = Counter(search_feasible(p, **opts) is None for p, opts in searches)
+    assert outcomes[True] and outcomes[False]
+    assert changed and not any(changed)
 
 
 def test_predicate_runs_only_inside_open_windows(monkeypatch):

@@ -21,12 +21,14 @@ from eulerfan import (
     fan_geometry,
     rotate_180,
     search_feasible,
+    shock_bracket,
     solve_standard,
     verify_construction,
     verify_full,
     verify_standard,
 )
 from eulerfan.certificate import Certificate, strict
+from eulerfan.errors import GRID_MAX, SEARCH_SIZES
 from generators import problem_for_case, random_case5, random_case6_one_shock
 
 LAW_LOG = GasLaw(1.0, 1.0)
@@ -215,6 +217,36 @@ class TestScheduleSizes:
         assert [a["s"] for a in err.value.attempts] == [0.5**k for k in range(1075)]
 
 
+# single-shock data whose one attempt at max_halvings=0 ends before the
+# search: at s = 1/2 the auxiliary shock is not weaker
+LAW_AIR = GasLaw(1.0, 1.4)
+NO_SEARCH = RiemannProblem(LAW_AIR, State(1.0, 0.0, 0.0), State(1.01, 0.0, -shock_bracket(LAW_AIR, 1.0, 1.01)))
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [{"grid": 1}, {"grid": "x"}, {"grid": GRID_MAX + 1}, {"scan_points": 0}, {"scan_points": True}],
+    ids=["grid-1", "grid-string", "grid-above-max", "scan-points-0", "scan-points-bool"],
+)
+def test_search_sizes_checked_before_any_attempt(sizes):
+    # these sizes raised ConstructionError(['aux-shock-not-weaker']): only
+    # a search checked them, and no attempt reached one
+    with pytest.raises(ConstructionError) as err:
+        build_s(NO_SEARCH, max_halvings=0)
+    assert [a["failure"] for a in err.value.attempts] == ["aux-shock-not-weaker"]
+    with pytest.raises(DomainError) as expected:
+        search_feasible(CASE5, **sizes)
+    with pytest.raises(DomainError) as got:
+        build_s(NO_SEARCH, max_halvings=0, **sizes)
+    assert str(got.value) == str(expected.value)
+
+
+def test_search_sizes_are_the_search_keywords():
+    # one table of size rules: it names every keyword of search_feasible
+    # but the bound and the tolerance, which the construction sets
+    assert set(SEARCH_SIZES) == set(search_feasible.__kwdefaults__) - {"rho1_below", "tol_strict"}
+
+
 @pytest.mark.parametrize(
     "build, seed, draw",
     [(build_sr, 601, lambda rng: random_case5(rng)[0]), (build_s, 602, random_case6_one_shock)],
@@ -310,8 +342,6 @@ class TestBuildS:
         # attempts violate the weaker-shock side condition and s must shrink
         law = GasLaw(1.0, 1.4)
         rl, rr = 3.9, 4.0
-        from eulerfan import shock_bracket
-
         p = RiemannProblem(
             law, State(rl, 0, 0), State(rr, 0, -shock_bracket(law, rl, rr))
         )

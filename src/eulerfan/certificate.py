@@ -1,9 +1,11 @@
 """Machine-checkable certificates: lists of equation residuals and signed
-inequality margins, each with an explicit tolerance and verdict."""
+inequality margins, each an immutable named tuple (CertEntry) with an explicit
+tolerance and the verdict for its kind, fixed when the entry is built."""
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -38,13 +40,7 @@ def entry_passes(kind: str, value: float, tolerance: float) -> bool:
     raise DomainError(f"unknown certificate entry kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class CertEntry:
-    label: str
-    kind: str
-    value: float
-    tolerance: float
-    passed: bool
+CertEntry = namedtuple("CertEntry", "label kind value tolerance passed")
 
 
 def make_entry(label: str, kind: str, value: float, tolerance: float) -> CertEntry:
@@ -52,15 +48,18 @@ def make_entry(label: str, kind: str, value: float, tolerance: float) -> CertEnt
 
 
 def equation(label: str, lhs: float, rhs: float, rel_tol: float) -> CertEntry:
-    return make_entry(label, EQUATION, lhs - rhs, rel_tol * scale_of(lhs, rhs))
+    value, tolerance = lhs - rhs, rel_tol * scale_of(lhs, rhs)
+    return CertEntry(label, EQUATION, value, tolerance, abs(value) <= tolerance)
 
 
 def strict(label: str, value: float, rel_tol: float, *terms: float) -> CertEntry:
-    return make_entry(label, STRICT, value, rel_tol * scale_of(value, *terms))
+    tolerance = rel_tol * scale_of(value, *terms)
+    return CertEntry(label, STRICT, value, tolerance, value > tolerance)
 
 
 def nonstrict(label: str, value: float, rel_tol: float, *terms: float) -> CertEntry:
-    return make_entry(label, NONSTRICT, value, rel_tol * scale_of(value, *terms))
+    tolerance = rel_tol * scale_of(value, *terms)
+    return CertEntry(label, NONSTRICT, value, tolerance, value >= -tolerance)
 
 
 @dataclass(frozen=True)

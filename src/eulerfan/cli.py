@@ -93,11 +93,12 @@ _RENAMED = {"sub": "subsolution", "c1": "C1"}
 
 
 def result_dict(x):
-    """JSON-ready data of a result: a dataclass becomes a dict of its fields
-    (renamed by _RENAMED), a tuple a list, a CaseId its value, and anything
-    else stays as it is.  A NaN inside a State, which is only ever the
-    vacuum's undefined middle velocity, becomes None; a NaN anywhere else is
-    kept, so that dumps refuses it."""
+    """JSON-ready data of a mode's result, a problem, solution, subsolution or
+    construction: a dataclass becomes a dict of its fields (renamed by
+    _RENAMED), a tuple a list, a CaseId its value, and anything else stays as
+    it is; certificates are written by Certificate.to_dict.  A NaN inside a
+    State (the vacuum's undefined middle velocity) becomes None; another NaN
+    is kept, so that dumps refuses it."""
     if type(x) is float:  # most leaves: skip the failed field lookup below
         return x
     fields = getattr(type(x), "__dataclass_fields__", None)

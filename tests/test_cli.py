@@ -1054,13 +1054,14 @@ print(status, loaded())
 """
 
 
-def run_fresh(script, *args):
-    """``script`` run by a fresh interpreter that imports eulerfan from this
-    checkout's sources, with its exit status checked."""
+def run_fresh(script, *args, flags=()):
+    """``script`` run by a fresh interpreter, started with ``flags``, that
+    imports eulerfan from this checkout's sources, with its exit status
+    checked."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", script, *args],
+        [sys.executable, *flags, "-c", script, *args],
         env=env,
         capture_output=True,
         text=True,
@@ -1101,6 +1102,26 @@ CLI_CORE = ["eulerfan." + name for name in ("certificate", "cli", "eos", "errors
 
 def probe_loads(*argvs):
     return json.loads(run_fresh(LOAD_PROBE, json.dumps(argvs)).stdout)
+
+
+# Prints whether typing is loaded after `import eulerfan.cli`, then after a
+# run of the argument list of argv[1] (JSON).  Run under -S: site imports
+# typing on its own, and without it the CLI never should, since typing costs
+# every CLI run about 3 ms (a typing.NamedTuple would import it).
+TYPING_PROBE = """
+import contextlib, io, json, sys
+import eulerfan.cli
+seen = ["typing" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    seen.append([eulerfan.cli.main(json.loads(sys.argv[1])), "typing" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_the_cli_loads_no_typing(tmp_path):
+    argv = ["--mode", "standard", "--input", write_doc(tmp_path, CASE6_DOC), "--out", str(tmp_path / "out")]
+    seen = json.loads(run_fresh(TYPING_PROBE, json.dumps(argv), flags=["-S"]).stdout)
+    assert seen == [False, [STATUS_OK, False]]
 
 
 def test_cheap_modes_load_neither_the_search_nor_the_suite(tmp_path):

@@ -3,9 +3,10 @@ dynamics: exact wave-pattern classification, fan-subsolution feasibility with
 machine-checkable certificates, and auxiliary-state constructions gluing a
 subsolution wedge to a classical wave.
 
-Each export is loaded from its submodule on first access, so ``import
-eulerfan`` loads none of them, and a caller that only classifies never
-loads the search, the constructions or the lemma suite."""
+Each export is loaded from its submodule on first access, together with
+the rest of that submodule's exports, so ``import eulerfan`` loads none of
+them, and a caller that only classifies never loads the search, the
+constructions or the lemma suite."""
 
 import importlib
 
@@ -61,13 +62,21 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)
 
 
+def _bind(module: str, namespace: dict) -> None:
+    """Import submodule ``module`` and bind each of its exports in
+    ``namespace``, keeping any name already bound there: the benchmark's
+    tracer rebinds names on eulerfan.cli before a mode binds them."""
+    source = importlib.import_module("." + module, __name__)
+    for name in _EXPORTS[module]:
+        namespace.setdefault(name, getattr(source, name))
+
+
 def __getattr__(name: str):
-    """The export ``name``, loaded from its submodule and kept here."""
+    """The export ``name``, bound here with the rest of its submodule's."""
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module("." + _HOME[name], __name__), name)
-    globals()[name] = value
-    return value
+    _bind(_HOME[name], globals())
+    return globals()[name]
 
 
 def __dir__() -> list[str]:

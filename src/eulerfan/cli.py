@@ -4,14 +4,14 @@ geometry tables out, with deterministic byte-identical artifacts."""
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _escape
 
+from . import _HOME, _bind
 from .certificate import Certificate
 from .eos import GasLaw
 from .errors import DEFAULT_SAMPLES, DEFAULT_SEED, SEARCH_SIZES, ConstructionError, DomainError, EulerFanError, NumericError
@@ -30,32 +30,15 @@ from .riemann import (
 )
 from .wavecurves import State
 
-# The names this module takes from the search and the constructions, by
-# submodule.  They are bound here by _load when the first mode that calls
-# them runs, so classify and standard runs never load those submodules; a
-# name already bound, as by the benchmark's tracer, is kept.
-_DEFERRED = {
-    "subsolution": ("check_reduced", "extract_deltas", "lift_to_full", "reduced_from", "search_feasible", "verify_full"),
-    "wedge": ("build_s", "build_sr", "fan_geometry", "verify_construction"),
-}
-
-
-def _load(module: str) -> None:
-    """Import submodule ``module`` and bind its names in _DEFERRED here,
-    unless they already are."""
-    source = importlib.import_module("." + module, __package__)
-    namespace = globals()
-    for name in _DEFERRED[module]:
-        namespace.setdefault(name, getattr(source, name))
-
 
 def __getattr__(name: str):
-    """A deferred name, as the mode that calls it would bind it."""
-    for module, names in _DEFERRED.items():
-        if name in names:
-            _load(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """An export of the package, bound here as the mode that calls it would
+    bind it: the search and the constructions are bound by the first mode
+    that runs them, so classify and standard runs never load them."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_HOME[name], globals())
+    return globals()[name]
 
 
 MODES = ("classify", "standard", "subsolution", "wedge", "lemmas")
@@ -80,8 +63,8 @@ class SpecError(DomainError):
 @dataclass
 class RunResult:
     status: int
-    artifacts: dict[str, str] = field(default_factory=dict)
-    summary: list[str] = field(default_factory=list)
+    artifacts: dict[str, str]
+    summary: list[str]
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +176,7 @@ def emit_geometry(w) -> str:
     breakpoint between its nondegenerate neighbours.  Other times scale
     them: see fan_geometry.
     """
-    _load("wedge")
+    _bind("wedge", globals())
     regions = [r for r in fan_geometry(w, 1.0) if r[1] != r[2]]
     lines = ["t,breakpoint,left_region,right_region"]
     for (label_a, _, hi), (label_b, _, _) in zip(regions, regions[1:]):
@@ -345,7 +328,7 @@ def _run_standard(p: RiemannProblem, tol_eq, tol_strict) -> RunResult:
 
 
 def _run_subsolution(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
-    _load("subsolution")
+    _bind("subsolution", globals())
     found = search_feasible(p, tol_strict=tol_strict, **doc.get("search", {}))
     if found is None:
         return RunResult(
@@ -378,8 +361,8 @@ def _run_subsolution(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
 
 
 def _run_wedge(p: RiemannProblem, doc, tol_eq, tol_strict) -> RunResult:
-    _load("subsolution")
-    _load("wedge")
+    _bind("subsolution", globals())
+    _bind("wedge", globals())
     # S1R3 data has rho- < rho+, and so does a single 1-shock; R1S3 and
     # a single 3-shock have the opposite order, and turn into those
     rotated = p.left.rho > p.right.rho

@@ -58,10 +58,10 @@ class InvariantError(EulerFanError):
 class BracketError(EulerFanError):
     """A root bracket did not contain a sign change."""
 
-    def __init__(self, lo: float, hi: float, message: str = ""):
+    def __init__(self, lo: float, hi: float):
         self.lo = lo
         self.hi = hi
-        super().__init__(message or f"no sign change on [{lo!r}, {hi!r}]")
+        super().__init__(f"no sign change on [{lo!r}, {hi!r}]")
 
 
 class ConstructionError(EulerFanError):
@@ -70,11 +70,9 @@ class ConstructionError(EulerFanError):
     ``attempts`` records, for each tried perturbation, why it was rejected.
     """
 
-    def __init__(self, attempts, message: str = ""):
+    def __init__(self, attempts):
         self.attempts = list(attempts)
-        super().__init__(
-            message or f"construction failed after {len(self.attempts)} attempts"
-        )
+        super().__init__(f"construction failed after {len(self.attempts)} attempts")
 
 
 def require_count(name: str, value, minimum: int, maximum: int | None = None) -> int:

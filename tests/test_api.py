@@ -48,15 +48,15 @@ not_positive = pytest.mark.parametrize("value", NOT_POSITIVE, ids=NOT_POSITIVE_I
 both_tolerances = pytest.mark.parametrize("name", ["tol_eq", "tol_strict"])
 
 
-# The module-level tables of submodules that a source loads by name, the
-# package's exports and the CLI's deferred names
-LAZY_TABLES = ("_EXPORTS", "_DEFERRED")
+# The module-level table of submodules that a source loads by name: the
+# package's exports, which the package and the CLI bind lazily
+LAZY_TABLE = "_EXPORTS"
 
 
 def imported_modules(tree):
     """(line, module) of each module that the source ``tree`` of an eulerfan
     file imports: by an import statement, by a string argument of
-    ``import_module`` or ``__import__``, or as a key of a lazy table.  A
+    ``import_module`` or ``__import__``, or as a key of the lazy table.  A
     relative name, and a table key, is resolved within the package; an
     argument that is neither a string nor "." plus an expression (a name
     relative to the package) gives (line, None), since no module can be read
@@ -81,7 +81,7 @@ def imported_modules(tree):
             else:
                 found.append((node.lineno, None))
     for node in tree.body:
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in LAZY_TABLES:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == LAZY_TABLE:
             if not isinstance(node.value, ast.Dict):
                 found.append((node.lineno, None))
                 continue
@@ -112,9 +112,9 @@ def test_runtime_imports_only_the_standard_library():
     assert len(sources) > 1
     hits = {path.name: third_party_imports(path) for path in sources}
     assert {name: found for name, found in hits.items() if found} == {}
-    # the guard reads the lazy tables: the CLI names the constructions only there
-    cli_source = Path(eulerfan.__file__).parent / "cli.py"
-    assert "eulerfan.wedge" in {name for _, name in imported_modules(ast.parse(cli_source.read_text()))}
+    # the guard reads the lazy table: the package names the constructions only there
+    init_source = Path(eulerfan.__file__).parent / "__init__.py"
+    assert "eulerfan.wedge" in {name for _, name in imported_modules(ast.parse(init_source.read_text()))}
 
 
 # Ways to defer a numpy import that a scan of import statements alone would
@@ -124,7 +124,6 @@ DEFERRED_NUMPY = {
     "dunder-import": ("oracles.py", "import math\n", "import math\n__import__('numpy.random')\n", "numpy"),
     "computed-name": ("oracles.py", "import math\n", "import math\nimport_module('num' + 'py')\n", None),
     "export-table": ("__init__.py", "_EXPORTS = {\n", "_EXPORTS = {\n    'numpy': ('ndarray',),\n", "eulerfan.numpy"),
-    "deferred-table": ("cli.py", "_DEFERRED = {\n", "_DEFERRED = {\n    'numpy': ('ndarray',),\n", "eulerfan.numpy"),
 }
 
 
@@ -159,8 +158,12 @@ UNUSED_IMPORTS = {"subsolution.py": ["solve_standard"]}
 
 
 def test_every_module_level_import_is_used():
-    # the package's sources and the test suite's; no file name is in both
-    sources = sorted(Path(eulerfan.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    # the package's sources, the test suite's and the benchmark's; no file
+    # name is in two of them
+    here = Path(__file__).parent
+    folders = (Path(eulerfan.__file__).parent, here, here.parent / "bench")
+    sources = [path for folder in folders for path in sorted(folder.glob("*.py"))]
+    assert {path.parent for path in sources} == set(folders)
     assert len({path.name for path in sources}) == len(sources)
     unused = {path.name: unused_imports(ast.parse(path.read_text(), str(path))) for path in sources}
     assert {name: names for name, names in unused.items() if names} == UNUSED_IMPORTS
@@ -190,6 +193,20 @@ def test_an_unknown_name_is_an_attribute_error(module):
     with pytest.raises(AttributeError, match="no_such_name"):
         module.no_such_name
     assert not hasattr(module, "no_such_name")
+
+
+def test_binding_a_submodule_binds_its_exports_and_keeps_what_is_bound():
+    # the benchmark's tracer rebinds names on eulerfan.cli before a mode
+    # binds the rest of their submodule
+    namespace = {"build_sr": None}
+    eulerfan._bind("wedge", namespace)
+    assert namespace.pop("build_sr") is None
+    others = [name for name in eulerfan._EXPORTS["wedge"] if name != "build_sr"]
+    assert namespace == {name: getattr(eulerfan.wedge, name) for name in others}
+
+
+def test_the_cli_resolves_every_export_as_the_package_does():
+    assert [name for name in eulerfan.__all__ if getattr(eulerfan.cli, name) is not getattr(eulerfan, name)] == []
 
 
 @not_positive

@@ -19,6 +19,7 @@ from eulerfan import (
     build_sr,
     classify,
     fan_geometry,
+    rarefaction_integral,
     rotate_180,
     search_feasible,
     shock_bracket,
@@ -267,6 +268,48 @@ def test_constructions_pass_at_their_own_tolerance(build, seed, draw):
         assert verify_full(w.problem_tilde, w.sub, tol_strict=1e-6).overall
         assert verify_standard(w.problem_wedge, w.right_wave, tol_strict=1e-6).overall
     assert built >= 25
+
+
+def weak_shock(build, gamma, eps):
+    """Data of ``build`` with K = 1 whose 1-shock joins rho- = 1 (v- = 0) to
+    1 + eps: the whole jump for build_s, and for build_sr followed by a
+    rarefaction to twice that density."""
+    law = GasLaw(1.0, gamma)
+    rho_m = 1.0 + eps
+    v_m = -shock_bracket(law, 1.0, rho_m)
+    if build is build_s:
+        return RiemannProblem(law, State(1.0, 0.0, 0.0), State(rho_m, 0.0, v_m))
+    right = State(2.0 * rho_m, 0.0, v_m + rarefaction_integral(law, rho_m, 2.0 * rho_m))
+    return RiemannProblem(law, State(1.0, 0.0, 0.0), right)
+
+
+weak_shock_exhausts = pytest.mark.xfail(
+    strict=True, raises=ConstructionError, reason="known defect: no feasible pair for a shock this weak"
+)
+
+
+# Both constructions certify down to eps = 0.03 at every gamma, and exhaust
+# their schedule from eps = 0.01 down
+@pytest.mark.parametrize(
+    "build, gamma, eps",
+    [
+        pytest.param(build, gamma, eps, marks=[weak_shock_exhausts] if eps <= 1e-2 else [])
+        for build in (build_sr, build_s)
+        for gamma in (1.0, 1.4, 3.0)
+        for eps in (1e-1, 3e-2, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    ],
+)
+def test_weak_shock_boundary(build, gamma, eps):
+    p = weak_shock(build, gamma, eps)
+    assert classify(p) is (CaseId.S1R3 if build is build_sr else CaseId.SINGLE_S)
+    try:
+        w = build(p)
+    except ConstructionError as err:
+        assert len(err.attempts) == 41
+        raise
+    assert verify_construction(p, w).overall
+    assert verify_full(w.problem_tilde, w.sub).overall
+    assert verify_standard(w.problem_wedge, w.right_wave).overall
 
 
 class TestAttemptFailures:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -62,9 +61,10 @@ def nonstrict(label: str, value: float, rel_tol: float, *terms: float) -> CertEn
     return CertEntry(label, NONSTRICT, value, tolerance, value >= -tolerance)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    entries: tuple[CertEntry, ...]
+class Certificate(namedtuple("Certificate", "entries")):
+    """A tuple of CertEntry; it compares as a tuple."""
+
+    __slots__ = ()
 
     @property
     def overall(self) -> bool:

@@ -8,7 +8,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _escape
 
 from . import _HOME, _bind
@@ -60,11 +60,9 @@ class SpecError(DomainError):
         super().__init__(f"{fieldname}: {message}")
 
 
-@dataclass
-class RunResult:
-    status: int
-    artifacts: dict[str, str]
-    summary: list[str]
+# A mode's exit status, its artifacts (file name -> text) and its summary
+# lines; a named tuple, which compares as a tuple.
+RunResult = namedtuple("RunResult", "status artifacts summary")
 
 
 # ---------------------------------------------------------------------------

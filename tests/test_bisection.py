@@ -103,12 +103,19 @@ def ratio(log_step, near):
     log_m=st.floats(-150.0, 150.0),
     steps=st.tuples(st.floats(0.0, 30.0), st.floats(0.0, 30.0)),
     near=st.tuples(st.booleans(), st.booleans()),
+    offset=st.one_of(
+        st.just(0.0),
+        st.builds(lambda sign, log_v: sign * 10.0**log_v, st.sampled_from((-1.0, 1.0)), st.floats(-10.0, 308.0)),
+    ),
 )
-def test_extreme_scales(case, gamma, log_k, log_m, steps, near):
+def test_extreme_scales(case, gamma, log_k, log_m, steps, near, offset):
     """Data built backward from a middle density, as in ``generators``, at
     extreme density, velocity and law scales, and next to the thresholds:
     a middle density close to a data density, or two rarefactions close to
-    the vacuum.  Compared on the built case and on the classified one."""
+    the vacuum, both velocities shifted by a common offset.  Compared on
+    the built case and on the classified one; and solve_standard raises an
+    EulerFanError or returns finite speeds and a finite middle state (the
+    kernels bound every term, see riemann._bisect)."""
     I, S = rarefaction_integral, shock_bracket
     law = GasLaw(10.0**log_k, gamma)
     m = 10.0**log_m
@@ -126,13 +133,32 @@ def test_extreme_scales(case, gamma, log_k, log_m, steps, near):
         else:
             rl, rr = m / a, m / b
             dv = -S(law, m, rl) - S(law, m, rr)
-        p = make(law, rl, 0.0, rr, dv)
+        p = make(law, rl, offset, rr, offset + dv)
         found = classify(p)
     except EulerFanError:
         return
     for c in {case, found}:
         if c in riemann.WAVE_KINDS:
             assert_same(p, c)
+    assert_finite_solution(p)
+
+
+def assert_finite_solution(p):
+    """solve_standard raises an EulerFanError, or every wave speed, the
+    middle density and the middle velocity are finite; the one NaN is the
+    middle velocity across the vacuum."""
+    try:
+        s = solve_standard(p)
+    except EulerFanError:
+        return
+    speeds = [speed for wave in s.waves for speed in wave.speeds]
+    assert all(math.isfinite(speed) for speed in speeds), (p, s)
+    if s.middle is not None:
+        assert math.isfinite(s.middle.rho), (p, s)
+        if s.case is CaseId.R1R3_VACUUM:
+            assert math.isnan(s.middle.v2), (p, s)
+        else:
+            assert math.isfinite(s.middle.v2), (p, s)
 
 
 def exact_residual(p, case, m):

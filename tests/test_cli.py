@@ -746,20 +746,25 @@ def test_every_repeated_key_is_refused():
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _readme_block(language):
-    return re.search(rf"```{language}\n(.*?)```", README.read_text(), re.S).group(1)
+def _readme_block(heading, language):
+    """The first ``language`` code block of the README's ``heading`` section."""
+    section = README.read_text().split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
 
 
 def test_readme_examples_run():
-    doc = json.loads(_readme_block("json"))
+    doc = json.loads(_readme_block("## Command line", "json"))
     for mode in ("classify", "standard", "wedge"):
         assert run(mode, doc).status == STATUS_OK, mode
     # single-shock data: the search is refused, never run
     with pytest.raises(CriterionError):
         run("subsolution", doc)
+
+
+def test_readme_library_example_runs():
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
-        exec(_readme_block("python"), {})
+        exec(_readme_block("## Library example", "python"), {})
     glue_margin, overall = printed.getvalue().split()
     assert float(glue_margin) > 0.0 and overall == "True"
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from eulerfan import (
+    BracketError,
     CaseId,
     DomainError,
     GasLaw,
+    InvariantError,
     NumericError,
     RiemannProblem,
     State,
@@ -25,7 +27,7 @@ from eulerfan import (
 )
 from eulerfan import riemann, wavecurves
 from eulerfan.riemann import middle_equation
-from generators import problem_for_case
+from generators import GAMMAS, problem_for_case
 
 LAW_LOG = GasLaw(1.0, 1.0)
 LAW_SQ = GasLaw(0.5, 2.0)
@@ -215,6 +217,95 @@ def test_overflowing_residual_term_names_its_kernel(gamma):
     assert str(err.value) == "arithmetic overflow: the shock bracket of 2e+160 and 1e+160"
 
 
+# The guards that the middle-density solve keeps: a caller can name a case
+# that its data do not have, or a bracket outside the rounding proof.
+def test_a_case_the_data_do_not_have_is_a_bracket_error():
+    p = make(GasLaw(1.0, 1.4), 1.0, 0.0, 2.0, 1.0)
+    assert classify(p) is CaseId.R1R3
+    # the S1R3 residual is negative at both data densities
+    with pytest.raises(BracketError):
+        riemann._solve_middle_density(p, CaseId.S1R3)
+
+
+@pytest.mark.parametrize("case", [CaseId.CONSTANT, CaseId.SINGLE_R, CaseId.SINGLE_S, CaseId.R1R3_VACUUM])
+def test_a_case_without_a_middle_state_has_no_equation(case):
+    with pytest.raises(InvariantError, match="has no middle-state equation"):
+        middle_equation(make(LAW_LOG, 1.0, 0.0, 4.0, -1.0), case)
+
+
+def test_no_rounding_bound_below_the_shock_side_density():
+    p = make(LAW_LOG, 1.0, 0.0, 4.0, -1.0)
+    assert classify(p) is CaseId.S1R3
+    assert riemann._rounding_bound(p, CaseId.S1R3, 1.0, 4.0) is not None
+    # the shock's trial densities must lie at or above rho- = 1
+    assert riemann._rounding_bound(p, CaseId.S1R3, 0.5, 4.0) is None
+
+
+def _s1s3_root_below_an_overflowing_end(gamma):
+    p = make(GasLaw(1.1035455147341889e117, gamma), 1.9033388938838377e38, -7.301992467052995e64,
+             4.8055283302186465e37, -4.266034303856327e114)
+    assert classify(p) is CaseId.S1S3
+    # the doubling stops at 3.8980380546740996e41, where the shock bracket
+    # overflows, above the root
+    assert max(p.left.rho, p.right.rho) < solve_standard(p).middle.rho < 3.8980380546740996e41
+
+
+def _s1r3_velocities_above_the_squares(gamma):
+    p = make(GasLaw(1.0, gamma), 1.0, 1e300, 1e100, 1e300)
+    s = solve_standard(p)
+    assert s.case is CaseId.S1R3
+    # the shock's jump relations square v2 = 1e300
+    assert verify_standard(p, s).overall
+
+
+def _r1r3_at_large_density(gamma):
+    p = make(GasLaw(1.0, gamma), 1e200, 0.0, 1e200, 1.0)
+    s = solve_standard(p)
+    assert s.case is CaseId.R1R3
+    # sound speeds of 1e40 or more against tolerances of about 1e-11
+    assert verify_standard(p, s).overall
+
+
+def _sub_unit_densities(gamma):
+    law = GasLaw(1.0, gamma)
+    # the velocities are 0, so rho -> 1e-13 rho maps one problem onto the
+    # other; the band's absolute 1 reads the small one as Constant
+    assert classify(make(law, 1.0, 0.0, 4.0, 0.0)) is CaseId.S1R3
+    assert classify(make(law, 1e-13, 0.0, 4e-13, 0.0)) is CaseId.S1R3
+
+
+def _open_defect(raises, reason):
+    return pytest.mark.xfail(strict=True, raises=raises, reason=f"known defect: {reason}")
+
+
+# Open defects of the classical layer at the edges of its domain, one cell
+# each (CHANGES.md FOUND lines).  Each XPASSes, and so fails, once its fix
+# lands: an S1S3 bracket that stops below an overflowing end, ROADMAP
+# item 2 (the band's absolute 1) or item 11 (absolute tolerances).  Replace
+# the cell with a passing test then.
+@pytest.mark.parametrize(
+    "check, gamma",
+    [
+        pytest.param(_s1s3_root_below_an_overflowing_end, 3.6121195353619333, id="s1s3-doubling",
+                     marks=_open_defect(NumericError, "the S1S3 doubling raises past the root")),
+        pytest.param(_s1r3_velocities_above_the_squares, 1.4, id="squared-velocity",
+                     marks=_open_defect(NumericError, "verify_standard squares velocities above 1e154 (ROADMAP item 2)")),
+    ]
+    + [
+        pytest.param(_r1r3_at_large_density, gamma, id=f"absolute-middle-tolerance-{gamma}",
+                     marks=_open_defect(AssertionError, "certificate tolerances are absolute (ROADMAP item 11)"))
+        for gamma in (1.4, 2.0)
+    ]
+    + [
+        pytest.param(_sub_unit_densities, gamma, id=f"sub-unit-band-{gamma}",
+                     marks=_open_defect(AssertionError, "the classification band is absolute (ROADMAP item 2)"))
+        for gamma in GAMMAS
+    ],
+)
+def test_open_edge_defect(check, gamma):
+    check(gamma)
+
+
 def test_zero_density_is_a_domain_error():
     # State takes rho = 0 for the solver's vacuum; a problem does not
     with pytest.raises(DomainError, match="positive density"):
@@ -309,7 +400,7 @@ class TestSolveStandard:
         "p",
         [
             # the middle density lies below the densities whose ratio to rho-
-            # is a float: the residual overflows next to the root found
+            # is a float: the rarefaction integral raises on the way down
             make(GasLaw(7.407301696940875e-109, 1.0), 7.4056223220101e52, -9.695943015803278e20,
                  2.2499499601139898e-246, 3.274457939566829e230),
         ],

@@ -8,6 +8,11 @@ velocity."""
 
 import math
 import operator
+import sys
+
+# The largest float: int arithmetic does not overflow, so an int beyond it
+# is tested against it where a float would have overflowed to inf.
+FLOAT_MAX = sys.float_info.max
 
 # The largest grid search_feasible takes: its grid stage holds grid delta2
 # points and, on a miss, tries grid values of rho1.  A full miss at this size
@@ -126,8 +131,12 @@ def require_finite(name: str, value, minimum: float = -math.inf) -> float:
 
 
 def squared(x: float) -> float:
-    """``x**2``, or NumericError when it overflows (above about 1e154)."""
+    """``x**2``, or NumericError when it overflows (above about 1e154), as
+    an int's square beyond the floats does."""
     try:
-        return x**2
+        x2 = x**2
     except OverflowError:
         raise NumericError("arithmetic overflow: a squared velocity") from None
+    if FLOAT_MAX < x2 < math.inf:  # only an int lies there
+        raise NumericError("arithmetic overflow: a squared velocity")
+    return x2

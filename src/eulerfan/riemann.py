@@ -11,7 +11,7 @@ from enum import Enum
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import GasLaw, internal_energy, pressure
-from .errors import BracketError, DomainError, EulerFanError, InvariantError, NumericError, require_finite, require_positive, squared
+from .errors import FLOAT_MAX, BracketError, DomainError, EulerFanError, InvariantError, NumericError, require_finite, require_positive, squared
 from .wavecurves import (
     State,
     lambda1,
@@ -36,6 +36,9 @@ STRICT_TOL = 1e-12
 
 SHOCK = "shock"
 RAREFACTION = "rarefaction"
+
+# The lowest float, for the velocity jump's test against the floats
+_LOWEST = -FLOAT_MAX
 
 
 class CaseId(str, Enum):
@@ -110,9 +113,10 @@ class RiemannProblem:
     @property
     def dv(self) -> float:
         """Normal velocity jump v+2 - v-2, the classification coordinate;
-        NumericError when it overflows."""
+        NumericError when it overflows, as an int jump beyond the floats
+        does."""
         dv = self.right.v2 - self.left.v2
-        if -math.inf < dv < math.inf:
+        if _LOWEST <= dv <= FLOAT_MAX:
             return dv
         raise NumericError(f"arithmetic overflow: the velocity jump {self.right.v2!r} - {self.left.v2!r}")
 

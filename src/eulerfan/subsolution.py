@@ -101,9 +101,14 @@ class _ProblemTerms:
         self.gap = self.rl - self.rr
         self.left_flux = -self.rl * self.vl2
         self.right_flux = self.rr * self.vr2
-        self.jump = self.rr * (self.vl2 - self.vr2)
+        try:
+            dv = p.dv  # vl2 - vr2 is -dv, bit for bit
+        except NumericError:
+            # in floats the jump overflows to inf, and the discriminant to -inf
+            raise NumericError("arithmetic overflow: the discriminant") from None
+        self.jump = self.rr * -dv
         t1 = self.gap * (self.pl - self.pr)
-        t2 = self.rr * self.rl * squared(self.vl2 - self.vr2)
+        t2 = self.rr * self.rl * squared(dv)
         self.disc = t1 - t2
         if not math.isfinite(self.disc):
             raise NumericError("arithmetic overflow: the discriminant")

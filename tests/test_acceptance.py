@@ -5,6 +5,7 @@ JSON and hashed so the determinism criterion can re-run them byte for byte.
 """
 
 import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -27,8 +28,9 @@ from eulerfan import (
 )
 from eulerfan import GasLaw, RiemannProblem, State
 from eulerfan.cli import STATUS_OK, construction_dict, dumps, run
-from eulerfan.wedge import build_s, build_sr
-from generators import problem_for_case, random_case5, random_case6_one_shock
+from eulerfan.wedge import build_sr
+import batches
+from generators import problem_for_case, random_case5
 
 SEVEN_CASES = (
     CaseId.R1R3_VACUUM,
@@ -42,19 +44,14 @@ SEVEN_CASES = (
 MIDDLE_CASES = (CaseId.R1R3, CaseId.R1S3, CaseId.S1R3, CaseId.S1S3)
 SHOCK_CASES = (CaseId.R1S3, CaseId.S1R3, CaseId.S1S3)
 
-SEED_SR = 601
-SEED_S = 602
-
-# Full sha256 of the criterion 6/7 batch streams at those seeds: any change
-# to a number or a byte of the serialized bundles changes these.
+# Full sha256 of the criterion 6/7 batch streams (batches.BATCHES): any
+# change to a number or a byte of the serialized bundles changes these.
 PINNED_SR = "11e48864110371f015ba8b435426dd32b1cf5ddf5e7e96dca4ae23ac138fb7b0"
 PINNED_S = "93b1ca5f36372b44f7bd179cf17fe8d0c3349f9ce062e4cd51098d7c9b3a3c63"
 
 NO_SUBSOLUTION = RiemannProblem(
     GasLaw(K=1.0, gamma=1.0), State(1.0, 0.0, 0.0), State(4.0, 0.0, 1.0)
 )
-
-_batch_cache: dict = {}
 
 
 def _report(num, name, ok, detail=""):
@@ -172,79 +169,60 @@ def test_criterion_5_lemma_suites():
     )
 
 
-def _wedge_bundle_json(p, w):
-    glue = verify_construction(p, w)
-    full = verify_full(w.problem_tilde, w.sub)
-    right = verify_standard(w.problem_wedge, w.right_wave)
-    blob = dumps(
-        {
+def _sr_passes(p, w, glue):
+    labels = ("speeds.mu0-before-mu1", "speeds.mu1-before-mu2")
+    return w.sub.rho1 < solve_standard(p).middle.rho and all(glue.entry(label).passed for label in labels)
+
+
+def _s_passes(p, w, glue):
+    return w.mu2 == pure_shock_speed(w.u2, p.right) and glue.entry("aux-shock-weaker-than-rarefaction").passed
+
+
+# each batch's checks beyond a positive glue margin and passing certificates
+PASSES = {"wedge-sr": _sr_passes, "wedge-s": _s_passes}
+
+
+def _bundles(name, constructions):
+    """The failures of the batch's (problem, construction) pairs, where a
+    construction may be the exception its build raised, and the sha256 of
+    their serialized bundles."""
+    hasher = hashlib.sha256()
+    failures = []
+    for i, (p, w) in enumerate(constructions):
+        if isinstance(w, Exception):  # construction must never fail here
+            failures.append(f"{i}: {type(w).__name__}")
+            continue
+        glue = verify_construction(p, w)
+        full = verify_full(w.problem_tilde, w.sub)
+        right = verify_standard(w.problem_wedge, w.right_wave)
+        bundle = {
             "construction": construction_dict(w),
             "glue": glue.to_dict(),
             "subsolution_full": full.to_dict(),
             "right_wave": right.to_dict(),
         }
-    )
-    return blob, glue, full, right
-
-
-def _run_sr_batch(seed):
-    rng = np.random.default_rng(seed)
-    hasher = hashlib.sha256()
-    failures = []
-    for i in range(500):
-        p, _ = random_case5(rng)
-        try:
-            w = build_sr(p)
-        except Exception as exc:  # construction must never fail here
-            failures.append(f"{i}: {type(exc).__name__}")
-            continue
-        blob, glue, full, right = _wedge_bundle_json(p, w)
-        hasher.update(blob.encode())
-        rho_m = solve_standard(p).middle.rho
-        if not (
-            w.glue_margin > 0.0
-            and w.sub.rho1 < rho_m
-            and glue.overall
-            and full.overall
-            and right.overall
-            and glue.entry("speeds.mu0-before-mu1").passed
-            and glue.entry("speeds.mu1-before-mu2").passed
-        ):
+        hasher.update(dumps(bundle).encode())
+        if not (w.glue_margin > 0.0 and glue.overall and full.overall and right.overall and PASSES[name](p, w, glue)):
             failures.append(f"{i}: certificate")
     return failures, hasher.hexdigest()
 
 
-def _run_s_batch(seed):
-    rng = np.random.default_rng(seed)
-    hasher = hashlib.sha256()
-    failures = []
-    for i in range(500):
-        p = random_case6_one_shock(rng)
-        try:
-            w = build_s(p)
-        except Exception as exc:
-            failures.append(f"{i}: {type(exc).__name__}")
-            continue
-        blob, glue, full, right = _wedge_bundle_json(p, w)
-        hasher.update(blob.encode())
-        mu2_expected = pure_shock_speed(w.u2, p.right)
-        if not (
-            w.glue_margin > 0.0
-            and w.mu2 == mu2_expected
-            and glue.overall
-            and full.overall
-            and right.overall
-            and glue.entry("aux-shock-weaker-than-rarefaction").passed
-        ):
-            failures.append(f"{i}: certificate")
-    return failures, hasher.hexdigest()
+@functools.cache
+def _recorded(name):
+    return _bundles(name, ((draw.problem, draw.construction) for draw in batches.record(name)))
+
+
+def _rebuilt(name):
+    """The digest of the batch built again, with no recorder."""
+    _, _, build = batches.BATCHES[name]
+    return _bundles(name, ((p, batches.construct(build, p)) for p in batches.problems(name)))[1]
 
 
 def test_criterion_6_wedge_shock_rarefaction():
-    failures, digest = _run_sr_batch(SEED_SR)
-    _batch_cache["sr"] = digest
+    failures, _ = _recorded("wedge-sr")
     # a sample of the same pipeline through the CLI entry point
-    rng = np.random.default_rng(SEED_SR + 1)
+    seed, _, _ = batches.BATCHES["wedge-sr"]
+    rng = np.random.default_rng(seed + 1)
     status_ok = True
     for _ in range(3):
         p, _ = random_case5(rng)
@@ -264,8 +242,7 @@ def test_criterion_6_wedge_shock_rarefaction():
 
 
 def test_criterion_7_wedge_single_shock():
-    failures, digest = _run_s_batch(SEED_S)
-    _batch_cache["s"] = digest
+    failures, _ = _recorded("wedge-s")
     _report(
         7,
         "wedge construction, single-shock data",
@@ -275,10 +252,9 @@ def test_criterion_7_wedge_single_shock():
 
 
 def test_criterion_8_determinism():
-    first_sr = _batch_cache.get("sr") or _run_sr_batch(SEED_SR)[1]
-    first_s = _batch_cache.get("s") or _run_s_batch(SEED_S)[1]
-    again_sr = _run_sr_batch(SEED_SR)[1]
-    again_s = _run_s_batch(SEED_S)[1]
+    # the recorded batches, and both built again without the recorders
+    first_sr, first_s = _recorded("wedge-sr")[1], _recorded("wedge-s")[1]
+    again_sr, again_s = _rebuilt("wedge-sr"), _rebuilt("wedge-s")
     _report(
         8,
         "determinism of certificate artifacts",

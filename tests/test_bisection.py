@@ -29,8 +29,8 @@ from eulerfan import (
 )
 from eulerfan import riemann
 from eulerfan.cli import STATUS_OK, main
-from eulerfan.wedge import build_s, build_sr
-from generators import GAMMAS, problem_for_case, random_case5, random_case6_one_shock
+import batches
+from generators import GAMMAS, problem_for_case
 from plain_bisection import outcome, solve_middle_density
 
 TWO_WAVE_CASES = (CaseId.R1R3, CaseId.R1S3, CaseId.S1R3, CaseId.S1S3)
@@ -65,29 +65,33 @@ class TestSameFloat:
                 assert classify(p) is case
                 assert_same(p, case)
 
-    @pytest.mark.parametrize(
-        "build, draw, seed",
-        [(build_sr, lambda rng: random_case5(rng)[0], 601), (build_s, random_case6_one_shock, 602)],
-        ids=["wedge-sr", "wedge-s"],
-    )
-    def test_wedge_batches(self, monkeypatch, build, draw, seed):
+    @pytest.mark.parametrize("name", ["wedge-sr", "wedge-s"])
+    def test_wedge_batches(self, name):
         """Every middle equation the 500-problem acceptance batch builds,
         the perturbed problems of the search included."""
-        seen = {}
-        build_equation = riemann.middle_equation
-
-        def recording(p, case):
-            seen[(p, case)] = None
-            return build_equation(p, case)
-
-        monkeypatch.setattr(riemann, "middle_equation", recording)
-        rng = np.random.default_rng(seed)
-        for _ in range(500):
-            build(draw(rng))
-        monkeypatch.undo()
+        seen = dict.fromkeys(equation for draw in batches.record(name) for equation in draw.equations)
         assert len(seen) > 1000
         for p, case in seen:
             assert_same(p, case)
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, NumericError])
+def test_plain_walk_when_the_span_estimate_raises(monkeypatch, error):
+    """Should _proven_span's estimate or guard raise, _bisect walks every
+    midpoint, as plain bisection does, on criterion 1's two-wave draws."""
+    calls = []
+
+    def raising(*args):
+        calls.append(args)
+        raise error("raised")
+
+    monkeypatch.setattr(riemann, "_proven_span", raising)
+    rng = np.random.default_rng(101)
+    for case in TWO_WAVE_CASES:
+        for _ in range(25):
+            p, _ = problem_for_case(case, rng)
+            assert_same(p, case)
+    assert len(calls) == 100  # every solve tried the span first
 
 
 def ratio(log_step, near):

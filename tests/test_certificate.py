@@ -80,6 +80,11 @@ def test_repr_names_every_field():
     assert repr(ENTRY) == "CertEntry(label='mass', kind='equation-residual', value=1e-13, tolerance=1e-12, passed=True)"
 
 
+def test_an_unknown_label_is_a_key_error():
+    with pytest.raises(KeyError):
+        Certificate((ENTRY,)).entry("momentum")
+
+
 def test_standard_and_full_certificates_round_trip():
     p = RiemannProblem(GasLaw(1.0, 1.0), State(1, 0, 0), State(4, 0, -1))
     rho1, delta2 = search_feasible(p)

@@ -15,7 +15,8 @@ from eulerfan import (
     lemma3_gaps,
     run_suite,
 )
-from eulerfan.cli import dumps
+from eulerfan import oracles
+from eulerfan.cli import STATUS_NUMERIC, dumps, run
 from eulerfan.oracles import DEFAULT_SEED, _draws
 
 LAW_LOG = GasLaw(1.0, 1.0)
@@ -131,6 +132,11 @@ class TestLemma2AuxiliaryFunction:
         with pytest.raises(DomainError):
             lemma2_f(2.0, 1.0)
 
+    def test_nonpositive_z_rejected(self):
+        for z in (0.0, -1.0):
+            with pytest.raises(DomainError, match="needs z > 0"):
+                lemma2_f(z, 1.4)
+
     @pytest.mark.parametrize("z, gamma", [(1e10, 50.0), (1e100, 3.0)], ids=["power", "product"])
     def test_overflow_is_a_numeric_error(self, z, gamma):
         # z**g overflowed with a bare OverflowError; (z-1)(z**g-1) gave inf
@@ -234,6 +240,20 @@ class TestSuite:
         for low, high in ((1.0, 3.0), (-1.5, 1.5), (1e-6, 3.0), (0.01, 0.99)):
             for u in batched.random(2000).tolist():
                 assert scalar.uniform(low, high) == low + (high - low) * u
+
+    def test_a_negative_auxiliary_function_fails_the_suite(self, monkeypatch):
+        # the float gaps can go negative near density ratio 1: a failing
+        # lemma must fail the suite and the CLI, not pass unnoticed
+        monkeypatch.setattr(oracles, "lemma2_f", lambda z, gamma: -1.0)
+        summary = run_suite(n_samples=20)
+        assert not summary["overall"] and not summary["f_grid"]["all_positive"]
+        assert run("lemmas", {}, samples=20).status == STATUS_NUMERIC
+
+    def test_a_negative_gap_fails_its_lemma(self, monkeypatch):
+        monkeypatch.setattr(oracles, "lemma2_gap", lambda law, lo, hi: -1.0)
+        summary = run_suite(n_samples=20)
+        assert summary["lemmas"]["lemma2"]["positive_count"] == 0
+        assert not summary["lemmas"]["lemma2"]["all_positive"] and not summary["overall"]
 
     def test_isothermal_branch_checked(self):
         summary = run_suite(n_samples=100, seed=1)

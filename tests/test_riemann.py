@@ -21,6 +21,7 @@ from eulerfan import (
     pure_shock_speed,
     rarefaction_integral,
     rotate_180,
+    search_feasible,
     shock_bracket,
     solve_standard,
     verify_standard,
@@ -157,6 +158,21 @@ def test_velocity_jump_overflow_is_a_numeric_error(op):
         op(JUMP_OVERFLOW)
 
 
+@pytest.mark.parametrize("v2", [10**308, 1e308], ids=["int", "float"])
+@pytest.mark.parametrize(
+    "op, message",
+    [(classify, "the velocity jump"), (solve_standard, "the velocity jump"), (search_feasible, "the discriminant")],
+    ids=["classify", "solve-standard", "search"],
+)
+def test_int_velocity_jump_beyond_the_floats(op, message, v2):
+    # int arithmetic does not overflow: the int jump -2 * 10**308 passed
+    # dv's test, and each call raised a bare OverflowError where it met a
+    # float; the int data now fail as their float copy does
+    p = RiemannProblem(GasLaw(1, 1.4), State(1, 0, v2), State(2, 0, -v2))
+    with pytest.raises(NumericError, match=f"arithmetic overflow: {message}"):
+        op(p)
+
+
 @pytest.mark.parametrize(
     "p",
     [
@@ -239,6 +255,13 @@ def test_no_rounding_bound_below_the_shock_side_density():
     assert riemann._rounding_bound(p, CaseId.S1R3, 1.0, 4.0) is not None
     # the shock's trial densities must lie at or above rho- = 1
     assert riemann._rounding_bound(p, CaseId.S1R3, 0.5, 4.0) is None
+
+
+def test_no_rounding_bound_above_the_rarefaction_side_density():
+    p = make(LAW_LOG, 1.0, 0.0, 4.0, -1.0)
+    # R1S3's 1-rarefaction needs trial densities at or below rho- = 1; its
+    # 3-shock's, at or above rho+ = 4, hold on [4, 8]
+    assert riemann._rounding_bound(p, CaseId.R1S3, 4.0, 8.0) is None
 
 
 def _s1s3_root_below_an_overflowing_end(gamma):

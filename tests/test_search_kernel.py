@@ -7,17 +7,17 @@ their float copies."""
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerfan import (
-    EulerFanError, GasLaw, NumericError, RiemannProblem, State, search_feasible, shock_bracket, subsolution, wedge,
+    EulerFanError, GasLaw, NumericError, RiemannProblem, State, search_feasible, shock_bracket, wedge,
 )
 from eulerfan.riemann import STRICT_TOL
 from eulerfan.subsolution import _guided_candidates, _ProblemTerms, _scan
-from generators import GAMMAS, random_case5, random_case6_one_shock
+import batches
+from generators import GAMMAS
 from reference_scan import in_hex, outcome, scan
 
 
@@ -28,51 +28,22 @@ def assert_same(t, rho1s, tol):
     return got
 
 
-@pytest.mark.parametrize(
-    "build, draw, seed",
-    [(wedge.build_sr, lambda rng: random_case5(rng)[0], 601), (wedge.build_s, random_case6_one_shock, 602)],
-    ids=["wedge-sr", "wedge-s"],
-)
-def test_acceptance_batch_streams(monkeypatch, build, draw, seed):
+@pytest.mark.parametrize("name", ["wedge-sr", "wedge-s"])
+def test_acceptance_batch_streams(name):
     """Every stream a search stage of the 500-problem acceptance batch
     draws, as far as the stage drew it, with what the kernel yielded there.
     The constructions bound every search above rho-, so none of them
     searches an empty range."""
-    streams, bounds = [], []
-    search, kernel = wedge.search_feasible, subsolution._scan
-
-    def recorded_search(p, **opts):
-        bounds.append(opts["rho1_below"] > p.left.rho)
-        return search(p, **opts)
-
-    def drawn(rho1s, kept):
-        for rho1 in rho1s:
-            kept.append(rho1)
-            yield rho1
-
-    def yielded(scan, kept):
-        for found in scan:
-            kept.append(in_hex(*found))
-            yield found
-
-    def recorded_scan(t, rho1s, tol=None):
-        if tol is None:
-            return kernel(t, rho1s)
-        streams.append((t, [], tol, []))
-        return yielded(kernel(t, drawn(rho1s, streams[-1][1]), tol), streams[-1][3])
-
-    monkeypatch.setattr(wedge, "search_feasible", recorded_search)
-    monkeypatch.setattr(subsolution, "_scan", recorded_scan)
-    rng = np.random.default_rng(seed)
-    for _ in range(500):
-        build(draw(rng))
-    monkeypatch.undo()
-    assert len(bounds) == {601: 2157, 602: 1472}[seed] and all(bounds)
+    made = batches.searches(name)
+    assert len(made) == {"wedge-sr": 2157, "wedge-s": 1472}[name]
+    assert all(s.opts["rho1_below"] > s.p.left.rho for s in made)
+    stages = [stage for s in made for stage in s.stages]
     # two stages at most per search: the guided one, then the grid
-    assert len(bounds) < len(streams) <= 2 * len(bounds)
-    for t, rho1s, tol, yields in streams:
-        assert outcome(scan, t, rho1s, tol) == (yields, None), (t.law, t.rl, t.vl2, t.rr, t.vr2, tol)
-    assert sum(len(yields) for *_, yields in streams) >= 500
+    assert len(made) < len(stages) <= 2 * len(made)
+    for t, tol, rho1s, yields in stages:
+        expected = [in_hex(*found) for found in yields]
+        assert outcome(scan, t, rho1s, tol) == (expected, None), (t.law, t.rl, t.vl2, t.rr, t.vr2, tol)
+    assert sum(len(stage.yields) for stage in stages) >= 500
 
 
 # CASE5 with its velocities scaled by 3e102 and K by the square of that, as

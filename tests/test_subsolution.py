@@ -5,6 +5,7 @@ import inspect
 import math
 import sys
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -49,6 +50,8 @@ from eulerfan.subsolution import (
     _scan,
     _stage,
 )
+import batches
+from batches import kept
 from generators import GAMMAS, random_case5, random_case6_one_shock
 
 LAW_LOG = GasLaw(1.0, 1.0)
@@ -535,12 +538,14 @@ class TestNumericFailure:
             search_feasible(problem(1e-149, 1e158))
 
     def test_velocity_jump_overflow(self):
-        # (vl2 - vr2)**2 = 1e320 in the discriminant
-        p = RiemannProblem(GasLaw(1.0, 1.4), State(1, 0, 0), State(4, 0, 1e160))
-        with pytest.raises(NumericError, match="arithmetic overflow"):
-            discriminant(p)
-        with pytest.raises(NumericError, match="arithmetic overflow"):
-            search_feasible(p)
+        # (vl2 - vr2)**2 = 1e320 in the discriminant; an int square does not
+        # overflow, and raised a bare OverflowError where it met a float
+        for v2 in (1e160, 10**160):
+            p = RiemannProblem(GasLaw(1.0, 1.4), State(1, 0, 0), State(4, 0, v2))
+            with pytest.raises(NumericError, match="arithmetic overflow"):
+                discriminant(p)
+            with pytest.raises(NumericError, match="arithmetic overflow"):
+                search_feasible(p)
 
     def test_delta1_overflow(self):
         # for gamma = 1 the densities are fine, but delta1 squares rho1
@@ -784,27 +789,39 @@ def scan_grids(p, grid):
     return rho1_grid, delta2_grid
 
 
-def reference_search(p, *, scan_points=64, grid=128, tol_strict=STRICT_TOL, rho1_below=math.inf):
-    """search_feasible's scan order walked point by point: the predicate runs
-    at every halving step and every grid point, with no delta2 window, and
-    every rho1 at or above ``rho1_below`` is skipped."""
+def reference_walk(p, scan_points, grid, tol):
+    """search_feasible's scan order walked point by point: the predicate
+    runs at every halving step and every grid point, with no delta2 window.
+    Yields (rho1, delta2) for each rho1 that has a feasible delta2, with
+    its first one, in scan order."""
     if not p.left.rho < p.right.rho:
-        return None
+        return
     t = _ProblemTerms(p)
     for rho1 in list(_guided_candidates(p, scan_points)):
-        if rho1 >= rho1_below:
-            continue
-        found = reference_halving(_ReducedRows(t, rho1), tol_strict)
+        found = reference_halving(_ReducedRows(t, rho1), tol)
         if found is not None:
-            return rho1, found
+            yield rho1, found
     rho1_grid, delta2_grid = scan_grids(p, grid)
     for rho1 in rho1_grid:
-        if rho1 >= rho1_below:
-            continue
-        found = reference_grid(_ReducedRows(t, rho1), delta2_grid, tol_strict)
+        found = reference_grid(_ReducedRows(t, rho1), delta2_grid, tol)
         if found is not None:
-            return rho1, found
-    return None
+            yield rho1, found
+
+
+# (hits yielded, rest of the walk) per problem and search size for the session,
+# keyed by repr: an int and its float, or -0.0 and 0.0, get a walk each
+WALKS = {}
+
+
+def reference_search(p, *, scan_points=64, grid=128, tol_strict=STRICT_TOL, rho1_below=math.inf):
+    """The pair search_feasible must return: the reference walk's first hit
+    below ``rho1_below``, or None.  The walk goes only as far as the furthest
+    answer asked for; one that raised is not kept."""
+    key = (repr(p), scan_points, grid, tol_strict)
+    hits, rest = WALKS.pop(key, None) or ([], reference_walk(p, scan_points, grid, tol_strict))
+    found = next((hit for hit in chain(tuple(hits), kept(rest, hits)) if hit[0] < rho1_below), None)
+    WALKS[key] = hits, rest
+    return found
 
 
 def search_step(t, rho1, points=None):
@@ -856,9 +873,10 @@ def schedule_searches(build, problems, monkeypatch):
     return seen
 
 
-def perturbed_problems(build, problems, monkeypatch):
-    """The problems build hands to the search along its perturbation schedules."""
-    return [p for p, _ in schedule_searches(build, problems, monkeypatch)]
+def schedule_batch_searches():
+    """The perturbation-schedule searches of the first 10 problems of each
+    acceptance batch."""
+    return batches.searches("wedge-sr", 10) + batches.searches("wedge-s", 10)
 
 
 class TestSearchMatchesReference:
@@ -879,25 +897,18 @@ class TestSearchMatchesReference:
         misses = self.assert_matches([random_case5(rng, profile=profile)[0] for _ in range(40)])
         assert not all(misses)
 
-    def test_perturbation_schedules(self, monkeypatch):
-        rng = np.random.default_rng(601)
-        seen = perturbed_problems(
-            wedge.build_sr, [random_case5(rng)[0] for _ in range(10)], monkeypatch
-        )
-        rng = np.random.default_rng(602)
-        seen += perturbed_problems(
-            wedge.build_s, [random_case6_one_shock(rng) for _ in range(10)], monkeypatch
-        )
-        misses = self.assert_matches(seen)
+    def test_perturbation_schedules(self):
+        # the schedule searches of the first 10 problems of each acceptance
+        # batch, without their bound
+        misses = self.assert_matches([s.p for s in schedule_batch_searches()])
         assert any(misses) and not all(misses)
 
     def test_every_rho1(self, monkeypatch):
         # per rho1, not only up to the first hit: every guided candidate and
         # every fourth grid rho1 of schedule and random problems
         rng = np.random.default_rng(603)
-        problems = perturbed_problems(
-            wedge.build_sr, [random_case5(rng)[0] for _ in range(30)], monkeypatch
-        )
+        searches = schedule_searches(wedge.build_sr, [random_case5(rng)[0] for _ in range(30)], monkeypatch)
+        problems = [p for p, _ in searches]
         problems += [random_case5(rng, profile="tight")[0] for _ in range(30)]
         hits = 0
         for p in problems:
@@ -945,56 +956,40 @@ class TestBoundedSearch:
                     cut += 1
         assert cut > 0
 
-    def test_perturbation_schedules(self, monkeypatch):
-        rng = np.random.default_rng(601)
-        searches = schedule_searches(
-            wedge.build_sr, [random_case5(rng)[0] for _ in range(10)], monkeypatch
-        )
-        rng = np.random.default_rng(602)
-        searches += schedule_searches(
-            wedge.build_s, [random_case6_one_shock(rng) for _ in range(10)], monkeypatch
-        )
+    def test_perturbation_schedules(self):
+        # the schedule searches of the first 10 problems of each acceptance
+        # batch, with their bound: below it the hit is the unbounded one
         outcomes = Counter()
-        for p, opts in searches:
-            bound = opts["rho1_below"]
-            found = search_feasible(p, rho1_below=bound)
-            assert found == reference_search(p, rho1_below=bound), p
-            unbounded = search_feasible(p)
+        for s in schedule_batch_searches():
+            bound = s.opts["rho1_below"]
+            assert s.opts == {"rho1_below": bound, "tol_strict": STRICT_TOL}
+            assert s.result == reference_search(s.p, rho1_below=bound), s.p
+            unbounded = search_feasible(s.p)
             if unbounded is not None and unbounded[0] < bound:
-                assert found == unbounded, p
-            outcomes[found is None] += 1
+                assert s.result == unbounded, s.p
+            outcomes[s.result is None] += 1
         assert outcomes[True] and outcomes[False]
 
-    def test_schedule_evaluates_only_below_reference(self, monkeypatch):
+    def test_schedule_evaluates_only_below_reference(self):
         # build_sr's bound is the middle density: its perturbed problems share
-        # it, so the guided approach reaches it, and repeats it at roundoff
-        rng = np.random.default_rng(601)
-        problems = [random_case5(rng)[0] for _ in range(5)]
-        evaluated = []
-
-        def search(p, **opts):
-            evaluated.append([])
-            return search_feasible(p, **opts)
-
-        monkeypatch.setattr(wedge, "search_feasible", search)
-        stage_scans(monkeypatch, on_draw=lambda t, rho1, tol: evaluated[-1].append(rho1))
+        # it, so the guided approach reaches it, and repeats it at roundoff;
+        # on the first 5 problems of the seed-601 acceptance batch
+        draws = batches.record("wedge-sr")[:5]
         misses = 0
-        for p in problems:
-            start = len(evaluated)
-            w = wedge.build_sr(p)
+        for draw in draws:
+            p = draw.problem
             rho_m = solve_standard(p).middle.rho
-            for rho1s in evaluated[start:]:
+            for search in draw.searches:
+                rho1s = [rho1 for stage in search.stages for rho1 in stage.rho1s]
                 assert all(rho1 < rho_m for rho1 in rho1s), p
                 assert len(set(rho1s)) == len(rho1s), p
-            misses += len(evaluated) - start - 1
-            assert w.sub.rho1 < rho_m
-        monkeypatch.undo()
+            misses += len(draw.searches) - 1
+            assert draw.construction.sub.rho1 < rho_m
         assert misses > 0
         # without the bound the same searches would have gone to rho_m and
         # back: the check above is not vacuous (the stream itself drops
         # repeats, so the walk is the full list's)
-        guided = [full_guided_list(p, 64) for p in perturbed_problems(
-            wedge.build_sr, problems, monkeypatch)]
+        guided = [full_guided_list(search.p, 64) for draw in draws for search in draw.searches]
         assert any(len(set(c)) < len(c) for c in guided)
 
     def test_nan_bound_rejected(self):
@@ -1342,9 +1337,8 @@ class TestWindowBoundsThePredicate:
         # every halving step and grid point, at every guided candidate and
         # every second grid rho1 of schedule and random problems
         rng = np.random.default_rng(604)
-        problems = perturbed_problems(
-            wedge.build_sr, [random_case5(rng)[0] for _ in range(4)], monkeypatch
-        )
+        searches = schedule_searches(wedge.build_sr, [random_case5(rng)[0] for _ in range(4)], monkeypatch)
+        problems = [p for p, _ in searches]
         problems += [random_case5(rng, profile="tight")[0] for _ in range(8)]
         hits = 0
         for p in problems:
@@ -1365,8 +1359,7 @@ class TestWindowBoundsThePredicate:
 def test_search_work_per_rho1(monkeypatch):
     """A miss pays p and eps once per rho1 it evaluates; the problem terms
     (data densities, discriminant) are computed once per search."""
-    rng = np.random.default_rng(601)
-    seen = perturbed_problems(wedge.build_sr, [random_case5(rng)[0] for _ in range(3)], monkeypatch)
+    seen = [search.p for search in batches.searches("wedge-sr", 3)]
     miss = next(p for p in seen if search_feasible(p) is None)
     calls = Counter()
 
@@ -1391,8 +1384,7 @@ def test_stages_leave_the_problem_terms_as_built(monkeypatch):
     """A search stage reads the problem terms and writes none: the rows of
     an open window come with the scan's yield.  Checked at every stage of
     the seed-601 schedule searches of three problems, hits and misses."""
-    rng = np.random.default_rng(601)
-    searches = schedule_searches(wedge.build_sr, [random_case5(rng)[0] for _ in range(3)], monkeypatch)
+    searches = batches.searches("wedge-sr", 3)
     stage, changed = subsolution._stage, []
 
     def checked(t, rho1s, tol, points=None):
@@ -1402,7 +1394,7 @@ def test_stages_leave_the_problem_terms_as_built(monkeypatch):
         return found
 
     monkeypatch.setattr(subsolution, "_stage", checked)
-    outcomes = Counter(search_feasible(p, **opts) is None for p, opts in searches)
+    outcomes = Counter(search_feasible(search.p, **search.opts) is None for search in searches)
     assert outcomes[True] and outcomes[False]
     assert changed and not any(changed)
 
@@ -1410,8 +1402,7 @@ def test_stages_leave_the_problem_terms_as_built(monkeypatch):
 def test_predicate_runs_only_inside_open_windows(monkeypatch):
     """A schedule miss runs the predicate at no point; a hit runs it only
     inside non-empty delta2 windows."""
-    rng = np.random.default_rng(601)
-    seen = perturbed_problems(wedge.build_sr, [random_case5(rng)[0] for _ in range(3)], monkeypatch)
+    seen = [search.p for search in batches.searches("wedge-sr", 3)]
     miss = next(p for p in seen if search_feasible(p) is None)
     hit = next(p for p in seen if search_feasible(p) is not None)
     calls, outside, last = [], [], {}
@@ -1438,30 +1429,14 @@ def test_predicate_runs_only_inside_open_windows(monkeypatch):
     assert calls and outside == []
 
 
-def test_schedules_run_the_predicate_only_where_it_passes(monkeypatch):
+def test_schedules_run_the_predicate_only_where_it_passes():
     """On the first 20 problems of the seed-601 batch, every predicate call
     of build_sr's schedules is a search hit: a window wider than it needs to
     be would send the predicate to failing points."""
-    rng = np.random.default_rng(601)
-    problems = [random_case5(rng)[0] for _ in range(20)]
-    calls, hits = [], []
-    feasible = _ReducedRows.feasible
-
-    def counted_feasible(ev, delta2, tol):
-        calls.append(delta2)
-        return feasible(ev, delta2, tol)
-
-    def counted_search(p, **opts):
-        found = search_feasible(p, **opts)
-        hits.append(found is not None)
-        return found
-
-    monkeypatch.setattr(_ReducedRows, "feasible", counted_feasible)
-    monkeypatch.setattr(wedge, "search_feasible", counted_search)
-    for p in problems:
-        wedge.build_sr(p)
-    assert len(hits) > len(problems)  # some schedules miss before they hit
-    assert len(calls) == sum(hits) == len(problems)
+    draws = batches.record("wedge-sr")[:20]
+    hits = [search.result is not None for draw in draws for search in draw.searches]
+    assert len(hits) > len(draws)  # some schedules miss before they hit
+    assert sum(len(draw.predicate_calls) for draw in draws) == sum(hits) == len(draws)
 
 
 def schedule_kernel_calls(monkeypatch):
@@ -1559,13 +1534,6 @@ def test_schedule_work_is_pinned(schedule_scans):
 NEAR_OVERFLOW = RiemannProblem(GasLaw(9e204, 1.0), State(1, 0, 0), State(4, 0, -3e102))
 
 
-def recorded(rho1s, drawn):
-    """The stream ``rho1s``, appending each rho1 to ``drawn`` as it is drawn."""
-    for rho1 in rho1s:
-        drawn.append(rho1)
-        yield rho1
-
-
 class TestStageLaziness:
     """A stage stops at its first hit: no rho1 after it is drawn, so one
     whose rows overflow cannot raise; drawn first, it raises the message
@@ -1577,7 +1545,7 @@ class TestStageLaziness:
         self.hit, self.overflowing = rho1_grid[100], rho1_grid[0]
 
     def stage(self, rho1s, drawn):
-        return _stage(self.t, recorded(rho1s, drawn), STRICT_TOL, self.delta2_grid)
+        return _stage(self.t, kept(rho1s, drawn), STRICT_TOL, self.delta2_grid)
 
     def test_hit_then_overflow(self):
         drawn = []
@@ -1606,6 +1574,21 @@ class TestStageLaziness:
             search_feasible(NEAR_OVERFLOW, scan_points=3)
         assert str(raised.value) == message
 
+    def test_single_point_rows_are_drawn_lazily(self):
+        # at rho1 = 3.95 delta1 and the left row are finite and the right row
+        # overflows: check_reduced, which draws both rows, raises; reduced_from
+        # and v12_star, which draw neither, return
+        rho1, message = 3.95, "the reduced conditions overflow at rho1=3.95"
+        terms = _scan(self.t, (rho1,))
+        assert all(map(math.isfinite, next(terms) + next(terms)))
+        with pytest.raises(NumericError, match=message):
+            next(terms)
+        with pytest.raises(NumericError, match=message):
+            check_reduced(NEAR_OVERFLOW, rho1, 1.0)
+        r = reduced_from(NEAR_OVERFLOW, rho1, 1.0)
+        assert r.rho1 == rho1 and math.isfinite(r.delta1)
+        assert v12_star(NEAR_OVERFLOW, rho1) == r.v12
+
     def test_delta1_overflow_message(self):
         # the density-ratio data of TestNumericFailure: delta1 overflows in
         # its power at the first grid rho1
@@ -1614,7 +1597,7 @@ class TestStageLaziness:
         p = RiemannProblem(law, State(1e-149, 0, 0), State(1e158, 0, v2))
         rho1 = scan_grids(p, 128)[0][0]
         drawn = []
-        stream = recorded((rho1, math.nextafter(rho1, math.inf)), drawn)
+        stream = kept((rho1, math.nextafter(rho1, math.inf)), drawn)
         with pytest.raises(NumericError) as raised:
             _stage(_ProblemTerms(p), stream, STRICT_TOL, _delta2_grid(128))
         assert str(raised.value) == f"arithmetic overflow: delta1 at rho1={rho1!r}"

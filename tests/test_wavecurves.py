@@ -206,6 +206,8 @@ class TestSpeeds:
     def test_vacuum_density_rejected(self):
         with pytest.raises(DomainError):
             lambda3(LAW_SQ, State(0.0, 0.0, 0.0))
+        with pytest.raises(DomainError):
+            lambda1(LAW_SQ, State(0.0, 0.0, 0.0))
 
 
 def _old_rarefaction_integral(law, rho_a, rho_b):

@@ -15,7 +15,7 @@ from . import _HOME, _bind
 from .certificate import Certificate
 from .eos import GasLaw
 from .errors import DEFAULT_SAMPLES, DEFAULT_SEED, SEARCH_SIZES, ConstructionError, DomainError, EulerFanError, NumericError
-from .errors import require_count, require_finite, require_positive
+from .errors import Record, require_count, require_finite, require_positive
 from .riemann import (
     EQUATION_TOL,
     RAREFACTION,
@@ -75,18 +75,17 @@ _RENAMED = {"sub": "subsolution", "c1": "C1"}
 
 def result_dict(x):
     """JSON-ready data of a mode's result, a problem, solution, subsolution or
-    construction: a dataclass becomes a dict of its fields (renamed by
+    construction: a Record becomes a dict of its fields (renamed by
     _RENAMED), a tuple a list, a CaseId its value, and anything else stays as
     it is; certificates are written by Certificate.to_dict.  A NaN inside a
     State (the vacuum's undefined middle velocity) becomes None; another NaN
     is kept, so that dumps refuses it."""
-    if type(x) is float:  # most leaves: skip the failed field lookup below
+    if type(x) is float:  # most leaves: skip the type tests below
         return x
-    fields = getattr(type(x), "__dataclass_fields__", None)
-    if fields is not None:
+    if isinstance(x, Record):
         vacuum_nan = type(x) is State
         out = {}
-        for name in fields:
+        for name in x._fields:
             value = getattr(x, name)
             out[_RENAMED.get(name, name)] = None if vacuum_nan and value != value else result_dict(value)
         return out

@@ -4,9 +4,8 @@ logarithmic branch of the internal energy."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, NumericError, require_finite, require_positive
+from .errors import DomainError, NumericError, Record, require_finite, require_positive
 
 # Below this distance from 1, gamma is treated as exactly 1 so that the
 # internal energy uses the logarithmic branch instead of the catastrophically
@@ -14,23 +13,23 @@ from .errors import DomainError, NumericError, require_finite, require_positive
 GAMMA_ONE_BAND = 1e-12
 
 
-@dataclass(frozen=True)
-class GasLaw:
+class GasLaw(Record):
     """Pressure law parameters: p(rho) = K * rho**gamma, K > 0, gamma >= 1.
 
     Each is an int or a float (not a bool), kept as given."""
 
-    K: float
-    gamma: float
+    _fields = ("K", "gamma")
 
-    def __post_init__(self):
-        require_positive("pressure constant K", self.K)
-        require_finite("adiabatic exponent gamma", self.gamma, 1.0)
+    def __init__(self, K: float, gamma: float):
+        require_positive("pressure constant K", K)
+        require_finite("adiabatic exponent gamma", gamma, 1.0)
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "gamma", gamma)
         # ``isothermal``: computed once per law and read by every kernel call.
-        # A plain attribute, not a field, so asdict, == and hash ignore it;
-        # not a cached_property, whose write to __dict__ would slow every
-        # attribute read on the law in CPython 3.11.
-        object.__setattr__(self, "isothermal", abs(self.gamma - 1.0) < GAMMA_ONE_BAND)
+        # A plain attribute, not a field, so _fields, == and hash leave it
+        # out; not a cached_property, whose write to __dict__ would slow
+        # every attribute read on the law in CPython 3.11.
+        object.__setattr__(self, "isothermal", abs(gamma - 1.0) < GAMMA_ONE_BAND)
 
 
 # Each kernel tests 0 < rho < inf itself: a shared checking function cost

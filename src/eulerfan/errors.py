@@ -3,8 +3,8 @@
 positive numbers (tolerances, fractions, times, law constants) that public
 functions take, the bounds and defaults of the sizes and seeds (which the
 command line checks before it loads the search or the lemma suite, and the
-constructions before any attempt), and the one checked square of a
-velocity."""
+constructions before any attempt), the one checked square of a
+velocity, and the immutable record base of the toolkit's value types."""
 
 import math
 import operator
@@ -140,3 +140,44 @@ def squared(x: float) -> float:
     if FLOAT_MAX < x2 < math.inf:  # only an int lies there
         raise NumericError("arithmetic overflow: a squared velocity")
     return x2
+
+
+class Record:
+    """An immutable value with the fields ``_fields``, in order.
+
+    Records of the same type are equal, and hash alike, when their fields
+    are; each writes as ``Name(field=value, ...)``.  Each type's
+    ``__init__`` checks its arguments and sets its fields with
+    ``object.__setattr__``; any other assignment or deletion is an
+    AttributeError.  Not a dataclass, whose import costs every command-line
+    run several ms, nor a named tuple, whose field reads CPython 3.11 does
+    not specialise; the types keep their instance dicts, as slots made them
+    no faster."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+    def _replace(self, **changes):
+        """A copy with ``changes`` made, built and checked by ``__init__``."""
+        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)

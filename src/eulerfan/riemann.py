@@ -5,13 +5,15 @@ computed solution."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import GasLaw, internal_energy, pressure
-from .errors import FLOAT_MAX, BracketError, DomainError, EulerFanError, InvariantError, NumericError, require_finite, require_positive, squared
+from .errors import (
+    FLOAT_MAX, BracketError, DomainError, EulerFanError, InvariantError, NumericError, Record, require_finite,
+    require_positive, squared,
+)
 from .wavecurves import (
     State,
     lambda1,
@@ -71,17 +73,19 @@ WAVE_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class Wave:
+class Wave(Record):
     """One wave of the solution fan.
 
     ``speeds`` is (sigma,) for a shock and (head, tail) for a rarefaction,
     head being the left edge of the fan.
     """
 
-    family: int
-    kind: str
-    speeds: tuple[float, ...]
+    _fields = ("family", "kind", "speeds")
+
+    def __init__(self, family: int, kind: str, speeds: tuple[float, ...]):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "speeds", speeds)
 
     @property
     def leftmost(self) -> float:
@@ -92,23 +96,21 @@ class Wave:
         return self.speeds[-1]
 
 
-@dataclass(frozen=True)
-class RiemannProblem:
-    law: GasLaw
-    left: State
-    right: State
+class RiemannProblem(Record):
+    _fields = ("law", "left", "right")
 
-    def __post_init__(self):
-        if not (
-            isinstance(self.law, GasLaw) and isinstance(self.left, State) and isinstance(self.right, State)
-        ):
+    def __init__(self, law: GasLaw, left: State, right: State):
+        if not (isinstance(law, GasLaw) and isinstance(left, State) and isinstance(right, State)):
             raise DomainError("a Riemann problem takes a GasLaw and two States")
-        if self.left.rho <= 0.0 or self.right.rho <= 0.0:
+        if left.rho <= 0.0 or right.rho <= 0.0:
             raise DomainError("initial states need positive density")
-        for v in (self.left.v1, self.left.v2, self.right.v1, self.right.v2):
+        for v in (left.v1, left.v2, right.v1, right.v2):
             require_finite("initial velocity", v)
-        if self.left.v1 != self.right.v1:
+        if left.v1 != right.v1:
             raise DomainError("tangential velocities must agree on both sides")
+        object.__setattr__(self, "law", law)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @property
     def dv(self) -> float:
@@ -118,14 +120,16 @@ class RiemannProblem:
         dv = self.right.v2 - self.left.v2
         if _LOWEST <= dv <= FLOAT_MAX:
             return dv
-        raise NumericError(f"arithmetic overflow: the velocity jump {self.right.v2!r} - {self.left.v2!r}")
+        raise NumericError(f"arithmetic overflow: the velocity jump {self.right.v2!r:.40} - {self.left.v2!r:.40}")
 
 
-@dataclass(frozen=True)
-class StandardSolution:
-    case: CaseId
-    middle: State | None
-    waves: tuple[Wave, ...]
+class StandardSolution(Record):
+    _fields = ("case", "middle", "waves")
+
+    def __init__(self, case: CaseId, middle: State | None, waves: tuple[Wave, ...]):
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "middle", middle)
+        object.__setattr__(self, "waves", waves)
 
 
 def _band(*terms: float) -> float:

@@ -9,15 +9,14 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from itertools import chain, repeat, takewhile
 
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import internal_energy, pressure
 from .errors import (
-    SEARCH_SIZES, CriterionError, DomainError, InvariantError, NumericError, is_number, require_count, require_finite,
-    require_positive, squared,
+    SEARCH_SIZES, CriterionError, DomainError, InvariantError, NumericError, Record, is_number, require_count,
+    require_finite, require_positive, squared,
 )
 from .riemann import EQUATION_TOL, STRICT_TOL, CaseId, RiemannProblem, _solve_middle_density, classify
 # not called here: the benchmark's tracer rebinds this module's solve_standard
@@ -43,36 +42,42 @@ _WINDOW_ETA = 2.0**-48
 _WINDOW_SIZE_CAP = 2.0**1000
 
 
-@dataclass(frozen=True)
-class ReducedSubsolution:
+class ReducedSubsolution(Record):
     """Reduced wedge unknowns.
 
     Invariants (checked by certificates, not the constructor): mu0 < mu1 and
     both delta1, delta2 positive.
     """
 
-    rho1: float
-    v12: float
-    mu0: float
-    mu1: float
-    delta1: float
-    delta2: float
+    _fields = ("rho1", "v12", "mu0", "mu1", "delta1", "delta2")
+
+    def __init__(self, rho1: float, v12: float, mu0: float, mu1: float, delta1: float, delta2: float):
+        object.__setattr__(self, "rho1", rho1)
+        object.__setattr__(self, "v12", v12)
+        object.__setattr__(self, "mu0", mu0)
+        object.__setattr__(self, "mu1", mu1)
+        object.__setattr__(self, "delta1", delta1)
+        object.__setattr__(self, "delta2", delta2)
 
 
-@dataclass(frozen=True)
-class FanSubsolution:
+class FanSubsolution(Record):
     """Full wedge unknowns: density, velocity (v11, v12), the two independent
     entries (u11, u12) of the traceless symmetric stress deviator, the kinetic
     bound C1, and the fan speeds."""
 
-    rho1: float
-    v11: float
-    v12: float
-    u11: float
-    u12: float
-    c1: float
-    mu0: float
-    mu1: float
+    _fields = ("rho1", "v11", "v12", "u11", "u12", "c1", "mu0", "mu1")
+
+    def __init__(
+        self, rho1: float, v11: float, v12: float, u11: float, u12: float, c1: float, mu0: float, mu1: float
+    ):
+        object.__setattr__(self, "rho1", rho1)
+        object.__setattr__(self, "v11", v11)
+        object.__setattr__(self, "v12", v12)
+        object.__setattr__(self, "u11", u11)
+        object.__setattr__(self, "u12", u12)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "mu0", mu0)
+        object.__setattr__(self, "mu1", mu1)
 
 
 class _ProblemTerms:

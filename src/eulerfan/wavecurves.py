@@ -5,28 +5,27 @@ speed of a single shock."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .eos import GasLaw, pressure, sound_speed
-from .errors import DegenerateShockError, DivergenceError, DomainError, NumericError, is_number, to_float
+from .errors import DegenerateShockError, DivergenceError, DomainError, NumericError, Record, is_number, to_float
 
 
-@dataclass(frozen=True)
-class State:
+class State(Record):
     """One constant gas state: density plus tangential (v1) and normal (v2)
     velocity components, each an int or a float (not a bool), kept as given.
     rho == 0 only ever appears as the vacuum edge produced by the solver
     itself, and so does a NaN velocity."""
 
-    rho: float
-    v1: float
-    v2: float
+    _fields = ("rho", "v1", "v2")
 
-    def __post_init__(self):
-        if not 0.0 <= to_float(self.rho) < math.inf:
-            raise DomainError(f"density must be finite and nonnegative, got {self.rho!r:.40}")
-        if not (is_number(self.v1) and is_number(self.v2)):
-            raise DomainError(f"velocities must be numbers, got {self.v1!r:.40} and {self.v2!r:.40}")
+    def __init__(self, rho: float, v1: float, v2: float):
+        if not 0.0 <= to_float(rho) < math.inf:
+            raise DomainError(f"density must be finite and nonnegative, got {rho!r:.40}")
+        if not (is_number(v1) and is_number(v2)):
+            raise DomainError(f"velocities must be numbers, got {v1!r:.40} and {v2!r:.40}")
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "v1", v1)
+        object.__setattr__(self, "v2", v2)
 
 
 _NONNEGATIVE = "densities must be finite and nonnegative"

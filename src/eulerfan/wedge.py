@@ -5,12 +5,11 @@ right piece classically, and certify that the two glue (mu1 < mu2)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import certificate as cert
 from .certificate import Certificate
 from .eos import pressure
-from .errors import SEARCH_SIZES, ConstructionError, DomainError, NumericError, require_count, require_positive
+from .errors import SEARCH_SIZES, ConstructionError, DomainError, NumericError, Record, require_count, require_positive
 from .riemann import (
     RAREFACTION,
     STRICT_TOL,
@@ -35,8 +34,7 @@ from .wavecurves import State, rarefaction_integral, shock_bracket
 CURVE_TOL = 1e-11
 
 
-@dataclass(frozen=True)
-class WedgeConstruction:
+class WedgeConstruction(Record):
     """A successful auxiliary-state split.
 
     ``problem_tilde`` (left data to u2) carries the fan subsolution ``sub``;
@@ -46,14 +44,20 @@ class WedgeConstruction:
     fraction of the available density gap used to place u2.
     """
 
-    u2: State
-    problem_tilde: RiemannProblem
-    problem_wedge: RiemannProblem
-    sub: FanSubsolution
-    right_wave: StandardSolution
-    mu2: float
-    glue_margin: float
-    perturbation: float
+    _fields = ("u2", "problem_tilde", "problem_wedge", "sub", "right_wave", "mu2", "glue_margin", "perturbation")
+
+    def __init__(
+        self, u2: State, problem_tilde: RiemannProblem, problem_wedge: RiemannProblem, sub: FanSubsolution,
+        right_wave: StandardSolution, mu2: float, glue_margin: float, perturbation: float,
+    ):
+        object.__setattr__(self, "u2", u2)
+        object.__setattr__(self, "problem_tilde", problem_tilde)
+        object.__setattr__(self, "problem_wedge", problem_wedge)
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "right_wave", right_wave)
+        object.__setattr__(self, "mu2", mu2)
+        object.__setattr__(self, "glue_margin", glue_margin)
+        object.__setattr__(self, "perturbation", perturbation)
 
 
 def _attempt(p, u2, s, rho_ref, right_case, tol_strict, search_opts):

@@ -4,7 +4,6 @@ Every suite is seeded and deterministic; the wedge batches are serialized to
 JSON and hashed so the determinism criterion can re-run them byte for byte.
 """
 
-import dataclasses
 import functools
 import hashlib
 
@@ -98,9 +97,7 @@ def test_criterion_2_jump_certificates_and_corruption():
         case = SHOCK_CASES[k % len(SHOCK_CASES)]
         p, _ = problem_for_case(case, rng)
         s = solve_standard(p)
-        bad = dataclasses.replace(
-            s, middle=dataclasses.replace(s.middle, rho=(1.0 + 1e-3) * s.middle.rho)
-        )
+        bad = s._replace(middle=s.middle._replace(rho=(1.0 + 1e-3) * s.middle.rho))
         cert = verify_standard(p, bad)
         if any(
             not e.passed and (".mass" in e.label or ".momentum" in e.label)

@@ -1,9 +1,10 @@
 """The public surface: every export resolves, every argument that must be a
 finite positive number is checked the same way, by errors.require_positive,
 every finite number by errors.require_finite, the problem types take only
-numbers, the package's lazy exports behave as attributes, the package
-imports nothing outside the standard library, and neither the package nor
-its tests import anything they do not use."""
+numbers, the value types are immutable records, the package's lazy
+exports behave as attributes, the package imports nothing outside the
+standard library, and neither the package nor its tests import anything
+they do not use."""
 
 import ast
 import json
@@ -337,3 +338,66 @@ def test_int_data_is_kept_as_given():
         '{"law": {"K": 1, "gamma": 2}, "left": {"rho": 1, "v1": 0, "v2": 0}, '
         '"right": {"rho": 4, "v1": 0, "v2": -1}}'
     )
+
+
+def reduced_case5():
+    return reduced_from(CASE5, *search_feasible(CASE5))
+
+
+# Each value type: an instance, its fields in the order they had as a
+# dataclass's (the artifact keys follow it), a valid change of one field,
+# and a change its __init__ refuses (None where it checks nothing)
+RECORDS = {
+    "GasLaw": (lambda: LAW_LOG, ("K", "gamma"), ("gamma", 1.4), ("K", -1.0)),
+    "State": (lambda: State(1.0, 0.0, 0.0), ("rho", "v1", "v2"), ("v2", 1.0), ("rho", -1.0)),
+    "RiemannProblem": (lambda: CASE5, ("law", "left", "right"), ("right", State(2, 0, 0)), ("left", None)),
+    "Wave": (lambda: solve_standard(CASE5).waves[0], ("family", "kind", "speeds"), ("family", 3), None),
+    "StandardSolution": (lambda: solve_standard(CASE5), ("case", "middle", "waves"), ("middle", None), None),
+    "ReducedSubsolution": (
+        reduced_case5, ("rho1", "v12", "mu0", "mu1", "delta1", "delta2"), ("delta2", 1.0), None,
+    ),
+    "FanSubsolution": (
+        lambda: lift_to_full(CASE5, reduced_case5()),
+        ("rho1", "v11", "v12", "u11", "u12", "c1", "mu0", "mu1"),
+        ("c1", 1.0),
+        None,
+    ),
+    "WedgeConstruction": (
+        lambda: build_s(CASE6),
+        ("u2", "problem_tilde", "problem_wedge", "sub", "right_wave", "mu2", "glue_margin", "perturbation"),
+        ("perturbation", 0.25),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_value_types_are_immutable_records(name):
+    build, fields, (field, value), refused = RECORDS[name]
+    x = build()
+    cls = type(x)
+    assert cls.__name__ == name and cls._fields == fields
+    values = tuple(getattr(x, f) for f in fields)
+    # equal, and hashing alike, by fields and type
+    twin = cls(**dict(zip(fields, values)))
+    assert twin is not x and twin == x and hash(twin) == hash(x)
+    assert x != values and x != type("Other", (cls,), {})(*values)
+    assert repr(x) == f"{name}(" + ", ".join(f"{f}={v!r}" for f, v in zip(fields, values)) + ")"
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(x, f, getattr(x, f))
+        with pytest.raises(AttributeError):
+            delattr(x, f)
+    with pytest.raises(AttributeError):
+        x.note = None
+    assert tuple(getattr(x, f) for f in fields) == values and not hasattr(x, "note")
+    # _replace builds through __init__, so its checks run again
+    changed = x._replace(**{field: value})
+    assert type(changed) is cls and changed != x
+    assert [getattr(changed, f) for f in fields] == [value if f == field else v for f, v in zip(fields, values)]
+    assert x._replace() == x
+    with pytest.raises(TypeError):
+        x._replace(note=None)
+    if refused is not None:
+        with pytest.raises(DomainError):
+            x._replace(**dict([refused]))

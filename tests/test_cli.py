@@ -1129,6 +1129,30 @@ def test_the_cli_loads_no_typing(tmp_path):
     assert seen == [False, [STATUS_OK, False]]
 
 
+# Prints the modules of RECORD_COSTS loaded after `import eulerfan.cli`, then
+# after each run of the argument lists of argv[1] (JSON).  dataclasses
+# imports inspect, and with it ast, dis and tokenize: several ms of every
+# CLI run, which the value types, built on errors.Record, do without.
+RECORD_COSTS = ("dataclasses", "inspect")
+RECORD_PROBE = f"""
+import contextlib, io, json, sys
+import eulerfan.cli
+loaded = lambda: [name for name in {RECORD_COSTS!r} if name in sys.modules]
+seen = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([eulerfan.cli.main(argv), loaded()])
+print(json.dumps(seen))
+"""
+
+
+def test_the_cli_loads_no_dataclasses(tmp_path):
+    path = write_doc(tmp_path, SUBSOLUTION_DOC)
+    argvs = [["--mode", mode, "--input", path, "--samples", "100", "--out", str(tmp_path / mode)] for mode in MODES]
+    seen = json.loads(run_fresh(RECORD_PROBE, json.dumps(argvs), flags=["-S"]).stdout)
+    assert seen == [[], *([STATUS_OK, []] for _ in MODES)]
+
+
 def test_cheap_modes_load_neither_the_search_nor_the_suite(tmp_path):
     path, bad = write_doc(tmp_path, CASE6_DOC), write_doc(tmp_path, dict(CASE6_DOC, serach={}), "bad.json")
     seen = probe_loads(

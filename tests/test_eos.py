@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -52,16 +51,16 @@ def test_internal_energy_examples():
 def test_isothermal_is_computed_once_and_not_a_field(gamma):
     law = GasLaw(0.7, gamma)
     assert law.isothermal is (abs(gamma - 1.0) < GAMMA_ONE_BAND)
-    assert [f.name for f in dataclasses.fields(law)] == ["K", "gamma"]
-    assert dataclasses.asdict(law) == {"K": 0.7, "gamma": gamma}
+    assert law._fields == ("K", "gamma")
+    assert {name: getattr(law, name) for name in law._fields} == {"K": 0.7, "gamma": gamma}
     twin = GasLaw(0.7, gamma)
     assert law == twin and hash(law) == hash(twin)
     assert repr(law) == f"GasLaw(K=0.7, gamma={gamma!r})"
-    other = dataclasses.replace(law, gamma=1.4)
+    other = law._replace(gamma=1.4)
     assert other.isothermal is False and other == GasLaw(0.7, 1.4)
-    back = dataclasses.replace(other, gamma=gamma)
+    back = other._replace(gamma=gamma)
     assert back.isothermal is law.isothermal and back == law
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         law.isothermal = not law.isothermal
 
 

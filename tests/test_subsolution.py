@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import inspect
 import math
@@ -600,7 +599,7 @@ class TestNumericFailure:
         with pytest.raises(NumericError, match="arithmetic overflow"):
             verify_full(p, f)
         with pytest.raises(NumericError, match="arithmetic overflow"):
-            extract_deltas(dataclasses.replace(f, v11=1e160))
+            extract_deltas(f._replace(v11=1e160))
 
     def test_checked_square(self):
         # one rule for every velocity square: x**2 with its bits and type,
@@ -612,12 +611,12 @@ class TestNumericFailure:
                 squared(x)
 
     def test_wedge_velocity_overflow(self):
-        r = dataclasses.replace(reduced_from(CASE5, *search_feasible(CASE5)), v12=1e160)
+        r = reduced_from(CASE5, *search_feasible(CASE5))._replace(v12=1e160)
         with pytest.raises(NumericError, match="arithmetic overflow"):
             reduced_residuals(CASE5, r)
         f = lift_to_full(CASE5, reduced_from(CASE5, *search_feasible(CASE5)))
         with pytest.raises(NumericError, match="arithmetic overflow"):
-            verify_full(CASE5, dataclasses.replace(f, v12=1e160))
+            verify_full(CASE5, f._replace(v12=1e160))
 
 
 class TestLiftAndVerify:
@@ -675,7 +674,7 @@ class TestLiftAndVerify:
 
     def test_nonpositive_deltas_rejected(self):
         r = reduced_from(CASE5, *search_feasible(CASE5))
-        bad = dataclasses.replace(r, delta1=-r.delta1)
+        bad = r._replace(delta1=-r.delta1)
         with pytest.raises(InvariantError):
             lift_to_full(CASE5, bad)
 
@@ -686,7 +685,7 @@ class TestLiftAndVerify:
         p, (rho1, delta2) = self._feasible_setup()
         r = reduced_from(p, rho1, delta2)
         full = lift_to_full(p, r)
-        corrupted = dataclasses.replace(full, c1=full.c1 - r.delta2)
+        corrupted = full._replace(c1=full.c1 - r.delta2)
         cert = verify_full(p, corrupted)
         assert not cert.overall
         assert not cert.entry("momentum-normal-left").passed
@@ -696,7 +695,7 @@ class TestLiftAndVerify:
         p, (rho1, delta2) = self._feasible_setup()
         r = reduced_from(p, rho1, delta2)
         full = lift_to_full(p, r)
-        corrupted = dataclasses.replace(full, c1=full.c1 - 2.0 * r.delta2)
+        corrupted = full._replace(c1=full.c1 - 2.0 * r.delta2)
         cert = verify_full(p, corrupted)
         assert not cert.overall
         assert not cert.entry("subsolution-definiteness").passed
@@ -722,7 +721,7 @@ class TestLiftAndVerify:
 
     def test_reverse_extraction_from_perturbed_solution(self):
         p, (rho1, delta2) = self._feasible_setup()
-        r = dataclasses.replace(reduced_from(p, rho1, delta2), delta2=0.9 * delta2)
+        r = reduced_from(p, rho1, delta2)._replace(delta2=0.9 * delta2)
         full = lift_to_full(p, r)
         if verify_full(p, full).overall:
             d1, d2 = extract_deltas(full)

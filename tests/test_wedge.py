@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 from collections import Counter
@@ -335,7 +334,7 @@ class TestAttemptFailures:
     def test_right_problem_not_a_single_3_wave(self, monkeypatch):
         def as_1_wave(p):
             s = solve_standard(p)
-            return dataclasses.replace(s, waves=(dataclasses.replace(s.waves[0], family=1),))
+            return s._replace(waves=(s.waves[0]._replace(family=1),))
 
         monkeypatch.setattr(eulerfan.wedge, "solve_standard", as_1_wave)
         assert self.failures(CASE5) == ["right-problem-not-a-single-3-wave"]
@@ -349,7 +348,7 @@ class TestAttemptFailures:
         # the paper's gluing inequality mu1 < mu2, with mu2 moved far left
         def moved_left(p):
             s = solve_standard(p)
-            return dataclasses.replace(s, waves=(dataclasses.replace(s.waves[0], speeds=(-1e300, 0.0)),))
+            return s._replace(waves=(s.waves[0]._replace(speeds=(-1e300, 0.0)),))
 
         monkeypatch.setattr(eulerfan.wedge, "solve_standard", moved_left)
         monkeypatch.setattr(eulerfan.wedge, "verify_standard", lambda p, s, **tols: Certificate(()))

@@ -146,16 +146,30 @@ class Record:
     """An immutable value with the fields ``_fields``, in order.
 
     Records of the same type are equal, and hash alike, when their fields
-    are; each writes as ``Name(field=value, ...)``.  Each type's
-    ``__init__`` checks its arguments and sets its fields with
-    ``object.__setattr__``; any other assignment or deletion is an
-    AttributeError.  Not a dataclass, whose import costs every command-line
-    run several ms, nor a named tuple, whose field reads CPython 3.11 does
-    not specialise; the types keep their instance dicts, as slots made them
-    no faster."""
+    are; each writes as ``Name(field=value, ...)``.  A type that checks its
+    arguments writes its own ``__init__`` and sets its fields with
+    ``object.__setattr__``; the others get the plain one that
+    ``__init_subclass__`` compiles from ``_fields``.  Every other assignment
+    or deletion is an AttributeError.  Not a dataclass, whose import costs
+    every command-line run several ms, nor a named tuple, whose field reads
+    CPython 3.11 does not specialise; the types keep their instance dicts,
+    as slots made them no faster."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        """Give a type that neither writes nor inherits an ``__init__`` the
+        plain one, ``def __init__(self, a, b): _set(self, "a", a); ...`` over
+        its ``_fields``, built as ``collections.namedtuple`` builds ``__new__``.
+        This template is the whole generator: there is no generated file."""
+        if cls.__init__ is object.__init__:
+            name = f"{cls.__qualname__}.__init__"
+            sets = "".join([f"\n _set(self, {field!r}, {field})" for field in cls._fields])
+            namespace = {"_set": object.__setattr__, "__name__": cls.__module__}
+            exec(compile(f"def __init__(self, {', '.join(cls._fields)}):{sets}", f"<{name}>", "exec"), namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = name
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -76,16 +76,12 @@ WAVE_KINDS = {
 class Wave(Record):
     """One wave of the solution fan.
 
-    ``speeds`` is (sigma,) for a shock and (head, tail) for a rarefaction,
-    head being the left edge of the fan.
+    ``family`` is 1 or 3 and ``kind`` is SHOCK or RAREFACTION; ``speeds`` is
+    a tuple of floats, (sigma,) for a shock and (head, tail) for a
+    rarefaction, head being the left edge of the fan.
     """
 
     _fields = ("family", "kind", "speeds")
-
-    def __init__(self, family: int, kind: str, speeds: tuple[float, ...]):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "speeds", speeds)
 
     @property
     def leftmost(self) -> float:
@@ -97,6 +93,8 @@ class Wave(Record):
 
 
 class RiemannProblem(Record):
+    """Planar Riemann data: a GasLaw and the left and right States."""
+
     _fields = ("law", "left", "right")
 
     def __init__(self, law: GasLaw, left: State, right: State):
@@ -124,12 +122,11 @@ class RiemannProblem(Record):
 
 
 class StandardSolution(Record):
-    _fields = ("case", "middle", "waves")
+    """The classical solution: its CaseId ``case``, the middle State (None
+    for a case without one) and ``waves``, a tuple of Wave from left to
+    right."""
 
-    def __init__(self, case: CaseId, middle: State | None, waves: tuple[Wave, ...]):
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "middle", middle)
-        object.__setattr__(self, "waves", waves)
+    _fields = ("case", "middle", "waves")
 
 
 def _band(*terms: float) -> float:
@@ -412,7 +409,8 @@ def _solve_middle_density(p: RiemannProblem, case: CaseId) -> float:
     """The case's middle density: _bisect on the residual of
     middle_equation over a bracket.  Shock+rarefaction cases bracket
     between the data densities; two shocks double the upper end from the
-    larger one until the residual is negative; two rarefactions bracket
+    larger one until the residual is negative, bisecting back from an end
+    where it overflows to a finite negative one; two rarefactions bracket
     [1e-14 * m, m], m the smaller density, and step the bracket down by
     1e-14 while the residual is negative at both ends (NumericError when
     its lower end underflows to 0.0)."""
@@ -436,7 +434,10 @@ def _solve_middle_density(p: RiemannProblem, case: CaseId) -> float:
         lo = max(rl, rr)
         hi = 2.0 * lo
         for _ in range(60):
-            fhi = f(hi)
+            try:
+                fhi = f(hi)
+            except NumericError as overflow:
+                hi, fhi = _finite_negative_end(f, 0.5 * hi, hi, overflow)
             if fhi < 0.0:
                 break
             hi *= 2.0
@@ -444,6 +445,24 @@ def _solve_middle_density(p: RiemannProblem, case: CaseId) -> float:
             raise BracketError(lo, hi)
         flo = f(lo)
     return _bisect(f, lo, hi, flo, fhi, _rounding_bound(p, case, lo, hi))
+
+
+def _finite_negative_end(f, a: float, b: float, overflow: NumericError) -> tuple[float, float]:
+    """A point m in (a, b) with f(m) finite and negative, and f(m), found by
+    bisecting [a, b], where f is not negative at a and raises at b; the
+    NumericError ``overflow`` raised at b when the interval closes first."""
+    while True:
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            raise overflow
+        try:
+            fm = f(m)
+        except NumericError:
+            b = m
+            continue
+        if fm < 0.0:
+            return m, fm
+        a = m
 
 
 def _rounding_bound(p: RiemannProblem, case: CaseId, lo: float, hi: float) -> float | None:
@@ -569,6 +588,8 @@ def _shock_entries(law, ul, ur, sigma, prefix, tol_eq, tol_strict):
     fl = (el + pl) * ul.v2
     fr = (er + pr) * ur.v2
     production = sigma * (el - er) - (fl - fr)
+    if not -math.inf < production < math.inf:
+        raise NumericError(f"arithmetic overflow: the energy flux of {prefix}")
     entries.append(
         cert.nonstrict(
             prefix + ".entropy-production", -production, tol_strict, el, er, fl, fr

@@ -43,7 +43,8 @@ _WINDOW_SIZE_CAP = 2.0**1000
 
 
 class ReducedSubsolution(Record):
-    """Reduced wedge unknowns.
+    """Reduced wedge unknowns, each a float: the density rho1, the normal
+    velocity v12, the fan speeds mu0 and mu1, and the deltas.
 
     Invariants (checked by certificates, not the constructor): mu0 < mu1 and
     both delta1, delta2 positive.
@@ -51,33 +52,13 @@ class ReducedSubsolution(Record):
 
     _fields = ("rho1", "v12", "mu0", "mu1", "delta1", "delta2")
 
-    def __init__(self, rho1: float, v12: float, mu0: float, mu1: float, delta1: float, delta2: float):
-        object.__setattr__(self, "rho1", rho1)
-        object.__setattr__(self, "v12", v12)
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "mu1", mu1)
-        object.__setattr__(self, "delta1", delta1)
-        object.__setattr__(self, "delta2", delta2)
-
 
 class FanSubsolution(Record):
-    """Full wedge unknowns: density, velocity (v11, v12), the two independent
-    entries (u11, u12) of the traceless symmetric stress deviator, the kinetic
-    bound C1, and the fan speeds."""
+    """Full wedge unknowns, each a float: density, velocity (v11, v12), the
+    two independent entries (u11, u12) of the traceless symmetric stress
+    deviator, the kinetic bound C1, and the fan speeds."""
 
     _fields = ("rho1", "v11", "v12", "u11", "u12", "c1", "mu0", "mu1")
-
-    def __init__(
-        self, rho1: float, v11: float, v12: float, u11: float, u12: float, c1: float, mu0: float, mu1: float
-    ):
-        object.__setattr__(self, "rho1", rho1)
-        object.__setattr__(self, "v11", v11)
-        object.__setattr__(self, "v12", v12)
-        object.__setattr__(self, "u11", u11)
-        object.__setattr__(self, "u12", u12)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "mu1", mu1)
 
 
 class _ProblemTerms:

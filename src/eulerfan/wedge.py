@@ -15,19 +15,12 @@ from .riemann import (
     STRICT_TOL,
     CaseId,
     RiemannProblem,
-    StandardSolution,
     _solve_middle_density,
     classify,
     solve_standard,
     verify_standard,
 )
-from .subsolution import (
-    FanSubsolution,
-    lift_to_full,
-    reduced_from,
-    search_feasible,
-    verify_full,
-)
+from .subsolution import lift_to_full, reduced_from, search_feasible, verify_full
 from .wavecurves import State, rarefaction_integral, shock_bracket
 
 # Relative tolerance for the wave-curve membership of the auxiliary state.
@@ -37,27 +30,15 @@ CURVE_TOL = 1e-11
 class WedgeConstruction(Record):
     """A successful auxiliary-state split.
 
-    ``problem_tilde`` (left data to u2) carries the fan subsolution ``sub``;
-    ``problem_wedge`` (u2 to right data) is solved classically by
-    ``right_wave``.  ``mu2`` is the left edge of the classical wave,
-    ``glue_margin`` = mu2 - mu1 > 0, and ``perturbation`` is the final
+    ``problem_tilde`` (left data to the State u2, a RiemannProblem) carries
+    the FanSubsolution ``sub``; ``problem_wedge`` (u2 to right data, a
+    RiemannProblem) is solved classically by the StandardSolution
+    ``right_wave``.  The floats: ``mu2`` is the left edge of the classical
+    wave, ``glue_margin`` = mu2 - mu1 > 0, and ``perturbation`` is the final
     fraction of the available density gap used to place u2.
     """
 
     _fields = ("u2", "problem_tilde", "problem_wedge", "sub", "right_wave", "mu2", "glue_margin", "perturbation")
-
-    def __init__(
-        self, u2: State, problem_tilde: RiemannProblem, problem_wedge: RiemannProblem, sub: FanSubsolution,
-        right_wave: StandardSolution, mu2: float, glue_margin: float, perturbation: float,
-    ):
-        object.__setattr__(self, "u2", u2)
-        object.__setattr__(self, "problem_tilde", problem_tilde)
-        object.__setattr__(self, "problem_wedge", problem_wedge)
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "right_wave", right_wave)
-        object.__setattr__(self, "mu2", mu2)
-        object.__setattr__(self, "glue_margin", glue_margin)
-        object.__setattr__(self, "perturbation", perturbation)
 
 
 def _attempt(p, u2, s, rho_ref, right_case, tol_strict, search_opts):

@@ -38,6 +38,24 @@ def bisect(f, lo, hi, flo, fhi):
     return 0.5 * (lo + hi)
 
 
+def finite_negative_end(f, a, b, overflow):
+    """The first midpoint of the bisection of [a, b] where f is finite and
+    negative, stepping down from a midpoint where f raises and up from one
+    where it does not; ``overflow`` when the interval closes first."""
+    while True:
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            raise overflow
+        try:
+            fm = f(mid)
+        except NumericError:
+            b = mid
+            continue
+        if fm < 0.0:
+            return mid, fm
+        a = mid
+
+
 def solve_middle_density(p, case):
     rl, rr = p.left.rho, p.right.rho
     f = riemann.middle_equation(p, case)
@@ -57,7 +75,10 @@ def solve_middle_density(p, case):
     lo = max(rl, rr)
     hi = 2.0 * lo
     for _ in range(60):
-        fhi = f(hi)
+        try:
+            fhi = f(hi)
+        except NumericError as overflow:
+            hi, fhi = finite_negative_end(f, 0.5 * hi, hi, overflow)
         if fhi < 0.0:
             return bisect(f, lo, hi, f(lo), fhi)
         hi *= 2.0

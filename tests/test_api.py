@@ -382,6 +382,15 @@ def test_value_types_are_immutable_records(name):
     twin = cls(**dict(zip(fields, values)))
     assert twin is not x and twin == x and hash(twin) == hash(x)
     assert x != values and x != type("Other", (cls,), {})(*values)
+    # Python itself refuses a missing, an extra or an unknown field
+    for wrong in (lambda: cls(*values[:-1]), lambda: cls(*values, None), lambda: cls(*values, note=None)):
+        with pytest.raises(TypeError):
+            wrong()
+    assert cls.__init__.__qualname__ == f"{name}.__init__"
+    # a type that checks its arguments keeps the __init__ its module writes;
+    # any other has the one Record compiles from _fields
+    written = sys.modules[cls.__module__].__file__ if refused else f"<{name}.__init__>"
+    assert cls.__init__.__code__.co_filename == written
     assert repr(x) == f"{name}(" + ", ".join(f"{f}={v!r}" for f, v in zip(fields, values)) + ")"
     for f in fields:
         with pytest.raises(AttributeError):

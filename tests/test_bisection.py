@@ -10,7 +10,7 @@ import statistics
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerfan import (
@@ -112,6 +112,9 @@ def ratio(log_step, near):
         st.builds(lambda sign, log_v: sign * 10.0**log_v, st.sampled_from((-1.0, 1.0)), st.floats(-10.0, 308.0)),
     ),
 )
+# the S1S3 doubling's first end, 2e52, overflows, and the bracket bisects
+# back to a finite end
+@example(case=CaseId.S1S3, gamma=5.0, log_k=0.0, log_m=52.0, steps=(0.0, 0.0), near=(False, False), offset=0.0)
 def test_extreme_scales(case, gamma, log_k, log_m, steps, near, offset):
     """Data built backward from a middle density, as in ``generators``, at
     extreme density, velocity and law scales, and next to the thresholds:

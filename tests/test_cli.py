@@ -1109,35 +1109,18 @@ def probe_loads(*argvs):
     return json.loads(run_fresh(LOAD_PROBE, json.dumps(argvs)).stdout)
 
 
-# Prints whether typing is loaded after `import eulerfan.cli`, then after a
-# run of the argument list of argv[1] (JSON).  Run under -S: site imports
-# typing on its own, and without it the CLI never should, since typing costs
-# every CLI run about 3 ms (a typing.NamedTuple would import it).
-TYPING_PROBE = """
+# Prints the modules of UNLOADED that are loaded after `import eulerfan.cli`,
+# then the status and those loaded after each run of the argument lists of
+# argv[1] (JSON).  Run under -S: site imports typing on its own, and without
+# it the CLI never should.  typing costs every CLI run about 3 ms (a
+# typing.NamedTuple would import it); dataclasses imports inspect, and with
+# it ast, dis and tokenize, several ms more, which the value types, built on
+# errors.Record, do without.
+UNLOADED = ("dataclasses", "inspect", "typing")
+UNLOADED_PROBE = f"""
 import contextlib, io, json, sys
 import eulerfan.cli
-seen = ["typing" in sys.modules]
-with contextlib.redirect_stdout(io.StringIO()):
-    seen.append([eulerfan.cli.main(json.loads(sys.argv[1])), "typing" in sys.modules])
-print(json.dumps(seen))
-"""
-
-
-def test_the_cli_loads_no_typing(tmp_path):
-    argv = ["--mode", "standard", "--input", write_doc(tmp_path, CASE6_DOC), "--out", str(tmp_path / "out")]
-    seen = json.loads(run_fresh(TYPING_PROBE, json.dumps(argv), flags=["-S"]).stdout)
-    assert seen == [False, [STATUS_OK, False]]
-
-
-# Prints the modules of RECORD_COSTS loaded after `import eulerfan.cli`, then
-# after each run of the argument lists of argv[1] (JSON).  dataclasses
-# imports inspect, and with it ast, dis and tokenize: several ms of every
-# CLI run, which the value types, built on errors.Record, do without.
-RECORD_COSTS = ("dataclasses", "inspect")
-RECORD_PROBE = f"""
-import contextlib, io, json, sys
-import eulerfan.cli
-loaded = lambda: [name for name in {RECORD_COSTS!r} if name in sys.modules]
+loaded = lambda: [name for name in {UNLOADED!r} if name in sys.modules]
 seen = [loaded()]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -1146,11 +1129,29 @@ print(json.dumps(seen))
 """
 
 
-def test_the_cli_loads_no_dataclasses(tmp_path):
+@pytest.fixture(scope="module")
+def unloaded_probe(tmp_path_factory):
+    """UNLOADED_PROBE over every mode, run once for the tests that read it."""
+    tmp_path = tmp_path_factory.mktemp("unloaded")
     path = write_doc(tmp_path, SUBSOLUTION_DOC)
     argvs = [["--mode", mode, "--input", path, "--samples", "100", "--out", str(tmp_path / mode)] for mode in MODES]
-    seen = json.loads(run_fresh(RECORD_PROBE, json.dumps(argvs), flags=["-S"]).stdout)
-    assert seen == [[], *([STATUS_OK, []] for _ in MODES)]
+    return json.loads(run_fresh(UNLOADED_PROBE, json.dumps(argvs), flags=["-S"]).stdout)
+
+
+def loaded_after_each_step(seen, names):
+    """Which of ``names`` the probe found loaded after the import and after
+    each run, every run's status checked."""
+    imported, *runs = seen
+    assert [status for status, _ in runs] == [STATUS_OK] * len(MODES)
+    return [[name for name in loaded if name in names] for loaded in [imported, *(loaded for _, loaded in runs)]]
+
+
+def test_the_cli_loads_no_typing(unloaded_probe):
+    assert loaded_after_each_step(unloaded_probe, ("typing",)) == [[]] * (1 + len(MODES))
+
+
+def test_the_cli_loads_no_dataclasses(unloaded_probe):
+    assert loaded_after_each_step(unloaded_probe, ("dataclasses", "inspect")) == [[]] * (1 + len(MODES))
 
 
 def test_cheap_modes_load_neither_the_search_nor_the_suite(tmp_path):

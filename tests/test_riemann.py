@@ -275,9 +275,14 @@ def _s1s3_root_below_an_overflowing_end(gamma):
     p = make(GasLaw(1.1035455147341889e117, gamma), 1.9033388938838377e38, -7.301992467052995e64,
              4.8055283302186465e37, -4.266034303856327e114)
     assert classify(p) is CaseId.S1S3
-    # the doubling stops at 3.8980380546740996e41, where the shock bracket
-    # overflows, above the root
-    assert max(p.left.rho, p.right.rho) < solve_standard(p).middle.rho < 3.8980380546740996e41
+    # the doubling reaches 3.8980380546740996e41, where the shock bracket
+    # overflows, above the root, and bisects back to a finite end below it
+    s = solve_standard(p)
+    assert s.middle.rho == 2.517982654870685e41
+    # the shocks' energy fluxes overflow: an error, not a NaN entry
+    with pytest.raises(NumericError) as err:
+        verify_standard(p, s)
+    assert str(err.value) == "arithmetic overflow: the energy flux of shock1"
 
 
 def _s1r3_velocities_above_the_squares(gamma):
@@ -308,16 +313,15 @@ def _open_defect(raises, reason):
     return pytest.mark.xfail(strict=True, raises=raises, reason=f"known defect: {reason}")
 
 
-# Open defects of the classical layer at the edges of its domain, one cell
-# each (CHANGES.md FOUND lines).  Each XPASSes, and so fails, once its fix
-# lands: an S1S3 bracket that stops below an overflowing end, ROADMAP
-# item 2 (the band's absolute 1) or item 11 (absolute tolerances).  Replace
-# the cell with a passing test then.
+# Defects of the classical layer at the edges of its domain, one cell each
+# (CHANGES.md FOUND lines).  An open one is a strict xfail, which XPASSes,
+# and so fails, once its fix lands: ROADMAP item 2 (the band's absolute 1)
+# or item 11 (absolute tolerances).  Drop the mark then and keep the id, as
+# the mended S1S3 doubling cell does.
 @pytest.mark.parametrize(
     "check, gamma",
     [
-        pytest.param(_s1s3_root_below_an_overflowing_end, 3.6121195353619333, id="s1s3-doubling",
-                     marks=_open_defect(NumericError, "the S1S3 doubling raises past the root")),
+        pytest.param(_s1s3_root_below_an_overflowing_end, 3.6121195353619333, id="s1s3-doubling"),
         pytest.param(_s1r3_velocities_above_the_squares, 1.4, id="squared-velocity",
                      marks=_open_defect(NumericError, "verify_standard squares velocities above 1e154 (ROADMAP item 2)")),
     ]

@@ -13,6 +13,8 @@ EQUATION = "equation-residual"
 STRICT = "strict-inequality-margin"
 NONSTRICT = "nonstrict-inequality-margin"
 
+_INF, _NEG_INF = math.inf, -math.inf
+
 
 def scale_of(*terms: float) -> float:
     """Tolerance scale max(1, |t|) over the compared terms.
@@ -30,12 +32,19 @@ def scale_of(*terms: float) -> float:
 
 
 def entry_passes(kind: str, value: float, tolerance: float) -> bool:
+    """The verdict of an entry of ``kind``; an entry whose value or
+    tolerance is infinite or NaN fails, whatever its kind.
+
+    Each chained comparison also bounds the value and the tolerance: a term
+    that overflowed makes ``scale_of``, and so the tolerance, infinite,
+    which would otherwise pass any value.  ``equation``, ``strict`` and
+    ``nonstrict`` write the same comparisons inline."""
     if kind == EQUATION:
-        return abs(value) <= tolerance
+        return abs(value) <= tolerance < _INF
     if kind == STRICT:
-        return value > tolerance
+        return _NEG_INF < tolerance < value < _INF
     if kind == NONSTRICT:
-        return value >= -tolerance
+        return _NEG_INF < -tolerance <= value < _INF
     raise DomainError(f"unknown certificate entry kind {kind!r}")
 
 
@@ -48,17 +57,17 @@ def make_entry(label: str, kind: str, value: float, tolerance: float) -> CertEnt
 
 def equation(label: str, lhs: float, rhs: float, rel_tol: float) -> CertEntry:
     value, tolerance = lhs - rhs, rel_tol * scale_of(lhs, rhs)
-    return CertEntry(label, EQUATION, value, tolerance, abs(value) <= tolerance)
+    return CertEntry(label, EQUATION, value, tolerance, abs(value) <= tolerance < _INF)
 
 
 def strict(label: str, value: float, rel_tol: float, *terms: float) -> CertEntry:
     tolerance = rel_tol * scale_of(value, *terms)
-    return CertEntry(label, STRICT, value, tolerance, value > tolerance)
+    return CertEntry(label, STRICT, value, tolerance, _NEG_INF < tolerance < value < _INF)
 
 
 def nonstrict(label: str, value: float, rel_tol: float, *terms: float) -> CertEntry:
     tolerance = rel_tol * scale_of(value, *terms)
-    return CertEntry(label, NONSTRICT, value, tolerance, value >= -tolerance)
+    return CertEntry(label, NONSTRICT, value, tolerance, _NEG_INF < -tolerance <= value < _INF)
 
 
 class Certificate(namedtuple("Certificate", "entries")):

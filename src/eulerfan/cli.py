@@ -4,6 +4,7 @@ geometry tables out, with deterministic byte-identical artifacts."""
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -527,4 +528,19 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The ``eulerfan`` console script: ``main`` on the command line, its
+    status as the process's exit status.
+
+    This process runs one problem and ends, so once ``main`` is done, by a
+    return, argparse's ``SystemExit`` (``--help``, a usage error) or an
+    exception, ``gc.freeze()`` moves every live object to the collector's
+    permanent generation, and interpreter finalization's cyclic-GC passes
+    have nothing left to walk. Nothing is lost by it: ``main`` has closed
+    its artifact files by then, and finalization still flushes stdout and
+    stderr and runs the atexit handlers, as ``os._exit`` would not.
+    ``main`` and ``run``, the in-process API, leave the collector as they
+    found it."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()

@@ -60,6 +60,19 @@ def test_a_nan_term_is_skipped():
     assert not equation("x", 1.0, math.nan, 0.5).passed
 
 
+def test_a_non_finite_entry_fails():
+    # an infinite term makes the tolerance infinite too, which compared
+    # alone would pass the entry
+    assert equation("x", math.inf, 1.0, 1e-12) == CertEntry("x", EQUATION, math.inf, math.inf, False)
+    assert nonstrict("y", -math.inf, 1e-12, 1.0) == CertEntry("y", NONSTRICT, -math.inf, math.inf, False)
+    assert make_entry("w", EQUATION, math.inf, math.inf) == CertEntry("w", EQUATION, math.inf, math.inf, False)
+    for kind, value in ((EQUATION, 0.0), (STRICT, 1.0), (NONSTRICT, 0.0)):
+        assert make_entry("ok", kind, value, 1e-12).passed
+        for bad_value, bad_tolerance in ((math.inf, 1e-12), (-math.inf, 1e-12), (math.nan, 1e-12),
+                                         (value, math.inf), (value, -math.inf), (value, math.nan)):
+            assert not make_entry("bad", kind, bad_value, bad_tolerance).passed, (kind, bad_value, bad_tolerance)
+
+
 ENTRY = make_entry("mass", EQUATION, 1e-13, 1e-12)
 
 

@@ -1059,20 +1059,21 @@ print(status, loaded())
 """
 
 
-def run_fresh(script, *args, flags=()):
-    """``script`` run by a fresh interpreter, started with ``flags``, that
-    imports eulerfan from this checkout's sources, with its exit status
-    checked."""
+def run_fresh(script, *args, flags=(), status=0, cwd=None):
+    """``script`` run by a fresh interpreter, started with ``flags`` in
+    ``cwd``, that imports eulerfan from this checkout's sources, with its
+    exit status checked against ``status``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, *flags, "-c", script, *args],
         env=env,
+        cwd=cwd,
         capture_output=True,
         text=True,
         check=False,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == status, done.stderr
     return done
 
 
@@ -1202,3 +1203,96 @@ def test_modes_call_the_names_bound_on_the_cli(monkeypatch):
     assert calls == ["search_feasible", "build_sr", "run_suite"]
     # the mode bound the name that was not rebound
     assert "verify_full" in vars(cli)
+
+
+# The `eulerfan` console script, as its [project.scripts] entry runs it
+CONSOLE_SCRIPT = "from eulerfan.cli import entry; entry()"
+
+
+def main_in_process(argv):
+    """cli.main's exit status, stdout and stderr in this process; a usage
+    error's SystemExit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
+def artifact_bytes(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()} if directory.exists() else {}
+
+
+@pytest.mark.parametrize(
+    "doc, mode, status, last_line",
+    [
+        (CASE6_DOC, "classify", STATUS_OK, "status: 0"),
+        (NO_SUBSOLUTION_DOC, "subsolution", STATUS_NOT_FOUND, "status: 2"),
+        (dict(CASE6_DOC, law={"K": 1.0, "gamma": 0.5}), "classify", STATUS_INPUT, "input error at law.gamma: must be >= 1.0, got 0.5"),
+        (CASE6_DOC, None, STATUS_INPUT, "eulerfan: error: the following arguments are required: --mode"),
+    ],
+    ids=["classify", "search-empty", "bad-gamma", "no-mode"],
+)
+def test_console_script_does_what_main_does(tmp_path, monkeypatch, doc, mode, status, last_line):
+    # entry() freezes the collector before the process ends; every line and
+    # artifact main writes must still be there, flushed
+    argv = ["--input", write_doc(tmp_path, doc), "--out", "out", *(["--mode", mode] if mode else [])]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)  # output to a pipe stays in its buffer until exit
+    child, here = tmp_path / "child", tmp_path / "here"
+    child.mkdir(), here.mkdir()
+    done = run_fresh(CONSOLE_SCRIPT, *argv, status=status, cwd=child)
+    monkeypatch.chdir(here)
+    assert main_in_process(argv) == (status, done.stdout, done.stderr)
+    assert (done.stdout or done.stderr).splitlines()[-1] == last_line
+    assert artifact_bytes(child / "out") == artifact_bytes(here / "out")
+    assert bool(artifact_bytes(child / "out")) is (status != STATUS_INPUT)
+
+
+# Prints, as JSON, whether the collector is enabled and how many objects are
+# frozen after `import eulerfan.cli`, after cli.main and after cli.run, then
+# each of entry()'s three ways out (a return, argparse's SystemExit, an
+# exception from inside main) with the freeze count it left, unfrozen again
+# after each.
+GC_PROBE = """
+import contextlib, gc, io, json, sys
+import eulerfan.cli as cli
+state = lambda: [gc.isenabled(), gc.get_freeze_count()]
+seen = [state()]
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(["--mode", "classify", "--input", sys.argv[1]])
+seen += [state(), cli.run("standard", cli.load_input(sys.argv[1])).status, state()]
+
+
+def boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+ways_out = [
+    (["--mode", "classify", "--input", sys.argv[1]], cli.run),
+    (["--mode", "nonsense"], cli.run),
+    (["--mode", "standard", "--input", sys.argv[1]], boom),
+]
+for argv, run in ways_out:
+    cli.run, sys.argv = run, ["eulerfan", *argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.entry()
+        except SystemExit as exc:
+            way = exc.code
+        except RuntimeError as exc:
+            way = str(exc)
+    seen.append([way, gc.get_freeze_count() > 0])
+    gc.unfreeze()
+seen.append(state())
+print(json.dumps([status, seen]))
+"""
+
+
+def test_only_entry_freezes_the_collector(tmp_path):
+    status, seen = json.loads(run_fresh(GC_PROBE, write_doc(tmp_path, CASE6_DOC)).stdout)
+    assert status == STATUS_OK
+    unfrozen = [True, 0]
+    assert seen == [unfrozen, unfrozen, STATUS_OK, unfrozen, [STATUS_OK, True], [STATUS_INPUT, True], ["boom", True], unfrozen]
